@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -45,8 +46,7 @@ from .errors import (
 from .params import ModelParams, QuantumState, angular_eigenroot, energy
 from .polynomials import as_fraction, exceptional_jacobi_closed_form
 from .angular import angular_operator
-from .operators import RatFunc
-from .polynomials import Poly
+from .ladders import action_report
 from .spectral import (
     angular_gram,
     default_rmax,
@@ -55,7 +55,6 @@ from .spectral import (
     ladder_numeric_check,
     wavefunction_on_grid,
 )
-from .utils import ordered_map
 from .verify import verification_report
 
 
@@ -244,13 +243,17 @@ def _eigen_identity_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
     op = angular_operator(alpha, beta)
     for n in range(1, nmax + 1):
         member = exceptional_jacobi_closed_form(n, alpha, beta)
-        ev = angular_eigenroot(n, alpha, beta) ** 2
-        if op.apply_poly(member) != RatFunc.of(member * Poly.constant(ev)):
+        ev, _ = action_report(op, member, member)
+        if ev != angular_eigenroot(n, alpha, beta) ** 2:
             return False
     return True
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.nmax < 2 or cfg.mmax < 1:
+        raise UsageError(f"verify needs --nmax >= 2 (orthogonality compares "
+                         f"two members) and --mmax >= 1 (got {cfg.nmax} and "
+                         f"{cfg.mmax})")
     params = cfg.model_params()
     alpha, beta = params.alpha, params.beta
     print(f"verify: alpha = {alpha}, beta = {beta}, omega = {params.omega}, "
@@ -278,9 +281,8 @@ def cmd_verify(cfg: RunConfig) -> int:
           f"off-diagonal Gram entry {fmt_float(off)} (limit 1e-12)")
 
     states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
-    residuals = ordered_map(
-        lambda s: hamiltonian_residual(s, params, nr=cfg.grid, nphi=cfg.grid),
-        states)
+    residuals = [hamiltonian_residual(s, params, nr=cfg.grid, nphi=cfg.grid)
+                 for s in states]
     worst = max(residuals)
     ok = worst < cfg.tol
     failed |= not ok
@@ -336,6 +338,8 @@ def _write_output(cfg: RunConfig, basename: str, text: str) -> None:
 def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.emax is None:
         raise UsageError("spectrum requires --emax")
+    if not math.isfinite(cfg.emax):
+        raise UsageError(f"--emax must be finite (got {cfg.emax})")
     params = cfg.model_params()
     levels = degeneracy_table(params, cfg.emax)
     rows = []
@@ -424,6 +428,10 @@ def cmd_orbit(cfg: RunConfig) -> int:
     dt = cfg.dt if cfg.dt is not None else model.radial_period / 256
     t_end = (cfg.t_end if cfg.t_end is not None
              else 2.5 * params.q * model.radial_period)
+    for flag, value in (("--dt", dt), ("--t-end", t_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(
+                f"{flag} must be positive and finite (got {value})")
 
     e0 = classical_energy(model, start)
     l0 = angular_invariant(model, start)
@@ -457,15 +465,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "export-wavefunction":
-            return cmd_export_wavefunction(cfg)
-        if args.command == "orbit":
-            return cmd_orbit(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        commands = {"verify": cmd_verify, "spectrum": cmd_spectrum,
+                    "export-wavefunction": cmd_export_wavefunction,
+                    "orbit": cmd_orbit}
+        code = commands[args.command](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): silence the final flush at
+        # exit, as the SIGPIPE note in the Python `signal` docs suggests
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (UsageError, ParameterDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

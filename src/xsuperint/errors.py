@@ -48,7 +48,8 @@ class WedgeExitError(XSuperintError):
 
 
 class StepSizeError(XSuperintError):
-    """Energy drift guard tripped mid-run: the integration step is too large."""
+    """Bad integration step or horizon (non-positive or non-finite step,
+    negative time), or no convergence-probe rung could be certified."""
 
 
 class InsufficientSpanError(XSuperintError):

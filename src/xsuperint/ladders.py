@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .angular import angular_operator, exceptional_jacobi
 from .errors import (InsufficientSpanError, OutOfFamilyError,
                      VerificationError)
 from .operators import DiffOp, RatFunc
@@ -46,30 +47,14 @@ def shifted_jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     return jacobi_polynomial(n, as_fraction(alpha) + 1, as_fraction(beta) - 1)
 
 
-def action_coefficient(op: DiffOp, source: Poly, target: Poly) -> Fraction:
-    """Exact scalar c with op(source) == c * target.
-
-    Raises VerificationError when the image leaves the target's line — either
-    by failing to be a polynomial or by not being proportional — so a wrong
-    ladder can never be scored as a right one.
-    """
-    image = op.apply_poly(source)
-    if not image.is_polynomial():
-        raise VerificationError(
-            f"ladder image is not a polynomial: {image.pretty()}")
-    c = image.as_poly().proportionality(target)
-    if c is None:
-        raise VerificationError(
-            f"ladder image {image.num.pretty()} is not proportional to "
-            f"target {target.pretty()}")
-    return c
+#: A measured action: (c, witness) with image == c * target, or (None, witness)
+#: when the image leaves the target's line.
+Measurement = tuple[Optional[Fraction], str]
 
 
-def action_report(op: DiffOp, source: Poly, target: Poly
-                  ) -> tuple[Optional[Fraction], str]:
-    """Like `action_coefficient` but non-throwing: (coefficient, detail).
-    Coefficient is None when the image leaves the target's line."""
-    image = op.apply_poly(source)
+def _line_report(image: RatFunc, target: Poly) -> Measurement:
+    """Measure an image against the target's line: it leaves the line when
+    it keeps a pole or is not proportional to the target."""
     if not image.is_polynomial():
         return None, (f"image has a surviving pole: denominator "
                       f"{image.den.pretty()}")
@@ -78,6 +63,23 @@ def action_report(op: DiffOp, source: Poly, target: Poly
         return None, (f"image {image.num.pretty()} not proportional to "
                       f"{target.pretty()}")
     return c, "proportional"
+
+
+def action_report(op: DiffOp, source: Poly, target: Poly) -> Measurement:
+    """Measure op on a polynomial family member: (c, witness) with
+    op(source) == c * target, or (None, witness) when the image leaves the
+    target's line.  Every polynomial-family action is measured here."""
+    return _line_report(op.apply_poly(source), target)
+
+
+def action_coefficient(op: DiffOp, source: Poly, target: Poly) -> Fraction:
+    """`action_report` that raises VerificationError with the witness when
+    the image leaves the target's line, so a wrong ladder can never be
+    scored as a right one."""
+    c, witness = action_report(op, source, target)
+    if c is None:
+        raise VerificationError(witness)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +605,15 @@ def radial_family_image(op: DiffOp, m: int, a: RationalLike,
     return img
 
 
+def radial_action_report(op: DiffOp, m: int, a: RationalLike, target_m: int,
+                         target_a: RationalLike) -> Measurement:
+    """Radial twin of `action_report`: (c, witness) with op sending the
+    gauged radial factor (m, a) to c times the one with (target_m,
+    target_a), or (None, witness) when the image leaves that line."""
+    return _line_report(radial_family_image(op, m, a, target_a),
+                        laguerre_polynomial(target_m, target_a))
+
+
 def radial_lowering_action(m: int, a) -> Fraction:
     """Measured coefficient of the derived lowering ladder: -1 for every
     m >= 1 (0 at the bottom state)."""
@@ -742,23 +753,57 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
         radial=radial_raising_chain(a, eps, p))
 
 
+def _composite_report(step: CompositeStep, params: ModelParams,
+                      angular_image: RatFunc) -> Measurement:
+    """Product of two measurements: `angular_image` against the target's
+    monic deformed member, and the radial chain on the source's Laguerre
+    factor against the target's."""
+    alpha, beta, k = params.alpha, params.beta, params.k
+    ang, witness = _line_report(
+        angular_image, exceptional_jacobi(step.target.n, alpha, beta))
+    if ang is None:
+        return None, witness
+    rad, witness = radial_action_report(
+        step.radial,
+        step.source.m, k * angular_eigenroot(step.source.n, alpha, beta),
+        step.target.m, k * angular_eigenroot(step.target.n, alpha, beta))
+    return (None if rad is None else ang * rad), witness
+
+
+def composite_action_report(step: CompositeStep, params: ModelParams
+                            ) -> Measurement:
+    """Measured scalar the composite multiplies its source state by on the
+    way to its target, to be compared with `step.coefficient`."""
+    source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
+    return _composite_report(step, params, step.angular.apply_poly(source))
+
+
+def l1_commutator_report(step: CompositeStep, params: ModelParams
+                         ) -> Measurement:
+    """Measured eigen-coefficient of [angular invariant, composite] on the
+    step's source state: L(chain P_n) - chain(L P_n) with
+    L = `angular_operator`, times the radial chain's coefficient.  The
+    operators are applied, never composed into a commutator operator."""
+    lop = angular_operator(params.alpha, params.beta)
+    source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
+    image = (lop.apply_ratfunc(step.angular.apply_poly(source))
+             - step.angular.apply_ratfunc(lop.apply_poly(source)))
+    return _composite_report(step, params, image)
+
+
 def l1_noncommutation(state: QuantumState, params: ModelParams,
                       raising: bool = True) -> Fraction:
-    """Exact eigen-coefficient of the commutator of the angular invariant with
-    a composite ladder on the given state:
-
-        [angular invariant, composite] |state> =
-            (A_target^2 - A_source^2) * coefficient * |target>,
-
-    returned as the scalar multiplying |target>.  Nonzero on interior states —
-    the composites genuinely move along degenerate levels rather than
-    commuting with everything."""
+    """`l1_commutator_report` of the raising (or lowering) composite on the
+    given state, raising VerificationError when the image leaves the family.
+    Equals (A_target^2 - A_source^2) * coefficient, and is nonzero on
+    interior states: the composites move along degenerate levels rather
+    than commuting with everything."""
     step = composite_raising(state, params) if raising \
         else composite_lowering(state, params)
-    alpha, beta = params.alpha, params.beta
-    gap = (angular_eigenroot(step.target.n, alpha, beta) ** 2
-           - angular_eigenroot(step.source.n, alpha, beta) ** 2)
-    return gap * step.coefficient
+    gap, witness = l1_commutator_report(step, params)
+    if gap is None:
+        raise VerificationError(witness)
+    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -141,12 +141,6 @@ class RatFunc:
         return f"RatFunc({self.pretty()})"
 
 
-#: A gauge factor G enters the algebra only through (log G)', which is rational
-#: whenever G is a product of real powers of polynomials.  Passing that log
-#: derivative around as a plain RatFunc keeps conjugation exact.
-GaugeLogDeriv = RatFunc
-
-
 class DiffOp:
     """Normal-ordered differential operator sum_j coeffs[j] * d^j."""
 
@@ -170,10 +164,6 @@ class DiffOp:
     @classmethod
     def d(cls, order: int = 1) -> "DiffOp":
         return cls([RatFunc.zero()] * order + [RatFunc.one()])
-
-    @classmethod
-    def mul_op(cls, f: Coefficientable) -> "DiffOp":
-        return cls((RatFunc.of(f),))
 
     # -- queries ------------------------------------------------------------
     @property

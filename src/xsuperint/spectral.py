@@ -161,7 +161,7 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     b = float(weight_pole(alpha, beta))
     e1 = float(alpha) / 2 + 0.25
     e2 = float(beta) / 2 + 0.25
-    g = np.power(1 - x, e1) * np.power(1 + x, e2) / (b - x)
+    g = angular_gauge_values(alpha, beta, x)
     gamma = -e1 / (1 - x) + e2 / (1 + x) + 1 / (b - x)
     gamma_p = -e1 / (1 - x) ** 2 - e2 / (1 + x) ** 2 + 1 / (b - x) ** 2
     pol = exceptional_jacobi(state.n, alpha, beta)

@@ -1,14 +1,9 @@
-"""Small shared helpers: exact linear algebra and a deterministic map."""
+"""Exact linear algebra shared by the solvers."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
+from typing import Sequence
 
 
 def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int
@@ -50,24 +45,3 @@ def fraction_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int
             vec[pc] = -mat[ri][fc]
         basis.append(vec)
     return basis
-
-
-def thread_count() -> int:
-    """Worker count from XSUPERINT_THREADS (default 1: fully serial runs)."""
-    raw = os.environ.get("XSUPERINT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"XSUPERINT_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def ordered_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
-    """map() that honors XSUPERINT_THREADS but always returns results in input
-    order, so outputs are byte-identical at any thread count."""
-    seq = list(items)
-    n = thread_count()
-    if n == 1 or len(seq) <= 1:
-        return [fn(it) for it in seq]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, seq))

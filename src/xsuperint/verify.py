@@ -32,6 +32,7 @@ from .angular import (
     reconcile_family,
 )
 from .ladders import (
+    Measurement,
     action_report,
     claimed_deformed_lowering_action,
     claimed_deformed_raising_action,
@@ -42,11 +43,11 @@ from .ladders import (
     claimed_radial_raising_chain_action,
     claimed_raising_chain_action,
     claimed_raising_intertwiner_action,
+    composite_action_report,
     composite_lowering,
     composite_raising,
     deformed_lowering,
     deformed_lowering_action,
-    deformed_lowering_chain,
     deformed_lowering_chain_action,
     deformed_raising,
     deformed_raising_action,
@@ -60,11 +61,12 @@ from .ladders import (
     jacobi_raising,
     jacobi_raising_action,
     jacobi_raising_candidate,
-    l1_noncommutation,
+    l1_commutator_report,
     lowering_intertwiner,
     lowering_intertwiner_action,
     lowering_intertwiner_candidate,
     parity_report,
+    radial_action_report,
     radial_eps,
     radial_family_image,
     radial_lowering,
@@ -75,7 +77,6 @@ from .ladders import (
     radial_raising,
     radial_raising_action,
     radial_raising_candidate,
-    radial_raising_chain,
     radial_raising_chain_action,
     raising_intertwiner,
     raising_intertwiner_action,
@@ -89,8 +90,8 @@ from .polynomials import (
     as_fraction,
     exceptional_jacobi_closed_form,
     jacobi_polynomial,
-    laguerre_polynomial,
 )
+from .operators import DiffOp
 from .utils import fraction_nullspace
 
 MATCH = "MATCH"
@@ -119,15 +120,27 @@ class CheckLine:
         return text
 
 
-def classify_claim(pairs: Sequence[tuple[str, Fraction, Fraction]]
-                   ) -> tuple[str, str]:
+def classify_claim(
+        rows: Sequence[tuple[str, Fraction, Fraction | Measurement]]
+        ) -> tuple[str, str]:
     """Score a table of (label, claimed, measured) exact values.
 
-    All ratios 1 -> MATCH; one common ratio c != 1 -> NORMALIZATION(c);
-    anything index-dependent -> MISMATCH with the varying ratios as witness.
+    `measured` is an exact value or a measuring primitive's (coefficient,
+    witness) output; a None coefficient (the image left the family) scores
+    MISMATCH with its witness.  All ratios 1 -> MATCH; one common ratio
+    c != 1 -> NORMALIZATION(c); anything index-dependent -> MISMATCH with the
+    varying ratios as witness.  An empty table has nothing to score and
+    raises ValueError.
     """
+    if not rows:
+        raise ValueError("classify_claim needs at least one probe")
     ratios: list[tuple[str, Fraction]] = []
-    for label, claimed, measured in pairs:
+    for label, claimed, measured in rows:
+        if isinstance(measured, tuple):
+            measured, witness = measured
+            if measured is None:
+                return MISMATCH, (f"image leaves the family — {label}: "
+                                  f"{witness}")
         if measured == 0:
             if claimed == 0:
                 continue
@@ -141,11 +154,11 @@ def classify_claim(pairs: Sequence[tuple[str, Fraction, Fraction]]
         return MATCH, "zero on both sides at every probe"
     distinct = {r for _, r in ratios}
     if distinct == {Fraction(1)}:
-        return MATCH, f"claimed equals measured at all {len(pairs)} probes"
+        return MATCH, f"claimed equals measured at all {len(rows)} probes"
     if len(distinct) == 1:
         c = next(iter(distinct))
         return normalization(c), (
-            f"claimed = {c} * measured at all {len(pairs)} probes — a "
+            f"claimed = {c} * measured at all {len(rows)} probes — a "
             f"normalization convention, not an index-dependent error")
     shown = ", ".join(f"{lab}: {r}" for lab, r in ratios[:4])
     return MISMATCH, f"claimed/measured ratio varies with the index ({shown})"
@@ -208,51 +221,28 @@ def _potential_lines(alpha: Fraction, beta: Fraction) -> list[CheckLine]:
 def _jacobi_ladder_lines(alpha: Fraction, beta: Fraction, nmax: int
                          ) -> list[CheckLine]:
     """Score the one-step ladders for the plain Jacobi family at the shifted
-    parameters (alpha+1, beta-1) where the deformed construction uses them."""
+    parameters (alpha+1, beta-1) where the deformed construction uses them.
+    Derived and candidate operators alike are measured against the derived
+    action tables."""
     sa, sb = alpha + 1, beta - 1
+    ladders = [
+        (f"derived lowering ladder at parameters ({sa}, {sb})",
+         jacobi_lowering, jacobi_lowering_action, -1),
+        (f"derived raising ladder at parameters ({sa}, {sb})",
+         jacobi_raising, jacobi_raising_action, +1),
+        ("candidate lowering ladder",
+         jacobi_lowering_candidate, jacobi_lowering_action, -1),
+        ("candidate raising ladder",
+         jacobi_raising_candidate, jacobi_raising_action, +1),
+    ]
     lines = []
-    for label, make, table, dn in [
-            ("lowering", jacobi_lowering, jacobi_lowering_action, -1),
-            ("raising", jacobi_raising, jacobi_raising_action, +1)]:
-        pairs = []
-        for n in range(1, nmax + 1):
-            src = jacobi_polynomial(n, sa, sb)
-            tgt = jacobi_polynomial(n + dn, sa, sb)
-            coeff, detail = action_report(make(n, sa, sb), src, tgt)
-            if coeff is None:
-                lines.append(CheckLine(
-                    "plain-jacobi ladders", f"derived {label} ladder", MISMATCH,
-                    f"n = {n}: {detail}"))
-                break
-            pairs.append((f"n={n}", table(n, sa, sb), coeff))
-        else:
-            verdict, detail = classify_claim(pairs)
-            lines.append(CheckLine(
-                "plain-jacobi ladders",
-                f"derived {label} ladder at parameters ({sa}, {sb})",
-                verdict, detail))
-    for label, make, dn in [("lowering", jacobi_lowering_candidate, -1),
-                            ("raising", jacobi_raising_candidate, +1)]:
-        witnesses = []
-        coeffs = []
-        for n in range(1, nmax + 1):
-            src = jacobi_polynomial(n, sa, sb)
-            tgt = jacobi_polynomial(n + dn, sa, sb)
-            coeff, detail = action_report(make(n, sa, sb), src, tgt)
-            if coeff is None:
-                witnesses.append(f"n = {n}: {detail}")
-            else:
-                coeffs.append((f"n={n}", coeff))
-        if witnesses:
-            lines.append(CheckLine(
-                "plain-jacobi ladders", f"candidate {label} ladder", MISMATCH,
-                f"image leaves the family — {witnesses[0]}"))
-        else:
-            measured = [(lab, c, c) for lab, c in coeffs]
-            verdict, detail = classify_claim(measured)
-            lines.append(CheckLine(
-                "plain-jacobi ladders", f"candidate {label} ladder",
-                verdict, detail))
+    for name, make, table, dn in ladders:
+        rows = [(f"n = {n}", table(n, sa, sb),
+                 action_report(make(n, sa, sb), jacobi_polynomial(n, sa, sb),
+                               jacobi_polynomial(n + dn, sa, sb)))
+                for n in range(1, nmax + 1)]
+        lines.append(CheckLine("plain-jacobi ladders", name,
+                               *classify_claim(rows)))
     return lines
 
 
@@ -287,40 +277,33 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
     lines = []
     fwd = raising_intertwiner(alpha, beta)
     bwd = lowering_intertwiner(alpha, beta)
-    rederived_fwd = derive_raising_intertwiner(alpha, beta)
-    rederived_bwd = derive_lowering_intertwiner(alpha, beta)
-    lines.append(CheckLine(
-        "intertwiners", "forward intertwiner re-derived from the ansatz",
-        MATCH if rederived_fwd == fwd else MISMATCH,
-        "nullspace solve reproduces the frozen closed form"
-        if rederived_fwd == fwd else
-        f"ansatz result {rederived_fwd.pretty()} differs from {fwd.pretty()}"))
-    lines.append(CheckLine(
-        "intertwiners", "backward intertwiner re-derived from the ansatz",
-        MATCH if rederived_bwd == bwd else MISMATCH,
-        "nullspace solve reproduces the frozen closed form"
-        if rederived_bwd == bwd else
-        f"ansatz result {rederived_bwd.pretty()} differs from {bwd.pretty()}"))
+    for name, frozen, rederived in (
+            ("forward", fwd, derive_raising_intertwiner(alpha, beta)),
+            ("backward", bwd, derive_lowering_intertwiner(alpha, beta))):
+        lines.append(CheckLine(
+            "intertwiners", f"{name} intertwiner re-derived from the ansatz",
+            MATCH if rederived == frozen else MISMATCH,
+            "nullspace solve reproduces the frozen closed form"
+            if rederived == frozen else
+            f"ansatz result {rederived.pretty()} differs from "
+            f"{frozen.pretty()}"))
 
-    fwd_pairs, bwd_pairs = [], []
-    for n in range(0, nmax):
-        src = shifted_jacobi(n, alpha, beta)
-        tgt = exceptional_jacobi_closed_form(n + 1, alpha, beta)
-        coeff, _ = action_report(fwd, src, tgt)
-        fwd_pairs.append((f"n={n}", raising_intertwiner_action(n, alpha, beta),
-                          coeff))
-    for n in range(1, nmax + 1):
-        src = exceptional_jacobi_closed_form(n, alpha, beta)
-        tgt = shifted_jacobi(n - 1, alpha, beta)
-        coeff, _ = action_report(bwd, src, tgt)
-        bwd_pairs.append((f"n={n}", lowering_intertwiner_action(n, alpha, beta),
-                          coeff))
-    verdict, detail = classify_claim(fwd_pairs)
-    lines.append(CheckLine(
-        "intertwiners", "forward intertwiner action table", verdict, detail))
-    verdict, detail = classify_claim(bwd_pairs)
-    lines.append(CheckLine(
-        "intertwiners", "backward intertwiner action table", verdict, detail))
+    def backward_rows(op: DiffOp) -> list[tuple[str, Fraction, Measurement]]:
+        return [(f"n = {n}", lowering_intertwiner_action(n, alpha, beta),
+                 action_report(op,
+                               exceptional_jacobi_closed_form(n, alpha, beta),
+                               shifted_jacobi(n - 1, alpha, beta)))
+                for n in range(1, nmax + 1)]
+
+    fwd_rows = [
+        (f"n = {n}", raising_intertwiner_action(n, alpha, beta),
+         action_report(fwd, shifted_jacobi(n, alpha, beta),
+                       exceptional_jacobi_closed_form(n + 1, alpha, beta)))
+        for n in range(0, nmax)]
+    lines.append(CheckLine("intertwiners", "forward intertwiner action table",
+                           *classify_claim(fwd_rows)))
+    lines.append(CheckLine("intertwiners", "backward intertwiner action table",
+                           *classify_claim(backward_rows(bwd))))
 
     claim_pairs = [
         (f"n={n}", claimed_raising_intertwiner_action(n, alpha, beta),
@@ -355,43 +338,38 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
         "intertwiners", "candidate forward intertwiner with undefined scalar",
         UNRESOLVABLE, detail))
 
-    cand_bwd = lowering_intertwiner_candidate(alpha, beta)
-    coeff, detail = action_report(
-        cand_bwd, exceptional_jacobi_closed_form(1, alpha, beta),
-        shifted_jacobi(0, alpha, beta))
-    lines.append(CheckLine(
-        "intertwiners", "candidate backward intertwiner",
-        MATCH if coeff is not None else MISMATCH,
-        f"coefficient {coeff}" if coeff is not None else
-        f"pole sits at x = -b, inside neither the family nor the weight: {detail}"))
+    cand_rows = backward_rows(lowering_intertwiner_candidate(alpha, beta))
+    verdict, detail = classify_claim(cand_rows)
+    left = [witness for _, _, (c, witness) in cand_rows if c is None]
+    if left:
+        detail = (f"pole sits at x = -b, inside neither the family nor the "
+                  f"weight: {left[0]}")
+    lines.append(CheckLine("intertwiners", "candidate backward intertwiner",
+                           verdict, detail))
     return lines
 
 
 def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
                            ) -> list[CheckLine]:
-    lines = []
-    raise_pairs, lower_pairs = [], []
-    for n in range(1, nmax + 1):
-        src = exceptional_jacobi_closed_form(n, alpha, beta)
-        tgt = exceptional_jacobi_closed_form(n + 1, alpha, beta)
-        coeff, _ = action_report(deformed_raising(n, alpha, beta), src, tgt)
-        raise_pairs.append((f"n={n}", deformed_raising_action(n, alpha, beta),
-                            coeff))
-    for n in range(2, nmax + 2):
-        src = exceptional_jacobi_closed_form(n, alpha, beta)
-        tgt = exceptional_jacobi_closed_form(n - 1, alpha, beta)
-        coeff, _ = action_report(deformed_lowering(n, alpha, beta), src, tgt)
-        lower_pairs.append((f"n={n}", deformed_lowering_action(n, alpha, beta),
-                            coeff))
-    verdict, detail = classify_claim(raise_pairs)
-    lines.append(CheckLine("deformed ladders", "one-step raising action table",
-                           verdict, detail))
-    verdict, detail = classify_claim(lower_pairs)
-    lines.append(CheckLine("deformed ladders", "one-step lowering action table",
-                           verdict, detail))
+    def member(n: int) -> Poly:
+        return exceptional_jacobi_closed_form(n, alpha, beta)
 
-    bottom = deformed_lowering(1, alpha, beta).apply_poly(
-        exceptional_jacobi_closed_form(1, alpha, beta))
+    raise_rows = [(f"n = {n}", deformed_raising_action(n, alpha, beta),
+                   action_report(deformed_raising(n, alpha, beta),
+                                 member(n), member(n + 1)))
+                  for n in range(1, nmax + 1)]
+    lower_rows = [(f"n = {n}", deformed_lowering_action(n, alpha, beta),
+                   action_report(deformed_lowering(n, alpha, beta),
+                                 member(n), member(n - 1)))
+                  for n in range(2, nmax + 2)]
+    lines = [
+        CheckLine("deformed ladders", "one-step raising action table",
+                  *classify_claim(raise_rows)),
+        CheckLine("deformed ladders", "one-step lowering action table",
+                  *classify_claim(lower_rows)),
+    ]
+
+    bottom = deformed_lowering(1, alpha, beta).apply_poly(member(1))
     lines.append(CheckLine(
         "deformed ladders", "lowering annihilates the bottom (degree-1) member",
         MATCH if bottom.is_zero() else MISMATCH,
@@ -417,56 +395,47 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
           for n in range(q + 1, nmax + q + 1)]),
     ]
     for name, pairs in claims:
-        verdict, detail = classify_claim(pairs)
-        lines.append(CheckLine("deformed ladders", name, verdict, detail))
+        lines.append(CheckLine("deformed ladders", name,
+                               *classify_claim(pairs)))
 
-    chain_pairs = []
-    for n in range(1, 4):
-        src = exceptional_jacobi_closed_form(n, alpha, beta)
-        tgt = exceptional_jacobi_closed_form(n + q, alpha, beta)
-        coeff, _ = action_report(deformed_raising_chain(n, q, alpha, beta),
-                                 src, tgt)
-        chain_pairs.append(
-            (f"n={n}", deformed_raising_chain_action(n, q, alpha, beta), coeff))
-    verdict, detail = classify_claim(chain_pairs)
+    chain_rows = [(f"n = {n}",
+                   deformed_raising_chain_action(n, q, alpha, beta),
+                   action_report(deformed_raising_chain(n, q, alpha, beta),
+                                 member(n), member(n + q)))
+                  for n in range(1, 4)]
     lines.append(CheckLine(
         "deformed ladders",
         f"{q}-fold raising chain equals the product of its steps",
-        verdict, detail))
+        *classify_claim(chain_rows)))
     return lines
 
 
 def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
                          p: int, mmax: int) -> list[CheckLine]:
     a = k * angular_eigenroot(1, alpha, beta)
-    lines = []
-
-    lower_pairs, raise_pairs = [], []
-    for m in range(0, mmax + 1):
-        eps = radial_eps(m, a)
-        img = radial_family_image(radial_lowering(a, eps), m, a, a + 2)
-        if m == 0:
-            lines.append(CheckLine(
-                "radial ladders", "derived lowering annihilates the bottom state",
-                MATCH if img.is_zero() else MISMATCH,
-                "image is identically zero" if img.is_zero() else
-                f"image {img.pretty()} is not zero"))
-        else:
-            coeff = (img.as_poly().proportionality(laguerre_polynomial(m - 1, a + 2))
-                     if img.is_polynomial() else None)
-            lower_pairs.append((f"m={m}", radial_lowering_action(m, a), coeff))
-        img = radial_family_image(radial_raising(a, eps), m, a, a - 2)
-        coeff = (img.as_poly().proportionality(laguerre_polynomial(m + 1, a - 2))
-                 if img.is_polynomial() else None)
-        raise_pairs.append((f"m={m}", radial_raising_action(m, a), coeff))
-    verdict, detail = classify_claim(lower_pairs)
-    lines.append(CheckLine(
-        "radial ladders", f"derived lowering action table at a = {a}",
-        verdict, detail))
-    verdict, detail = classify_claim(raise_pairs)
-    lines.append(CheckLine(
-        "radial ladders", f"derived raising action table at a = {a}",
-        verdict, detail))
+    bottom = radial_family_image(radial_lowering(a, radial_eps(0, a)), 0, a,
+                                 a + 2)
+    lower_rows = [(f"m = {m}", radial_lowering_action(m, a),
+                   radial_action_report(radial_lowering(a, radial_eps(m, a)),
+                                        m, a, m - 1, a + 2))
+                  for m in range(1, mmax + 1)]
+    raise_rows = [(f"m = {m}", radial_raising_action(m, a),
+                   radial_action_report(radial_raising(a, radial_eps(m, a)),
+                                        m, a, m + 1, a - 2))
+                  for m in range(0, mmax + 1)]
+    lines = [
+        CheckLine("radial ladders",
+                  "derived lowering annihilates the bottom state",
+                  MATCH if bottom.is_zero() else MISMATCH,
+                  "image is identically zero" if bottom.is_zero() else
+                  f"image {bottom.pretty()} is not zero"),
+        CheckLine("radial ladders",
+                  f"derived lowering action table at a = {a}",
+                  *classify_claim(lower_rows)),
+        CheckLine("radial ladders",
+                  f"derived raising action table at a = {a}",
+                  *classify_claim(raise_rows)),
+    ]
 
     claim_tables = [
         ("claimed one-step lowering coefficient",
@@ -485,81 +454,83 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
           for m in range(0, mmax + 1)]),
     ]
     for name, pairs in claim_tables:
-        verdict, detail = classify_claim(pairs)
-        lines.append(CheckLine("radial ladders", name, verdict, detail))
+        lines.append(CheckLine("radial ladders", name, *classify_claim(pairs)))
 
-    chain_pairs = []
-    for m in range(p, p + 3):
-        eps = radial_eps(m, a)
-        img = radial_family_image(radial_lowering_chain(a, eps, p), m, a,
-                                  a + 2 * p)
-        coeff = (img.as_poly().proportionality(
-            laguerre_polynomial(m - p, a + 2 * p))
-            if img.is_polynomial() else None)
-        chain_pairs.append((f"m={m}", radial_lowering_chain_action(m, a, p),
-                            coeff))
-    verdict, detail = classify_claim(chain_pairs)
+    chain_rows = [(f"m = {m}", radial_lowering_chain_action(m, a, p),
+                   radial_action_report(
+                       radial_lowering_chain(a, radial_eps(m, a), p),
+                       m, a, m - p, a + 2 * p))
+                  for m in range(p, p + 3)]
     lines.append(CheckLine(
         "radial ladders",
         f"{p}-fold lowering chain equals the product of its steps",
-        verdict, detail))
+        *classify_claim(chain_rows)))
 
-    eps0 = radial_eps(0, a)
-    own = radial_family_image(radial_lowering_candidate(a, eps0), 0, a, a)
-    if own.is_polynomial() and own.as_poly().degree <= 0:
-        val = own.as_poly().coeff(0)
-        lines.append(CheckLine(
-            "radial ladders", "candidate lowering ladder", MISMATCH,
-            f"fails to annihilate the bottom state: maps it to "
-            f"-(1 + a) = {val} times itself (a = {a})"))
+    own, witness = radial_action_report(
+        radial_lowering_candidate(a, radial_eps(0, a)), 0, a, 0, a)
+    if own == 0:
+        verdict, detail = MATCH, "annihilates the bottom state"
+    elif own is None:
+        verdict, detail = MISMATCH, (
+            f"bottom-state image is not even in the family: {witness}")
     else:
-        lines.append(CheckLine(
-            "radial ladders", "candidate lowering ladder", MISMATCH,
-            f"bottom-state image is not even in the family: {own.pretty()}"))
+        shown = f"-(1 + a) = {own}" if own == -(1 + a) else f"{own}"
+        verdict, detail = MISMATCH, (
+            f"fails to annihilate the bottom state: maps it to {shown} times "
+            f"itself (a = {a})")
+    lines.append(CheckLine("radial ladders", "candidate lowering ladder",
+                           verdict, detail))
 
-    witnesses = []
-    for m in range(0, 3):
-        eps = radial_eps(m, a)
-        img = radial_family_image(radial_raising_candidate(a, eps), m, a, a - 2)
-        coeff = (img.as_poly().proportionality(laguerre_polynomial(m + 1, a - 2))
-                 if img.is_polynomial() else None)
-        if coeff is None:
-            witnesses.append(f"m = {m}")
-    lines.append(CheckLine(
-        "radial ladders", "candidate raising ladder",
-        MISMATCH if witnesses else MATCH,
-        ("image is not proportional to any family member at "
-         + ", ".join(witnesses)) if witnesses else "proportional at all probes"))
+    cand_rows = [(f"m = {m}", radial_raising_action(m, a),
+                  radial_action_report(
+                      radial_raising_candidate(a, radial_eps(m, a)),
+                      m, a, m + 1, a - 2))
+                 for m in range(0, 3)]
+    verdict, detail = classify_claim(cand_rows)
+    left = [label for label, _, (c, _) in cand_rows if c is None]
+    if left:
+        detail = ("image is not proportional to any family member at "
+                  + ", ".join(left))
+    lines.append(CheckLine("radial ladders", "candidate raising ladder",
+                           verdict, detail))
     return lines
 
 
 def _composite_lines(params: ModelParams, nmax: int) -> list[CheckLine]:
     alpha, beta = params.alpha, params.beta
     p, q = params.p, params.q
-    lines = []
-
     up = composite_raising(QuantumState(p, 1), params)
     down = composite_lowering(QuantumState(0, 1 + q), params)
-    lines.append(CheckLine(
-        "composite structure",
-        f"energy-preserving raising composite (m, n) -> (m-{p}, n+{q})",
-        MATCH,
-        f"(m, n) = ({p}, 1) -> ({up.target.m}, {up.target.n}) at exact "
-        f"E/omega = {up.energy}; coefficient {up.coefficient}"))
-    lines.append(CheckLine(
-        "composite structure",
-        f"energy-preserving lowering composite (m, n) -> (m+{p}, n-{q})",
-        MATCH,
-        f"(m, n) = (0, {1 + q}) -> ({down.target.m}, {down.target.n}) at "
-        f"exact E/omega = {down.energy}; coefficient {down.coefficient}"))
+    lines = []
+    for name, step in (
+            (f"energy-preserving raising composite (m, n) -> "
+             f"(m-{p}, n+{q})", up),
+            (f"energy-preserving lowering composite (m, n) -> "
+             f"(m+{p}, n-{q})", down)):
+        measured, witness = composite_action_report(step, params)
+        ok = measured == step.coefficient
+        detail = (f"(m, n) = ({step.source.m}, {step.source.n}) -> "
+                  f"({step.target.m}, {step.target.n}) at exact E/omega = "
+                  f"{step.energy}; coefficient {step.coefficient}")
+        if not ok:
+            detail += (f", but the chains measure "
+                       f"{witness if measured is None else measured}")
+        lines.append(CheckLine("composite structure", name,
+                               MATCH if ok else MISMATCH, detail))
 
-    gap = l1_noncommutation(QuantumState(p, 1), params)
+    gap, witness = l1_commutator_report(up, params)
+    if gap is None:
+        detail = (f"commutator image on (m, n) = ({p}, 1) leaves the family: "
+                  f"{witness}")
+    elif gap == 0:
+        detail = "commutator vanished on an interior state"
+    else:
+        detail = (f"commutator eigen-coefficient on (m, n) = ({p}, 1) is "
+                  f"{gap} != 0")
     lines.append(CheckLine(
         "composite structure",
         "composites do not commute with the angular invariant",
-        MATCH if gap != 0 else MISMATCH,
-        f"commutator eigen-coefficient on (m, n) = ({p}, 1) is {gap} != 0"
-        if gap != 0 else "commutator vanished on an interior state"))
+        MATCH if gap else MISMATCH, detail))
 
     par_nmax = max(nmax, 2 * q + 3, 2 * p + 2, 8)
     par = parity_report(alpha, beta, p, q, nmax=par_nmax)

@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import xsuperint
 from xsuperint.cli import main
 
 
@@ -176,3 +179,34 @@ def test_bad_rational_flag():
     code, _, err = run_cli("spectrum", "--alpha", "1.5.2", "--emax", "5")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--dt", "0"),
+    ("orbit", "--t-end", "-1"),
+    ("spectrum", "--emax", "nan"),
+    ("spectrum", "--emax", "inf"),
+    ("verify", "--nmax", "0"),
+    ("verify", "--mmax", "0"),
+    ("verify", "--mmax", "-1"),
+])
+def test_bad_input_exits_2_before_any_output(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(xsuperint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xsuperint", "spectrum", "--emax", "20"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

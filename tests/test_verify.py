@@ -1,7 +1,16 @@
 """Reconciliation scorecard: the ratio classifier and the assembled report."""
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
+
+from xsuperint import verify
+from xsuperint.angular import angular_operator
+from xsuperint.ladders import (composite_lowering, composite_raising,
+                               deformed_raising, jacobi_lowering,
+                               lowering_intertwiner, radial_lowering,
+                               radial_raising, radial_raising_candidate)
 from xsuperint.verify import (classify_claim, normalization,
                               verification_report)
 
@@ -60,3 +69,100 @@ def test_report_even_chain_count_flips():
                for v in chain_verdicts(odd).values())
     ev = chain_verdicts(even)
     assert ev, "expected chain-claim lines in the report"
+
+
+def test_classifier_rejects_empty_table():
+    with pytest.raises(ValueError):
+        classify_claim([])
+
+
+def test_classifier_scores_image_off_the_family_as_mismatch():
+    verdict, detail = classify_claim([
+        ("n = 1", F(2), (F(2), "proportional")),
+        ("n = 2", F(3), (None, "image x not proportional to 1"))])
+    assert verdict == "MISMATCH"
+    assert detail == ("image leaves the family — n = 2: image x not "
+                      "proportional to 1")
+
+
+# ---------------------------------------------------------------------------
+# Broken ladders: every measured line must change verdict when the operator or
+# coefficient behind it is wrong.
+# ---------------------------------------------------------------------------
+
+def _verdict(monkeypatch, name, replacement, section, line):
+    """Verdict of the line `line` of `section` in a small report at (1, 3),
+    k = 1, with the name `name` inside the scorecard module replaced."""
+    monkeypatch.setattr(verify, name, replacement)
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    return next(ln.verdict for ln in rep.lines
+                if (ln.section, ln.name) == (section, line))
+
+
+def test_wrong_deformed_raising_operator_is_mismatch(monkeypatch):
+    # off-by-one index: the operator meant for degree n + 1
+    wrong = lambda n, alpha, beta: deformed_raising(n + 1, alpha, beta)
+    assert _verdict(monkeypatch, "deformed_raising", wrong, "deformed ladders",
+                    "one-step raising action table") == "MISMATCH"
+
+
+def test_wrong_radial_raising_operator_is_mismatch(monkeypatch):
+    # the transcribed candidate in place of the derived ladder: its images
+    # leave the family
+    assert _verdict(monkeypatch, "radial_raising", radial_raising_candidate,
+                    "radial ladders", "derived raising action table at a = 5"
+                    ) == "MISMATCH"
+
+
+def _corrupted(make):
+    def build(state, params):
+        step = make(state, params)
+        return dataclasses.replace(step, coefficient=2 * step.coefficient)
+    return build
+
+
+def test_corrupted_composite_coefficients_are_mismatch(monkeypatch):
+    monkeypatch.setattr(verify, "composite_raising",
+                        _corrupted(composite_raising))
+    monkeypatch.setattr(verify, "composite_lowering",
+                        _corrupted(composite_lowering))
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    composites = [ln for ln in rep.lines
+                  if ln.name.startswith("energy-preserving")]
+    assert [ln.verdict for ln in composites] == ["MISMATCH", "MISMATCH"]
+    assert all("but the chains measure" in ln.detail for ln in composites)
+
+
+def test_chain_commuting_with_the_invariant_is_mismatch(monkeypatch):
+    def commuting(state, params):
+        step = composite_raising(state, params)
+        return dataclasses.replace(
+            step, angular=angular_operator(params.alpha, params.beta))
+    assert _verdict(monkeypatch, "composite_raising", commuting,
+                    "composite structure",
+                    "composites do not commute with the angular invariant"
+                    ) == "MISMATCH"
+
+
+def test_candidate_that_annihilates_the_bottom_state_is_match(monkeypatch):
+    # the candidate line is a measurement: swap in the derived ladder and it
+    # must pass
+    assert _verdict(monkeypatch, "radial_lowering_candidate", radial_lowering,
+                    "radial ladders", "candidate lowering ladder") == "MATCH"
+
+
+@pytest.mark.parametrize("name,derived,section,line", [
+    ("jacobi_lowering_candidate", jacobi_lowering, "plain-jacobi ladders",
+     "candidate lowering ladder"),
+    ("radial_raising_candidate", radial_raising, "radial ladders",
+     "candidate raising ladder"),
+    ("lowering_intertwiner_candidate", lowering_intertwiner, "intertwiners",
+     "candidate backward intertwiner"),
+])
+def test_candidates_are_scored_against_the_derived_tables(
+        monkeypatch, name, derived, section, line):
+    # a candidate equal to twice the derived operator is off by a constant,
+    # which only a comparison with the derived table can see
+    doubled = lambda *args: 2 * derived(*args)
+    assert _verdict(monkeypatch, name, doubled, section, line
+                    ) == "NORMALIZATION(1/2)"
