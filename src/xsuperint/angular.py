@@ -30,7 +30,7 @@ from typing import Optional
 from .errors import NoSolutionError, NonUniqueSolutionError
 from .operators import DiffOp, RatFunc
 from .polynomials import (Poly, RationalLike, as_fraction,
-                          exceptional_jacobi_closed_form, poly_gcd, weight_pole)
+                          exceptional_jacobi_closed_form, weight_pole)
 from .params import angular_eigenroot
 from .utils import fraction_nullspace
 
@@ -131,12 +131,6 @@ def angular_operator_candidate(alpha: RationalLike, beta: RationalLike) -> DiffO
 # Exact eigenpolynomial solver
 # ---------------------------------------------------------------------------
 
-def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    return (a * b).div_exact(poly_gcd(a, b)).monic()
-
-
 def _falling(i: int, j: int) -> int:
     out = 1
     for l in range(j):
@@ -156,10 +150,7 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: Fraction) -> Poly
     operator, rather than silently returning garbage.
     """
     shifted = op - DiffOp.identity().premultiply(Fraction(eigenvalue))
-    denom = Poly.one()
-    for c in shifted.coeffs:
-        denom = _poly_lcm(denom, c.den)
-    cleared = [(c * RatFunc(denom)).as_poly() for c in shifted.coeffs]
+    _, cleared = shifted.cleared()
 
     ncols = degree + 1
     max_row = 0

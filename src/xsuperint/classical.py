@@ -99,10 +99,9 @@ def wedge_minimum_exact(model: ClassicalModel) -> tuple[float, float]:
     return phi_star, (a + b) ** 2
 
 
-def wedge_minimum_numeric(model: ClassicalModel,
-                          tol: float = 1e-14) -> tuple[float, float]:
+def wedge_minimum_numeric(model: ClassicalModel) -> tuple[float, float]:
     """Independent oracle for the barrier minimum: golden-section search over
-    the open wedge, no derivative information used."""
+    the open wedge to 1e-14 of its span, no derivative information used."""
     lo = 1e-9 * model.wedge_span
     hi = model.wedge_span * (1 - 1e-9)
     inv = (math.sqrt(5) - 1) / 2
@@ -110,7 +109,7 @@ def wedge_minimum_numeric(model: ClassicalModel,
     x2 = lo + inv * (hi - lo)
     f1 = wedge_potential(model, x1)
     f2 = wedge_potential(model, x2)
-    while hi - lo > tol * model.wedge_span:
+    while hi - lo > 1e-14 * model.wedge_span:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
@@ -255,17 +254,17 @@ class DriftReport:
 
 
 def conservation_drift(model: ClassicalModel, start: OrbitState,
-                       n_periods: float, steps_per_period: int = 256,
-                       sample_every: int = 16) -> DriftReport:
+                       n_periods: float, steps_per_period: int = 256
+                       ) -> DriftReport:
     """Integrate for n_periods radial periods and report the maximum relative
     deviation of the energy and of the angular invariant from their initial
-    values."""
+    values, sampled every 16th step."""
     e0 = classical_energy(model, start)
     l0 = angular_invariant(model, start)
     worst = [0.0, 0.0]
 
     def watch(i: int, t: float, state: tuple) -> None:
-        if i % sample_every:
+        if i % 16:
             return
         st = OrbitState(*state)
         de = abs(classical_energy(model, st) - e0) / abs(e0)
@@ -292,18 +291,18 @@ class ClosureReport:
 
 
 def closure_report(model: ClassicalModel, start: OrbitState,
-                   max_time: float, steps_per_period: int = 256,
-                   exclude: Optional[float] = None,
-                   refine: int = 64) -> ClosureReport:
+                   max_time: float,
+                   exclude: Optional[float] = None) -> ClosureReport:
     """Scan an orbit for its closest return to the initial phase-space point.
 
-    Coarse pass: fixed-step integration to max_time recording every step
-    (excluding an initial window so the trivial t=0 match is not reported).
-    Fine pass: re-integration across the best coarse bracket at dt/refine,
+    Coarse pass: fixed-step integration to max_time at 256 steps per radial
+    period, recording every step (excluding an initial window, half a period
+    by default, so the trivial t=0 match is not reported).
+    Fine pass: re-integration across the best coarse bracket at dt/64,
     followed by a parabolic fit of the squared distance around the best fine
     sample.  All arithmetic is fixed-step and deterministic.
     """
-    dt = model.radial_period / steps_per_period
+    dt = model.radial_period / 256
     if exclude is None:
         exclude = 0.5 * model.radial_period
     ref = start.as_tuple()
@@ -343,8 +342,8 @@ def closure_report(model: ClassicalModel, start: OrbitState,
     # fine pass across [t_{best-1}, t_{best+1}]
     lo = max(best_i - 1, 0)
     t_lo, st_lo = records[lo]
-    span_steps = (min(best_i + 1, len(records) - 1) - lo) * refine
-    micro = dt / refine
+    span_steps = (min(best_i + 1, len(records) - 1) - lo) * 64
+    micro = dt / 64
     fine: list[tuple[float, float]] = [(t_lo, dist2(st_lo))]
     state = st_lo
     for j in range(span_steps):
@@ -379,27 +378,22 @@ def _richardson_order(model: ClassicalModel, start: OrbitState,
     return math.log2(e1 / e2)
 
 
-def convergence_order(model: ClassicalModel, start: OrbitState,
-                      t_span: Optional[float] = None) -> float:
+def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
     """Measured convergence order of the integrator: Richardson comparison of
-    runs at (dt, dt/2, dt/4) over t_span, scanned down a ladder of base steps.
+    runs at (dt, dt/2, dt/4), scanned down a ladder of base steps.
 
     The asymptotic window — steps small enough that the leading truncation
     term dominates, large enough that rounding does not — sits at different
     dt for different orbits (faster angular motion needs finer steps), so the
-    probe walks the ladder and reports the best order it can certify.  By
-    default it scans two spans that are deliberately incommensurate with the
-    radial period: at a whole number of periods the orbit nearly recurs and
+    probe walks the ladder and reports the best order it can certify.  It
+    scans three spans that are deliberately incommensurate with the radial
+    period: at a whole number of periods the orbit nearly recurs and
     the truncation terms partially cancel, which corrupts the measured ratio
     in either direction.  Coarse rungs whose numerical orbit blows through
     the wedge wall are skipped, as are rungs at the rounding floor.  Raises
     StepSizeError if no rung anywhere can be certified."""
-    if t_span is None:
-        spans = tuple(f * model.radial_period for f in (0.7, 1.7, 2.7))
-    else:
-        spans = (t_span,)
     best: Optional[float] = None
-    for span in spans:
+    for span in (f * model.radial_period for f in (0.7, 1.7, 2.7)):
         for div in (16, 32, 64, 128, 256):
             try:
                 order = _richardson_order(model, start, span,
@@ -412,8 +406,7 @@ def convergence_order(model: ClassicalModel, start: OrbitState,
                 best = order
     if best is None:
         raise StepSizeError(
-            "convergence probe hit rounding floor on every step ladder rung; "
-            "increase t_span")
+            "convergence probe hit rounding floor on every step ladder rung")
     return best
 
 

@@ -193,45 +193,48 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", help="rational shape parameter, e.g. 1/2")
-    shared.add_argument("--beta", help="rational shape parameter, beta > alpha")
-    shared.add_argument("--omega", help="oscillator frequency (float)")
-    shared.add_argument("--p", help="numerator of k = p/q")
-    shared.add_argument("--q", help="denominator of k = p/q")
-    shared.add_argument("--mmax", help="radial index range for sweeps")
-    shared.add_argument("--nmax", help="angular index range for sweeps")
-    shared.add_argument("--emax", help="energy cutoff for the spectrum")
-    shared.add_argument("--grid", help="grid points per axis")
-    shared.add_argument("--dt", help="integrator step")
-    shared.add_argument("--t-end", dest="t_end", help="integration horizon")
-    shared.add_argument("--tol", help="residual tolerance for verify")
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help="table output format")
-    shared.add_argument("--out", help="output directory for files")
-    shared.add_argument("--config", help="flat key=value config file")
+    """Each subcommand accepts only the flags it reads, spelled in full."""
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--alpha", help="rational shape parameter, e.g. 1/2")
+    model.add_argument("--beta", help="rational shape parameter, beta > alpha")
+    model.add_argument("--omega", help="oscillator frequency (float)")
+    model.add_argument("--p", help="numerator of k = p/q")
+    model.add_argument("--q", help="denominator of k = p/q")
+    model.add_argument("--config", help="flat key=value config file")
     parser = argparse.ArgumentParser(
         prog="xsuperint",
         description="exactly verified deformed-oscillator toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[shared],
-                   help="run every check and print one verdict line each"
-                   ).add_argument("--classical", action="store_const",
-                                  const=True, default=None,
-                                  help="include classical drift/closure checks")
-    spectrum = sub.add_parser("spectrum", parents=[shared],
-                              help="enumerate exact levels up to --emax")
-    del spectrum
-    export = sub.add_parser("export-wavefunction", parents=[shared],
-                            help="write a wavefunction grid CSV + sidecar")
+
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[model], help=help_text,
+                              allow_abbrev=False)
+
+    verify = command("verify", "run every check and print one verdict line each")
+    verify.add_argument("--nmax", help="angular index range for sweeps")
+    verify.add_argument("--mmax", help="radial index range for sweeps")
+    verify.add_argument("--tol", help="residual tolerance for verify")
+    verify.add_argument("--classical", action="store_const", const=True,
+                        help="include classical drift/closure checks")
+    spectrum = command("spectrum", "enumerate exact levels up to --emax")
+    spectrum.add_argument("--emax", help="energy cutoff for the spectrum")
+    spectrum.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                          help="table output format")
+    export = command("export-wavefunction",
+                     "write a wavefunction grid CSV + sidecar")
     export.add_argument("--m", help="radial index of the state")
     export.add_argument("--n", help="angular index of the state")
     export.add_argument("--rmax", help="radial grid extent")
     export.add_argument("--phi-max", dest="phi_max",
                         help="angular grid extent (must stay in the wedge)")
-    orbit = sub.add_parser("orbit", parents=[shared],
-                           help="integrate a classical orbit, report closure")
+    orbit = command("orbit", "integrate a classical orbit, report closure")
     orbit.add_argument("--state", help="initial r,phi,p_r,p_phi")
+    orbit.add_argument("--dt", help="integrator step")
+    orbit.add_argument("--t-end", dest="t_end", help="integration horizon")
+    for reader in (verify, export):
+        reader.add_argument("--grid", help="grid points per axis")
+    for writer in (spectrum, export, orbit):
+        writer.add_argument("--out", help="output directory for files")
     return parser
 
 
@@ -335,12 +338,32 @@ def _write_output(cfg: RunConfig, basename: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+#: Most states `spectrum` lists; a larger --emax is a usage error.
+MAX_SPECTRUM_ROWS = 10 ** 6
+
+
+def _spectrum_size(params: ModelParams, emax: float) -> float:
+    """States with E <= emax in O(1), over by less than the number N of
+    angular indices: sum over n <= N of (R - e_n)/2 + 1, R = emax/omega,
+    e_n = k A_n + 1 = e_1 + 2k(n - 1); inf once N passes the cap."""
+    k = params.k_float
+    span = (emax / params.omega - 1
+            - k * float(angular_eigenroot(1, params.alpha, params.beta)))
+    if span / (2 * k) >= MAX_SPECTRUM_ROWS:
+        return math.inf
+    count = max(math.floor(span / (2 * k)) + 1, 0)
+    return count * (span / 2 + 1) - k * count * (count - 1) / 2
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.emax is None:
         raise UsageError("spectrum requires --emax")
     if not math.isfinite(cfg.emax):
         raise UsageError(f"--emax must be finite (got {cfg.emax})")
     params = cfg.model_params()
+    if _spectrum_size(params, cfg.emax) > MAX_SPECTRUM_ROWS:
+        raise UsageError(f"--emax {cfg.emax} admits more than "
+                         f"{MAX_SPECTRUM_ROWS} states")
     levels = degeneracy_table(params, cfg.emax)
     rows = []
     for idx, level in enumerate(levels, 1):
@@ -461,9 +484,11 @@ def cmd_orbit(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise UsageError(f"{args.command} does not accept "
+                             f"{' '.join(unknown)}")
         cfg = resolve_config(args)
         commands = {"verify": cmd_verify, "spectrum": cmd_spectrum,
                     "export-wavefunction": cmd_export_wavefunction,

@@ -7,8 +7,9 @@ Layers, bottom to top:
   * a forward/backward intertwiner pair connecting that shifted classical
     family to the deformed family, derived here from scratch by an exact
     linear-ansatz nullspace solve (`derive_*`) and also frozen in closed form;
-  * deformed-family ladders built by conjugating the classical ladders with
-    the intertwiners (third-order operators), and their q-fold chains;
+  * deformed-family ladders F o (classical ladder) o B, and their q-fold
+    chains built as F o (classical steps joined by M = B o F) o B, where M
+    is polynomial (the shifted Jacobi operator plus a constant);
   * radial (Laguerre-index) ladders in y = omega r^2 at fixed energy, and
     their p-fold chains;
   * energy-preserving composites that trade p radial quanta against q angular
@@ -265,8 +266,8 @@ def lowering_intertwiner_candidate(alpha, beta) -> DiffOp:
                    RatFunc(Poly((1, 1)), pole)))
 
 
-def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike,
-                               validate_to: int = 6) -> DiffOp:
+def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
+                               ) -> DiffOp:
     """Derive the forward intertwiner from scratch.
 
     Ansatz: a(x) d + c(x) with deg a <= 2, deg c <= 1 — forced by requiring
@@ -274,7 +275,7 @@ def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike,
     conditions on degrees 0..2 give a homogeneous linear system in the ansatz
     coefficients and the three unknown image scalars; the nullspace must be a
     line, and the leading coefficient of a is normalized to 1.  The result is
-    then validated on degrees 3..validate_to before being returned.
+    then validated on degrees 3..6 before being returned.
     """
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
@@ -304,21 +305,21 @@ def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike,
             "vanishing second-degree first-order coefficient")
     v = [u / v[2] for u in v]
     op = DiffOp((Poly(v[3:5]), Poly(v[0:3])))
-    for n in range(3, validate_to + 1):
+    for n in range(3, 7):
         action_coefficient(op, shifted_jacobi(n, alpha, beta),
                            exceptional_jacobi_closed_form(n + 1, alpha, beta))
     return op
 
 
-def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike,
-                                validate_to: int = 6) -> DiffOp:
+def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
+                                ) -> DiffOp:
     """Derive the backward intertwiner from scratch.
 
     Ansatz: [ e(x) d + f(x) ] / (x-b) with deg e, deg f <= 1.  Clearing the
     pole, the conditions on the degree-1..3 deformed members give a
     homogeneous system in (e, f) and the three image scalars; the nullspace
-    must be a line, e is normalized monic, and the result is validated up to
-    degree validate_to + 1.
+    must be a line, e is normalized monic, and the result is validated on
+    degrees 4..7.
     """
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
@@ -349,7 +350,7 @@ def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike,
             "constant first-order coefficient")
     v = [u / v[1] for u in v]
     op = DiffOp((RatFunc(Poly(v[2:4]), pole), RatFunc(Poly(v[0:2]), pole)))
-    for n in range(4, validate_to + 2):
+    for n in range(4, 8):
         action_coefficient(op, exceptional_jacobi_closed_form(n, alpha, beta),
                            shifted_jacobi(n - 1, alpha, beta))
     return op
@@ -359,18 +360,38 @@ def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike,
 # Ladders inside the deformed family (third-order), and their chains
 # ---------------------------------------------------------------------------
 
+def _composed(factors: Sequence[DiffOp]) -> DiffOp:
+    """factors[-1] o ... o factors[0]: the first factor acts first."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = factor.compose(out)
+    return out
+
+
+def _deformed_chain(classical_steps: Sequence[DiffOp], alpha: Fraction,
+                    beta: Fraction) -> DiffOp:
+    """F o (c_q o M o ... o M o c_1) o B, M = B o F: the one-step ladders
+    F o c_i o B over the classical steps c_1..c_q (shifted parameters, c_1
+    acting first) regrouped so that the middle is polynomial and the (x - b)
+    pole of B is met once, at the right end."""
+    f = raising_intertwiner(alpha, beta)
+    b = lowering_intertwiner(alpha, beta)
+    middle = [classical_steps[0]]
+    if len(classical_steps) > 1:
+        m = b.compose(f)
+        for step in classical_steps[1:]:
+            middle += [m, step]
+    return f.compose(_composed(middle)).compose(b)
+
+
 def deformed_lowering(n: RationalLike, alpha: RationalLike,
                       beta: RationalLike) -> DiffOp:
     """Third-order ladder F o (classical lowering at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
     the degree n-1 one.  Annihilates the degree-1 member."""
-    n = as_fraction(n)
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-    f = raising_intertwiner(alpha, beta)
-    lam = jacobi_lowering(n - 1, alpha + 1, beta - 1)
-    bop = lowering_intertwiner(alpha, beta)
-    return f.compose(lam).compose(bop)
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    return _deformed_chain([jacobi_lowering(n - 1, alpha + 1, beta - 1)],
+                           alpha, beta)
 
 
 def deformed_raising(n: RationalLike, alpha: RationalLike,
@@ -378,13 +399,9 @@ def deformed_raising(n: RationalLike, alpha: RationalLike,
     """Third-order ladder F o (classical raising at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
     the degree n+1 one."""
-    n = as_fraction(n)
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-    f = raising_intertwiner(alpha, beta)
-    rho = jacobi_raising(n - 1, alpha + 1, beta - 1)
-    bop = lowering_intertwiner(alpha, beta)
-    return f.compose(rho).compose(bop)
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    return _deformed_chain([jacobi_raising(n - 1, alpha + 1, beta - 1)],
+                           alpha, beta)
 
 
 def deformed_lowering_action(n, alpha, beta) -> Fraction:
@@ -443,24 +460,24 @@ def deformed_raising_action_monic(n, alpha, beta) -> Fraction:
 
 def deformed_raising_chain(n: RationalLike, q: int, alpha: RationalLike,
                            beta: RationalLike) -> DiffOp:
-    """q-fold raising chain: one-step ladders at indices n, n+1, ..., n+q-1
-    composed (rightmost acts first)."""
-    out = DiffOp.identity()
-    n = as_fraction(n)
-    for i in range(q):
-        out = deformed_raising(n + i, alpha, beta).compose(out)
-    return out
+    """q-fold raising chain: the one-step ladders at indices n, n+1, ...,
+    n+q-1 (rightmost acts first), built as F o (classical raising chain
+    joined by B o F) o B."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    return _deformed_chain(
+        [jacobi_raising(n - 1 + i, alpha + 1, beta - 1) for i in range(q)],
+        alpha, beta)
 
 
 def deformed_lowering_chain(n: RationalLike, q: int, alpha: RationalLike,
                             beta: RationalLike) -> DiffOp:
-    """q-fold lowering chain: one-step ladders at indices n, n-1, ..., n-q+1
-    composed (rightmost acts first)."""
-    out = DiffOp.identity()
-    n = as_fraction(n)
-    for i in range(q):
-        out = deformed_lowering(n - i, alpha, beta).compose(out)
-    return out
+    """q-fold lowering chain: the one-step ladders at indices n, n-1, ...,
+    n-q+1 (rightmost acts first), built as F o (classical lowering chain
+    joined by B o F) o B."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    return _deformed_chain(
+        [jacobi_lowering(n - 1 - i, alpha + 1, beta - 1) for i in range(q)],
+        alpha, beta)
 
 
 def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
@@ -594,15 +611,8 @@ def radial_family_image(op: DiffOp, m: int, a: RationalLike,
         raise ValueError("gauge parameters must differ by an even integer")
     stripped = op.gauge_conjugate(-radial_gauge_logderiv(a))
     img = stripped.apply_poly(laguerre_polynomial(m, a))
-    y = RatFunc(Poly((0, 1)))
-    s = int(shift)
-    if s >= 0:
-        for _ in range(s):
-            img = img * y
-    else:
-        for _ in range(-s):
-            img = img / y
-    return img
+    y_power = RatFunc(Poly((0, 1)) ** abs(int(shift)))
+    return img * y_power if shift >= 0 else img / y_power
 
 
 def radial_action_report(op: DiffOp, m: int, a: RationalLike, target_m: int,
@@ -641,20 +651,14 @@ def radial_lowering_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     """p-fold lowering chain at fixed eps: factors at gauges a, a+2, ...,
     a+2(p-1), rightmost first."""
     a = as_fraction(a)
-    out = DiffOp.identity()
-    for i in range(p):
-        out = radial_lowering(a + 2 * i, eps).compose(out)
-    return out
+    return _composed([radial_lowering(a + 2 * i, eps) for i in range(p)])
 
 
 def radial_raising_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     """p-fold raising chain at fixed eps: factors at gauges a, a-2, ...,
     a-2(p-1), rightmost first."""
     a = as_fraction(a)
-    out = DiffOp.identity()
-    for i in range(p):
-        out = radial_raising(a - 2 * i, eps).compose(out)
-    return out
+    return _composed([radial_raising(a - 2 * i, eps) for i in range(p)])
 
 
 def radial_lowering_chain_action(m: int, a, p: int) -> Fraction:
@@ -820,7 +824,6 @@ class ParityReport:
     radial_swap_ok: bool
     direct_substitution_ok: bool
     negative_control_ok: bool
-    angular_pole_power: int
     details: tuple[str, ...]
 
     @property
@@ -843,41 +846,26 @@ class ParityReport:
         return out
 
 
-def _pole_cleared_coeffs(op: DiffOp, pole: Poly) -> tuple[list[int], list[Poly]]:
-    """Check every coefficient denominator is a power of the (monic, linear)
-    pole and return (powers, numerators)."""
-    powers: list[int] = []
-    nums: list[Poly] = []
-    for c in op.coeffs:
-        e = c.den.degree
-        if c.den != pole ** e:
-            raise VerificationError(
-                f"chain coefficient has unexpected denominator "
-                f"{c.den.pretty()}; expected a power of {pole.pretty()}")
-        powers.append(e)
-        nums.append(c.num)
-    return powers, nums
-
-
 def _chain_value_table(chains: Sequence[DiffOp], pole: Poly
-                       ) -> tuple[int, list[dict[tuple[int, int], Fraction]]]:
-    """Clear all chains by a common power of the pole and tabulate the
-    x-coefficients of every cleared operator coefficient.
-
-    Returns (common power, one {(derivative order, x power): value} map per
-    chain)."""
-    per_chain = [_pole_cleared_coeffs(ch, pole) for ch in chains]
-    common = max((e for powers, _ in per_chain for e in powers), default=0)
-    tables: list[dict[tuple[int, int], Fraction]] = []
-    for powers, nums in per_chain:
-        table: dict[tuple[int, int], Fraction] = {}
-        for j, (e, num) in enumerate(zip(powers, nums)):
-            scaled = num * pole ** (common - e)
-            for i, coef in enumerate(scaled.coeffs):
-                if coef:
-                    table[(j, i)] = coef
-        tables.append(table)
-    return common, tables
+                       ) -> list[dict[tuple[int, int], Fraction]]:
+    """Clear all chains by a common power of the (monic, linear) pole and
+    tabulate the x-coefficients of every cleared operator coefficient: one
+    {(derivative order, x power): value} map per chain.  Raises
+    VerificationError when a chain's denominator is not a power of the
+    pole."""
+    cleared = [chain.cleared() for chain in chains]
+    for den, _ in cleared:
+        if den != pole ** den.degree:
+            raise VerificationError(
+                f"chain has unexpected denominator {den.pretty()}; expected "
+                f"a power of {pole.pretty()}")
+    common = max((den.degree for den, _ in cleared), default=0)
+    return [{(j, i): coef
+             for j, num in enumerate(nums)
+             for i, coef in enumerate(
+                 (num * pole ** (common - den.degree)).coeffs)
+             if coef}
+            for den, nums in cleared]
 
 
 def _interpolate_tables(nodes: Sequence[Fraction],
@@ -902,9 +890,17 @@ def _interpolate_tables(nodes: Sequence[Fraction],
     return out
 
 
+def _swap_mismatches(plus: dict[tuple[int, int], Poly],
+                     minus: dict[tuple[int, int], Poly]
+                     ) -> list[tuple[int, int]]:
+    """Entries whose `plus` interpolant at -A differs from `minus` at A."""
+    zero = Poly.zero()
+    return [key for key in sorted(set(plus) | set(minus))
+            if plus.get(key, zero).reflect() != minus.get(key, zero)]
+
+
 def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
-                  nmax: int = 8, eps_symbol: RationalLike = Fraction(7, 2),
-                  k: Optional[Fraction] = None) -> ParityReport:
+                  nmax: int = 8) -> ParityReport:
     """Verify, three independent ways, that the raising and lowering chains
     are a single object read at opposite signs of the angular eigenroot.
 
@@ -912,8 +908,9 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
        common pole power, interpolate every coefficient exactly as a
        polynomial in A (validating on held-out nodes), and check the raising
        interpolants at -A equal the lowering interpolants at A.
-    2. Same for the p-fold radial chains in the gauge parameter a = k A, with
-       the energy parameter held fixed at an arbitrary rational.
+    2. Same for the p-fold radial chains in the gauge parameter a = k A,
+       k = p/q, with the energy parameter held fixed at an arbitrary
+       rational (7/2).
     3. Substitute n -> 1 - n - alpha - beta directly into the raising chain
        builder and compare operators structurally against the lowering chain.
 
@@ -923,9 +920,8 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
     """
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
-    if k is None:
-        k = Fraction(p, q)
-    eps = as_fraction(eps_symbol)
+    k = Fraction(p, q)
+    eps = Fraction(7, 2)
     fit_ang = 2 * q + 2
     fit_rad = 2 * p + 1
     if nmax < max(fit_ang, fit_rad) + 1:
@@ -939,31 +935,22 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
 
     raising_chains = [deformed_raising_chain(n, q, alpha, beta) for n in ns]
     lowering_chains = [deformed_lowering_chain(n, q, alpha, beta) for n in ns]
-    power, tables = _chain_value_table(raising_chains + lowering_chains, pole)
+    tables = _chain_value_table(raising_chains + lowering_chains, pole)
     plus = _interpolate_tables(roots, tables[:nmax], fit_ang)
     minus = _interpolate_tables(roots, tables[nmax:], fit_ang)
-    keys = sorted(set(plus) | set(minus))
-    angular_ok = all(
-        plus.get(key, Poly.zero()).reflect() == minus.get(key, Poly.zero())
-        for key in keys)
-    if not angular_ok:
-        bad = [key for key in keys if plus.get(key, Poly.zero()).reflect()
-               != minus.get(key, Poly.zero())]
+    bad = _swap_mismatches(plus, minus)
+    if bad:
         details.append(f"angular swap fails at entries {bad[:4]}")
 
     negative_control_ok = any(
         plus[key].reflect() != plus[key] for key in plus)
 
-    ypole = Poly((0, 1))
     rlow = [radial_lowering_chain(k * r, eps, p) for r in roots]
     rraise = [radial_raising_chain(k * r, eps, p) for r in roots]
-    _, rtables = _chain_value_table(rlow + rraise, ypole)
+    rtables = _chain_value_table(rlow + rraise, Poly((0, 1)))
     rplus = _interpolate_tables(roots, rtables[:nmax], fit_rad)
     rminus = _interpolate_tables(roots, rtables[nmax:], fit_rad)
-    rkeys = sorted(set(rplus) | set(rminus))
-    radial_ok = all(
-        rplus.get(key, Poly.zero()).reflect() == rminus.get(key, Poly.zero())
-        for key in rkeys)
+    radial_ok = not _swap_mismatches(rplus, rminus)
     # the radial swap is also an exact operator identity factor by factor
     for r in roots[:3]:
         radial_ok = radial_ok and (
@@ -981,9 +968,8 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
                        "map the raising chain onto the lowering chain")
 
     return ParityReport(
-        angular_swap_ok=angular_ok,
+        angular_swap_ok=not bad,
         radial_swap_ok=radial_ok,
         direct_substitution_ok=direct_ok,
         negative_control_ok=negative_control_ok,
-        angular_pole_power=power,
         details=tuple(details))

@@ -162,8 +162,8 @@ class DiffOp:
         return cls((RatFunc.one(),))
 
     @classmethod
-    def d(cls, order: int = 1) -> "DiffOp":
-        return cls([RatFunc.zero()] * order + [RatFunc.one()])
+    def d(cls) -> "DiffOp":
+        return cls((RatFunc.zero(), RatFunc.one()))
 
     # -- queries ------------------------------------------------------------
     @property
@@ -246,6 +246,14 @@ class DiffOp:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
+
+    def cleared(self) -> tuple[Poly, list[Poly]]:
+        """(D, [D c_j]): the monic least common denominator D of the
+        coefficients and the polynomial coefficients of D * A."""
+        den = Poly.one()
+        for c in self.coeffs:
+            den = (den * c.den).div_exact(poly_gcd(den, c.den))
+        return den, [c.num * den.div_exact(c.den) for c in self.coeffs]
 
     # -- action ------------------------------------------------------------
     def apply_ratfunc(self, f: Coefficientable) -> RatFunc:

@@ -104,11 +104,11 @@ def wavefunction_on_grid(state: QuantumState, params: ModelParams,
     return np.outer(rad, ang)
 
 
-def _interior_grid(params: ModelParams, nr: int, nphi: int,
-                   rmax: Optional[float], margin: float
+def _interior_grid(params: ModelParams, nr: int, nphi: int, margin: float
                    ) -> tuple[np.ndarray, np.ndarray]:
-    if rmax is None:
-        rmax = default_rmax(params)
+    """nr x nphi grid over (0, default_rmax) x the wedge, each axis inset
+    by `margin` of its extent."""
+    rmax = default_rmax(params)
     span_phi = params.wedge_span
     r = np.linspace(margin * rmax, rmax * (1 - margin), nr)
     phi = np.linspace(margin * span_phi, span_phi * (1 - margin), nphi)
@@ -117,8 +117,6 @@ def _interior_grid(params: ModelParams, nr: int, nphi: int,
 
 def hamiltonian_residual(state: QuantumState, params: ModelParams,
                          nr: int = 60, nphi: int = 60,
-                         rmax: Optional[float] = None,
-                         margin: float = 1e-3,
                          candidate_potential: bool = False) -> float:
     """Independent oracle: max |H psi - E psi| / (|E| max |psi|) on an
     interior grid, with H = -Laplacian/2 + omega^2 r^2 / 2
@@ -136,7 +134,7 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     omega, kf = params.omega, params.k_float
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     e_val = energy(state, params)
-    r, phi = _interior_grid(params, nr, nphi, rmax, margin)
+    r, phi = _interior_grid(params, nr, nphi, 1e-3)
 
     # radial factor and its first two r-derivatives via u(y), y = omega r^2
     y = omega * r ** 2
@@ -187,20 +185,18 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     return float(np.max(np.abs(h_psi - e_val * psi))) / scale
 
 
-def hamiltonian_residual_fd(state: QuantumState, params: ModelParams,
-                            nr: int = 12, nphi: int = 12,
-                            rmax: Optional[float] = None,
-                            margin: float = 0.05,
-                            h: float = 1e-5) -> float:
+def hamiltonian_residual_fd(state: QuantumState, params: ModelParams
+                            ) -> float:
     """Second, fully independent residual oracle: the Laplacian by central
-    finite differences on the factored wavefunction.  Coarser accuracy
-    (~h^2 * second-derivative scale) but shares no derivative algebra with the
-    analytic path."""
+    finite differences (step h = 1e-5) on the factored wavefunction, over a
+    12 x 12 interior grid.  Coarser accuracy (~h^2 * second-derivative scale)
+    but shares no derivative algebra with the analytic path."""
     omega, kf = params.omega, params.k_float
     alpha, beta = params.alpha, params.beta
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     e_val = energy(state, params)
-    r, phi = _interior_grid(params, nr, nphi, rmax, margin)
+    h = 1e-5
+    r, phi = _interior_grid(params, 12, 12, 0.05)
 
     def rad(rv: np.ndarray) -> np.ndarray:
         return radial_values(state.m, a, omega, rv)
@@ -287,11 +283,10 @@ class LadderNumericReport:
 
 
 def ladder_numeric_check(state: QuantumState, params: ModelParams,
-                         raising: bool = True, nr: int = 48, nphi: int = 48,
-                         rmax: Optional[float] = None,
-                         margin: float = 1e-2) -> LadderNumericReport:
+                         raising: bool = True) -> LadderNumericReport:
     """Apply the full composite ladder to the factored wavefunction and
-    compare, on a float grid, against (exact coefficient) * (target state).
+    compare, on a 48 x 48 float grid, against (exact coefficient) * (target
+    state).
 
     The chains are applied exactly (rational operator algebra); only the final
     evaluation is floating point, so any deviation beyond rounding reveals an
@@ -317,7 +312,7 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
         exceptional_jacobi(n, alpha, beta)).as_poly()
     rad_img = radial_family_image(rad_chain, m, a, target_a)
 
-    r, phi = _interior_grid(params, nr, nphi, rmax, margin)
+    r, phi = _interior_grid(params, 48, 48, 1e-2)
     if target is None:
         # the chain must annihilate the state exactly
         dead = ang_img.is_zero() or rad_img.is_zero()

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import xsuperint
-from xsuperint.cli import main
+from xsuperint.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -189,12 +189,38 @@ def test_bad_rational_flag():
     ("verify", "--nmax", "0"),
     ("verify", "--mmax", "0"),
     ("verify", "--mmax", "-1"),
+    ("spectrum", "--dt", "1"),
+    ("verify", "--format", "json"),
+    ("spectrum", "--emax", "1e308"),
 ])
 def test_bad_input_exits_2_before_any_output(argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+MODEL_FLAGS = {"--alpha", "--beta", "--omega", "--p", "--q", "--config"}
+OWN_FLAGS = {
+    "verify": {"--nmax", "--mmax", "--grid", "--tol", "--classical"},
+    "spectrum": {"--emax", "--format", "--out"},
+    "export-wavefunction": {"--m", "--n", "--grid", "--rmax", "--phi-max",
+                            "--out"},
+    "orbit": {"--state", "--dt", "--t-end", "--out"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    accepted = 0
+    for command, own in OWN_FLAGS.items():
+        for flag in sorted(MODEL_FLAGS.union(*OWN_FLAGS.values())):
+            value = [] if flag == "--classical" else ["csv"]
+            _, unknown = build_parser().parse_known_args(
+                [command, flag, *value])
+            assert (not unknown) == (flag in MODEL_FLAGS | own), (command,
+                                                                  flag)
+            accepted += not unknown
+    assert accepted == 42
 
 
 def test_closed_pipe_exits_1_without_traceback():

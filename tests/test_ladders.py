@@ -55,7 +55,8 @@ from xsuperint.ladders import (
     raising_intertwiner_candidate,
     shifted_jacobi,
 )
-from xsuperint.operators import RatFunc
+from xsuperint.ladders import _chain_value_table
+from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
 from xsuperint.polynomials import (Poly, exceptional_jacobi_closed_form,
                                    jacobi_polynomial, laguerre_polynomial)
@@ -186,6 +187,52 @@ def test_deformed_claims_are_global_sign_flips():
     for n in range(2, 6):
         assert claimed_deformed_lowering_action(n, alpha, beta) == \
             -deformed_lowering_action(n, alpha, beta)
+
+
+def _one_step_product(classical_steps, alpha, beta):
+    """The one-step deformed ladders F o c o B composed, first step acting
+    first: the chain without the factorisation."""
+    f = raising_intertwiner(alpha, beta)
+    b = lowering_intertwiner(alpha, beta)
+    out = DiffOp.identity()
+    for c in classical_steps:
+        out = f.compose(c).compose(b).compose(out)
+    return out
+
+
+@pytest.mark.parametrize("alpha,beta", PAIRS + [(Fraction(1, 3),
+                                                 Fraction(7, 4))])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_factorised_chains_equal_one_step_products(alpha, beta, q):
+    # the formal index n = 7/2 that the parity report substitutes
+    n, a1, b1 = Fraction(7, 2), alpha + 1, beta - 1
+    assert deformed_raising_chain(n, q, alpha, beta) == _one_step_product(
+        [jacobi_raising(n - 1 + i, a1, b1) for i in range(q)], alpha, beta)
+    assert deformed_lowering_chain(n, q, alpha, beta) == _one_step_product(
+        [jacobi_lowering(n - 1 - i, a1, b1) for i in range(q)], alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    A13,                                   # alpha = 1
+    (Fraction(2), Fraction(9, 4)),         # beta - alpha = 1/4
+    (Fraction(1, 3), Fraction(50)),        # beta >> alpha
+])
+def test_backward_after_forward_intertwiner_is_polynomial(alpha, beta):
+    middle = lowering_intertwiner(alpha, beta).compose(
+        raising_intertwiner(alpha, beta))
+    assert all(c.is_polynomial() for c in middle.coeffs)
+    assert middle.coeff(2) == RatFunc(Poly((-1, 0, 1)))
+    # the shifted Jacobi operator plus a constant: diagonal on that family
+    for n in range(4):
+        action_coefficient(middle, shifted_jacobi(n, alpha, beta),
+                           shifted_jacobi(n, alpha, beta))
+
+
+def test_chain_table_rejects_a_foreign_denominator():
+    pole = Poly((-2, 1))
+    stray = DiffOp((RatFunc(Poly.one(), Poly((1, 1))),))    # 1/(x+1)
+    with pytest.raises(VerificationError):
+        _chain_value_table([stray], pole)
 
 
 def test_deformed_chains_compose():

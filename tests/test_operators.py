@@ -107,3 +107,14 @@ def test_premultiply_and_scalar_multiplication():
 def test_pretty_output():
     text = DiffOp((RatFunc(Poly((1,))), RatFunc(Poly((0, 1))))).pretty()
     assert "D" in text and "x" in text
+
+
+def test_cleared_over_mixed_denominators():
+    xm1, xp1 = Poly((-1, 1)), Poly((1, 1))
+    op = DiffOp((RatFunc(Poly.one(), xm1),                 # 1/(x-1)
+                 RatFunc(Poly((0, 2)), xp1 ** 2),          # 2x/(x+1)^2
+                 RatFunc(Poly((3,)), xm1 * xp1)))          # 3/((x-1)(x+1))
+    den, nums = op.cleared()
+    assert den == xm1 * xp1 ** 2
+    assert nums == [xp1 ** 2, Poly((0, 2)) * xm1, Poly((3,)) * xp1]
+    assert DiffOp.identity().cleared() == (Poly.one(), [Poly.one()])
