@@ -283,11 +283,10 @@ def conservation_drift(model: ClassicalModel, start: OrbitState,
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Best recurrence of the initial phase-space point: normalized distance,
-    the time it occurs, and the coordinate scales used for normalization."""
+    """Best recurrence of the initial phase-space point: normalized distance
+    and the time it occurs."""
     distance: float
     time: float
-    scales: tuple[float, float, float, float]
 
 
 def closure_report(model: ClassicalModel, start: OrbitState,
@@ -300,7 +299,8 @@ def closure_report(model: ClassicalModel, start: OrbitState,
     by default, so the trivial t=0 match is not reported).
     Fine pass: re-integration across the best coarse bracket at dt/64,
     followed by a parabolic fit of the squared distance around the best fine
-    sample.  All arithmetic is fixed-step and deterministic.
+    sample.  All arithmetic is fixed-step and deterministic.  Raises
+    StepSizeError when no step falls in the window (exclude, max_time].
     """
     dt = model.radial_period / 256
     if exclude is None:
@@ -337,7 +337,8 @@ def closure_report(model: ClassicalModel, start: OrbitState,
             best_i = i
 
     if best_i is None:
-        raise WedgeExitError("closure scan window is empty; increase max_time")
+        raise StepSizeError(f"closure scan window ({exclude:.6g}, "
+                            f"{max_time:.6g}] holds no step")
 
     # fine pass across [t_{best-1}, t_{best+1}]
     lo = max(best_i - 1, 0)
@@ -358,7 +359,7 @@ def closure_report(model: ClassicalModel, start: OrbitState,
             shift = 0.5 * (d0 - d2) / denom
             d_best = max(d1 - 0.125 * (d0 - d2) ** 2 / denom, 0.0)
             t_best = fine[fj][0] + shift * micro
-    return ClosureReport(math.sqrt(d_best), t_best, scales)
+    return ClosureReport(math.sqrt(d_best), t_best)
 
 
 def _richardson_order(model: ClassicalModel, start: OrbitState,

@@ -6,7 +6,8 @@ Conventions enforced here rather than in the science modules:
   * alpha and beta cross the CLI boundary as exact rational strings ("3/2"),
     never floats — exactness is what makes the symbolic checks meaningful.
     Floats are accepted only for omega, tolerances, times, and grid extents.
-  * a config file is flat ``key=value`` lines; explicit flags override it.
+  * a config file is flat ``key=value`` lines, each naming a flag of the
+    subcommand; explicit flags override it.
   * CSV output is comma-separated with a header row, LF line endings, and
     floats printed to 17 significant digits.
   * identical configuration must produce byte-identical output files.
@@ -168,13 +169,16 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults <- config file <- explicit flags into one RunConfig."""
+    """Layer defaults <- config file <- explicit flags into one RunConfig.
+    A config key must name a flag of the subcommand, i.e. a field its parser
+    set on `args`."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in load_config_file(args.config).items():
             field = _KEY_ALIASES.get(key, key.replace("-", "_"))
-            if field not in _CASTERS:
-                raise UsageError(f"unknown config key: {key!r}")
+            if field not in _CASTERS or not hasattr(args, field):
+                raise UsageError(f"{args.command} does not accept config "
+                                 f"key {key!r}")
             try:
                 cfg = replace(cfg, **{field: _CASTERS[field](value)})
             except (ValueError, TypeError) as exc:
@@ -455,6 +459,11 @@ def cmd_orbit(cfg: RunConfig) -> int:
         if not (math.isfinite(value) and value > 0):
             raise UsageError(
                 f"{flag} must be positive and finite (got {value})")
+    if t_end < model.radial_period:
+        raise UsageError(
+            f"--t-end {t_end} is shorter than one radial period, pi/omega = "
+            f"{fmt_float(model.radial_period)}: the orbit cannot return to "
+            f"its start before then")
 
     e0 = classical_energy(model, start)
     l0 = angular_invariant(model, start)

@@ -49,7 +49,8 @@ class WedgeExitError(XSuperintError):
 
 class StepSizeError(XSuperintError):
     """Bad integration step or horizon (non-positive or non-finite step,
-    negative time), or no convergence-probe rung could be certified."""
+    negative time, an empty closure window), or no convergence-probe rung
+    could be certified."""
 
 
 class InsufficientSpanError(XSuperintError):

@@ -957,12 +957,13 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
             radial_raising_chain(-k * r, eps, p)
             == radial_lowering_chain(k * r, eps, p))
 
-    direct_ok = True
-    for n in (Fraction(2), Fraction(3), Fraction(7, 2)):
-        reflected = 1 - n - alpha - beta
-        direct_ok = direct_ok and (
-            deformed_raising_chain(reflected, q, alpha, beta)
-            == deformed_lowering_chain(n, q, alpha, beta))
+    # n = 2 and 3 reuse the tabulated lowering chains; 7/2 is off the table
+    half = Fraction(7, 2)
+    pairs = [(ns[1], lowering_chains[1]), (ns[2], lowering_chains[2]),
+             (half, deformed_lowering_chain(half, q, alpha, beta))]
+    direct_ok = all(
+        deformed_raising_chain(1 - n - alpha - beta, q, alpha, beta)
+        == lowering for n, lowering in pairs)
     if not direct_ok:
         details.append("direct substitution n -> 1-n-alpha-beta failed to "
                        "map the raising chain onto the lowering chain")

@@ -24,7 +24,8 @@ import numpy as np
 
 from .angular import (angular_potential, angular_potential_candidate,
                       exceptional_jacobi)
-from .errors import NumericalOverflowError, QuadratureError, VerificationError
+from .errors import (NumericalOverflowError, OutOfFamilyError, QuadratureError,
+                     VerificationError)
 from .ladders import (composite_lowering, composite_raising,
                       deformed_lowering_chain, deformed_raising_chain,
                       radial_eps, radial_family_image, radial_lowering_chain,
@@ -296,27 +297,30 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
     p, q = params.p, params.q
     n, m = state.n, state.m
     a = params.k * angular_eigenroot(n, alpha, beta)
-    eps = radial_eps(m, a)
-    if raising:
-        ang_chain = deformed_raising_chain(n, q, alpha, beta)
-        rad_chain = radial_lowering_chain(a, eps, p)
-        target_a = a + 2 * p
-        target = QuantumState(m - p, n + q) if m >= p else None
-    else:
-        ang_chain = deformed_lowering_chain(n, q, alpha, beta)
-        rad_chain = radial_raising_chain(a, eps, p)
-        target_a = a - 2 * p
-        target = QuantumState(m + p, n - q) if n - q >= 1 else None
+    target_a = a + 2 * p if raising else a - 2 * p
+    try:
+        step = composite_raising(state, params) if raising \
+            else composite_lowering(state, params)
+        ang_chain, rad_chain = step.angular, step.radial
+    except OutOfFamilyError:
+        # the composites refuse the bottom of a tower, where the chains
+        # must annihilate the state exactly
+        step = None
+        eps = radial_eps(m, a)
+        if raising:
+            ang_chain = deformed_raising_chain(n, q, alpha, beta)
+            rad_chain = radial_lowering_chain(a, eps, p)
+        else:
+            ang_chain = deformed_lowering_chain(n, q, alpha, beta)
+            rad_chain = radial_raising_chain(a, eps, p)
 
     ang_img = ang_chain.apply_poly(
         exceptional_jacobi(n, alpha, beta)).as_poly()
     rad_img = radial_family_image(rad_chain, m, a, target_a)
 
     r, phi = _interior_grid(params, 48, 48, 1e-2)
-    if target is None:
-        # the chain must annihilate the state exactly
-        dead = ang_img.is_zero() or rad_img.is_zero()
-        if not dead:
+    if step is None:
+        if not (ang_img.is_zero() or rad_img.is_zero()):
             raise VerificationError(
                 "composite ladder left the family without annihilating")
         return LadderNumericReport("ANNIHILATED", 0.0, None, None, None)
@@ -324,6 +328,7 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
     if not rad_img.is_polynomial():
         raise VerificationError(
             f"radial chain image has a surviving pole: {rad_img.pretty()}")
+    target = step.target
     img = np.outer(
         radial_values(target.m, target_a, params.omega, r,
                       poly=rad_img.as_poly()),
@@ -332,8 +337,6 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
         radial_values(target.m, target_a, params.omega, r),
         angular_values(target.n, params, phi))
 
-    step = composite_raising(state, params) if raising \
-        else composite_lowering(state, params)
     flat_i, flat_t = img.ravel(), tgt.ravel()
     fit = float(flat_i @ flat_t) / float(flat_t @ flat_t)
     scale = float(np.max(np.abs(fit * tgt)))

@@ -108,6 +108,9 @@ def test_step_size_validation():
         integrate(MODEL, START, 1.0, -0.1)
     with pytest.raises(StepSizeError):
         integrate(MODEL, START, -1.0, 0.1)
+    # the default window starts half a radial period in
+    with pytest.raises(StepSizeError):
+        closure_report(MODEL, START, max_time=0.4 * MODEL.radial_period)
 
 
 def test_invariant_value_at_start():

@@ -192,8 +192,18 @@ def test_bad_rational_flag():
     ("spectrum", "--dt", "1"),
     ("verify", "--format", "json"),
     ("spectrum", "--emax", "1e308"),
+    ("spectrum", "--emax", "5", "--config", "dt = 0.5"),
+    ("verify", "--config", "format = json"),
+    ("orbit", "--t-end", "1"),
 ])
-def test_bad_input_exits_2_before_any_output(argv):
+def test_bad_input_exits_2_before_any_output(argv, tmp_path):
+    # a --config value here is the file's text: write it out, pass its path
+    argv = list(argv)
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        path = tmp_path / "run.cfg"
+        path.write_text(argv[i] + "\n")
+        argv[i] = str(path)
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from xsuperint import ladders
 from xsuperint.errors import (InsufficientSpanError, OutOfFamilyError,
                               VerificationError)
 from xsuperint.ladders import (
@@ -366,6 +367,26 @@ def test_parity_report_ok(alpha, beta, p, q):
     rep = parity_report(alpha, beta, p, q, nmax=6)
     assert rep.ok
     assert rep.negative_control_ok
+
+
+def test_parity_report_builds_each_deformed_chain_once(monkeypatch):
+    # the direct-substitution check reuses the tabulated lowering chains at
+    # n = 2 and 3: 2 * nmax tabulated chains plus 3 reflected raising chains
+    # and the lowering chain at n = 7/2
+    builds = []
+
+    def counting(name):
+        real = getattr(ladders, name)
+
+        def build(*args):
+            builds.append((name, args))
+            return real(*args)
+        return build
+
+    for name in ("deformed_raising_chain", "deformed_lowering_chain"):
+        monkeypatch.setattr(ladders, name, counting(name))
+    assert parity_report(*A13, 1, 1, nmax=8).ok
+    assert len(builds) == len(set(builds)) == 20
 
 
 def test_parity_report_needs_enough_nodes():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from xsuperint import ladders, spectral
 from xsuperint.errors import NumericalOverflowError, QuadratureError
 from xsuperint.params import ModelParams, QuantumState, energy_ratio
 from xsuperint.spectral import (
@@ -85,6 +86,22 @@ def test_ladder_numeric_ok(p, q):
     down = ladder_numeric_check(QuantumState(0, 1 + q), params, raising=False)
     assert down.status == "OK"
     assert down.deviation < 1e-8
+
+
+def test_ladder_numeric_check_builds_the_angular_chain_once(monkeypatch):
+    # an in-family check applies the chains of the composite step it scores
+    builds = []
+    real = ladders.deformed_raising_chain
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    for module in (ladders, spectral):
+        monkeypatch.setattr(module, "deformed_raising_chain", counting)
+    rep = ladder_numeric_check(QuantumState(1, 1), kparams(1, 2), raising=True)
+    assert rep.status == "OK"
+    assert len(builds) == 1
 
 
 def test_ladder_numeric_annihilated():
