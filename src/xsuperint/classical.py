@@ -204,10 +204,11 @@ def rk8_step(model: ClassicalModel, state: tuple, dt: float) -> tuple:
 
 
 def _check_inside(model: ClassicalModel, state: tuple, t: float) -> None:
+    # written so that NaN fails both tests: a state gone NaN has left too
     r, phi = state[0], state[1]
-    if r <= 0.0:
-        raise WedgeExitError(f"orbit reached r <= 0 at t = {t:.6g}")
-    if phi <= 0.0 or phi >= model.wedge_span:
+    if not r > 0.0:
+        raise WedgeExitError(f"orbit left r > 0 (r = {r:.6g}) at t = {t:.6g}")
+    if not 0.0 < phi < model.wedge_span:
         raise WedgeExitError(
             f"orbit left the wedge (phi = {phi:.6g}) at t = {t:.6g}")
 

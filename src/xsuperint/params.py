@@ -35,8 +35,9 @@ class ModelParams:
             raise ParameterDomainError(
                 f"need beta > alpha > 0 (got alpha={self.alpha}, beta={self.beta}); "
                 "this keeps the weight pole b outside [-1, 1]")
-        if not self.omega > 0:
-            raise ParameterDomainError(f"omega must be positive (got {self.omega})")
+        if not 0 < self.omega < math.inf:
+            raise ParameterDomainError(
+                f"omega must be positive and finite (got {self.omega})")
         if self.p < 1 or self.q < 1:
             raise ParameterDomainError("p and q must be positive integers")
         if math.gcd(self.p, self.q) != 1:

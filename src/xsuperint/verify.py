@@ -583,7 +583,7 @@ class VerificationReport:
 
 
 def verification_report(alpha: RationalLike, beta: RationalLike,
-                        p: int = 1, q: int = 1, omega: float = 1.0,
+                        p: int = 1, q: int = 1,
                         nmax: int = 6, mmax: int = 6) -> VerificationReport:
     """Run the full scorecard at one parameter point.
 
@@ -592,7 +592,7 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     formulas disagree with what the operators actually do — so producing a
     report with mismatches is a successful verification run, not a failure.
     """
-    params = ModelParams(alpha=alpha, beta=beta, omega=omega, p=p, q=q)
+    params = ModelParams(alpha=alpha, beta=beta, p=p, q=q)
     alpha_f, beta_f = params.alpha, params.beta
     lines: list[CheckLine] = []
     lines += _family_lines(alpha_f, beta_f, nmax)

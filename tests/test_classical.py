@@ -101,6 +101,17 @@ def test_wedge_exit():
         integrate(model, start, 5.0, 0.01)
 
 
+@pytest.mark.parametrize("model, start", [
+    (MODEL, OrbitState(1.0, 0.4, math.nan, 1.0)),
+    (ClassicalModel(1e-300, 1.0, 1.0, 3.0), START),
+])
+def test_nan_state_is_a_wedge_exit(model, start):
+    # NaN compares false with everything, so it must fail the wedge tests
+    period = model.radial_period
+    with pytest.raises(WedgeExitError):
+        integrate(model, start, period, period / 256)
+
+
 def test_step_size_validation():
     with pytest.raises(StepSizeError):
         integrate(MODEL, START, 1.0, 0.0)

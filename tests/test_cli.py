@@ -195,19 +195,44 @@ def test_bad_rational_flag():
     ("spectrum", "--emax", "5", "--config", "dt = 0.5"),
     ("verify", "--config", "format = json"),
     ("orbit", "--t-end", "1"),
+    ("verify", "--p", "1.5"),
+    ("verify", "--nmax", "x"),
+    ("spectrum", "--emax", "abc"),
+    ("export-wavefunction", "--grid", "1.5", "--out", "wf"),
+    ("export-wavefunction", "--rmax", "nan", "--out", "wf"),
+    ("export-wavefunction", "--rmax", "inf", "--out", "wf"),
+    ("spectrum", "--format", "xml", "--emax", "3"),
+    ("spectrum", "--omega", "inf", "--emax", "3"),
+    ("orbit", "--state", "1,0.4,nan,1"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
-    # a --config value here is the file's text: write it out, pass its path
+    # a --config value here is the file's text: write it out, pass its path;
+    # an --out value is a directory name under tmp_path
     argv = list(argv)
     if "--config" in argv:
         i = argv.index("--config") + 1
         path = tmp_path / "run.cfg"
         path.write_text(argv[i] + "\n")
         argv[i] = str(path)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("export-wavefunction", "--n", "300", "--grid", "4"),
+    ("orbit", "--omega", "1e-300"),
+])
+def test_package_error_exits_1_with_one_error_line(argv, tmp_path):
+    code, out, err = run_cli(*argv, "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 MODEL_FLAGS = {"--alpha", "--beta", "--omega", "--p", "--q", "--config"}

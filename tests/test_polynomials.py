@@ -1,12 +1,14 @@
 """Exact polynomial layer: arithmetic, classical families, and the deformed
 closed-form family."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from scipy.special import eval_jacobi, eval_laguerre
 
 from xsuperint.errors import ParameterDomainError
+from xsuperint.params import ModelParams
 from xsuperint.polynomials import (
     Poly,
     as_fraction,
@@ -104,6 +106,11 @@ def test_weight_pole_and_secondary_root():
     assert secondary_root(Fraction(1), Fraction(3)) == 3
     with pytest.raises(ParameterDomainError):
         weight_pole(Fraction(2), Fraction(2))
+
+
+def test_model_params_reject_non_finite_omega():
+    with pytest.raises(ParameterDomainError):
+        ModelParams(1, 3, omega=math.inf)
 
 
 def test_closed_form_family_small_members():
