@@ -32,7 +32,8 @@ class VerificationError(XSuperintError):
 
 
 class DomainError(XSuperintError):
-    """Evaluation requested outside the open wedge 0 < phi < pi/(2k), r > 0."""
+    """Classical model parameters outside their domain: a non-positive omega
+    or k, or a non-positive barrier strength (raised by `ClassicalModel`)."""
 
 
 class NumericalOverflowError(XSuperintError):

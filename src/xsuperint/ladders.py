@@ -21,13 +21,16 @@ Functions named `*_candidate` or `claimed_*` are verbatim transcriptions of a
 circulating closed form kept for reconciliation — they are scored against the
 derived operators and measured actions, never silently corrected.  Index
 arguments accept `Fraction`s so formal substitutions (such as the reflection
-n -> 1 - n - alpha - beta) can reuse the same builders.
+n -> 1 - n - alpha - beta) can reuse the same builders.  The four chain
+builders are memoised for the life of the process, so a chain that several
+checks apply is composed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .angular import angular_operator, exceptional_jacobi
@@ -458,6 +461,7 @@ def deformed_raising_action_monic(n, alpha, beta) -> Fraction:
     return (n + alpha) * (n + beta) * a_root * (a_root + 1) / 2
 
 
+@lru_cache(maxsize=None)
 def deformed_raising_chain(n: RationalLike, q: int, alpha: RationalLike,
                            beta: RationalLike) -> DiffOp:
     """q-fold raising chain: the one-step ladders at indices n, n+1, ...,
@@ -469,6 +473,7 @@ def deformed_raising_chain(n: RationalLike, q: int, alpha: RationalLike,
         alpha, beta)
 
 
+@lru_cache(maxsize=None)
 def deformed_lowering_chain(n: RationalLike, q: int, alpha: RationalLike,
                             beta: RationalLike) -> DiffOp:
     """q-fold lowering chain: the one-step ladders at indices n, n-1, ...,
@@ -647,6 +652,7 @@ def claimed_radial_raising_action(m: int, a) -> Fraction:
     return -(m + 1) * (m + a)
 
 
+@lru_cache(maxsize=None)
 def radial_lowering_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     """p-fold lowering chain at fixed eps: factors at gauges a, a+2, ...,
     a+2(p-1), rightmost first."""
@@ -654,6 +660,7 @@ def radial_lowering_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     return _composed([radial_lowering(a + 2 * i, eps) for i in range(p)])
 
 
+@lru_cache(maxsize=None)
 def radial_raising_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     """p-fold raising chain at fixed eps: factors at gauges a, a-2, ...,
     a-2(p-1), rightmost first."""
@@ -957,13 +964,10 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
             radial_raising_chain(-k * r, eps, p)
             == radial_lowering_chain(k * r, eps, p))
 
-    # n = 2 and 3 reuse the tabulated lowering chains; 7/2 is off the table
-    half = Fraction(7, 2)
-    pairs = [(ns[1], lowering_chains[1]), (ns[2], lowering_chains[2]),
-             (half, deformed_lowering_chain(half, q, alpha, beta))]
     direct_ok = all(
         deformed_raising_chain(1 - n - alpha - beta, q, alpha, beta)
-        == lowering for n, lowering in pairs)
+        == deformed_lowering_chain(n, q, alpha, beta)
+        for n in (ns[1], ns[2], Fraction(7, 2)))
     if not direct_ok:
         details.append("direct substitution n -> 1-n-alpha-beta failed to "
                        "map the raising chain onto the lowering chain")

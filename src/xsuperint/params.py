@@ -10,6 +10,7 @@ state normalizable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +36,13 @@ class ModelParams:
             raise ParameterDomainError(
                 f"need beta > alpha > 0 (got alpha={self.alpha}, beta={self.beta}); "
                 "this keeps the weight pole b outside [-1, 1]")
-        if not 0 < self.omega < math.inf:
+        # the radial force and energy carry omega^2: it must be a finite,
+        # normal float for any float64 evaluation to mean something
+        if not (self.omega > 0
+                and sys.float_info.min <= self.omega * self.omega < math.inf):
             raise ParameterDomainError(
-                f"omega must be positive and finite (got {self.omega})")
+                f"omega must be positive with omega^2 a finite normal float "
+                f"(got omega = {self.omega})")
         if self.p < 1 or self.q < 1:
             raise ParameterDomainError("p and q must be positive integers")
         if math.gcd(self.p, self.q) != 1:

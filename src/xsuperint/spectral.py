@@ -297,29 +297,25 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
     p, q = params.p, params.q
     n, m = state.n, state.m
     a = params.k * angular_eigenroot(n, alpha, beta)
-    target_a = a + 2 * p if raising else a - 2 * p
-    try:
-        step = composite_raising(state, params) if raising \
-            else composite_lowering(state, params)
-        ang_chain, rad_chain = step.angular, step.radial
-    except OutOfFamilyError:
-        # the composites refuse the bottom of a tower, where the chains
-        # must annihilate the state exactly
-        step = None
-        eps = radial_eps(m, a)
-        if raising:
-            ang_chain = deformed_raising_chain(n, q, alpha, beta)
-            rad_chain = radial_lowering_chain(a, eps, p)
-        else:
-            ang_chain = deformed_lowering_chain(n, q, alpha, beta)
-            rad_chain = radial_raising_chain(a, eps, p)
+    eps = radial_eps(m, a)
+    if raising:
+        ang_chain = deformed_raising_chain(n, q, alpha, beta)
+        rad_chain, target_a = radial_lowering_chain(a, eps, p), a + 2 * p
+    else:
+        ang_chain = deformed_lowering_chain(n, q, alpha, beta)
+        rad_chain, target_a = radial_raising_chain(a, eps, p), a - 2 * p
 
     ang_img = ang_chain.apply_poly(
         exceptional_jacobi(n, alpha, beta)).as_poly()
     rad_img = radial_family_image(rad_chain, m, a, target_a)
 
     r, phi = _interior_grid(params, 48, 48, 1e-2)
-    if step is None:
+    try:
+        step = composite_raising(state, params) if raising \
+            else composite_lowering(state, params)
+    except OutOfFamilyError:
+        # the composites refuse the bottom of a tower, where the chains
+        # must annihilate the state exactly
         if not (ang_img.is_zero() or rad_img.is_zero()):
             raise VerificationError(
                 "composite ladder left the family without annihilating")

@@ -48,7 +48,7 @@ from .ladders import (
     composite_raising,
     deformed_lowering,
     deformed_lowering_action,
-    deformed_lowering_chain_action,
+    deformed_lowering_chain,
     deformed_raising,
     deformed_raising_action,
     deformed_raising_chain,
@@ -77,7 +77,7 @@ from .ladders import (
     radial_raising,
     radial_raising_action,
     radial_raising_candidate,
-    radial_raising_chain_action,
+    radial_raising_chain,
     raising_intertwiner,
     raising_intertwiner_action,
     raising_intertwiner_candidate,
@@ -162,6 +162,14 @@ def classify_claim(
             f"normalization convention, not an index-dependent error")
     shown = ", ".join(f"{lab}: {r}" for lab, r in ratios[:4])
     return MISMATCH, f"claimed/measured ratio varies with the index ({shown})"
+
+
+def _scored(section: str, name: str, label: str, formula, args: tuple,
+            measured: dict[int, Measurement]) -> CheckLine:
+    """Score formula(k, *args) against measured[k] at every measured index
+    k, the row labelled `label` followed by k."""
+    return CheckLine(section, name, *classify_claim(
+        [(f"{label}{k}", formula(k, *args), c) for k, c in measured.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +303,18 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
                                shifted_jacobi(n - 1, alpha, beta)))
                 for n in range(1, nmax + 1)]
 
-    fwd_rows = [
-        (f"n = {n}", raising_intertwiner_action(n, alpha, beta),
-         action_report(fwd, shifted_jacobi(n, alpha, beta),
-                       exceptional_jacobi_closed_form(n + 1, alpha, beta)))
-        for n in range(0, nmax)]
-    lines.append(CheckLine("intertwiners", "forward intertwiner action table",
-                           *classify_claim(fwd_rows)))
-    lines.append(CheckLine("intertwiners", "backward intertwiner action table",
-                           *classify_claim(backward_rows(bwd))))
-
-    claim_pairs = [
-        (f"n={n}", claimed_raising_intertwiner_action(n, alpha, beta),
-         raising_intertwiner_action(n, alpha, beta))
-        for n in range(0, nmax)]
-    verdict, detail = classify_claim(claim_pairs)
-    lines.append(CheckLine(
-        "intertwiners", "claimed forward intertwiner coefficient 2n-2+2*alpha",
-        verdict, detail))
+    forward = {n: action_report(fwd, shifted_jacobi(n, alpha, beta),
+                                exceptional_jacobi_closed_form(n + 1, alpha,
+                                                               beta))
+               for n in range(0, nmax)}
+    lines += [
+        _scored("intertwiners", "forward intertwiner action table", "n = ",
+                raising_intertwiner_action, (alpha, beta), forward),
+        CheckLine("intertwiners", "backward intertwiner action table",
+                  *classify_claim(backward_rows(bwd))),
+        _scored("intertwiners",
+                "claimed forward intertwiner coefficient 2n-2+2*alpha", "n=",
+                claimed_raising_intertwiner_action, (alpha, beta), forward)]
 
     outcomes = [(n, *_resolve_free_scalar(alpha, beta, n))
                 for n in range(0, min(nmax, 4))]
@@ -354,117 +356,86 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
     def member(n: int) -> Poly:
         return exceptional_jacobi_closed_form(n, alpha, beta)
 
-    raise_rows = [(f"n = {n}", deformed_raising_action(n, alpha, beta),
-                   action_report(deformed_raising(n, alpha, beta),
-                                 member(n), member(n + 1)))
-                  for n in range(1, nmax + 1)]
-    lower_rows = [(f"n = {n}", deformed_lowering_action(n, alpha, beta),
-                   action_report(deformed_lowering(n, alpha, beta),
-                                 member(n), member(n - 1)))
-                  for n in range(2, nmax + 2)]
-    lines = [
-        CheckLine("deformed ladders", "one-step raising action table",
-                  *classify_claim(raise_rows)),
-        CheckLine("deformed ladders", "one-step lowering action table",
-                  *classify_claim(lower_rows)),
-    ]
+    def measured(make, ns: range, shift: int, *steps: int
+                 ) -> dict[int, Measurement]:
+        """make(n, *steps, alpha, beta) from member n to member n + shift."""
+        return {n: action_report(make(n, *steps, alpha, beta), member(n),
+                                 member(n + shift)) for n in ns}
 
+    up = measured(deformed_raising, range(1, nmax + 1), 1)
+    down = measured(deformed_lowering, range(2, nmax + 2), -1)
+    up_chain = measured(deformed_raising_chain, range(1, max(nmax, 3) + 1),
+                        q, q)
+    down_chain = measured(deformed_lowering_chain,
+                          range(q + 1, nmax + q + 1), -q, q)
     bottom = deformed_lowering(1, alpha, beta).apply_poly(member(1))
-    lines.append(CheckLine(
-        "deformed ladders", "lowering annihilates the bottom (degree-1) member",
-        MATCH if bottom.is_zero() else MISMATCH,
-        "image is identically zero" if bottom.is_zero() else
-        f"image {bottom.pretty()} is not zero"))
-
-    claims = [
-        ("claimed one-step raising coefficient",
-         [(f"n={n}", claimed_deformed_raising_action(n, alpha, beta),
-           deformed_raising_action(n, alpha, beta))
-          for n in range(1, nmax + 1)]),
-        ("claimed one-step lowering coefficient",
-         [(f"n={n}", claimed_deformed_lowering_action(n, alpha, beta),
-           deformed_lowering_action(n, alpha, beta))
-          for n in range(2, nmax + 2)]),
-        (f"claimed {q}-fold raising chain coefficient",
-         [(f"n={n}", claimed_raising_chain_action(n, q, alpha, beta),
-           deformed_raising_chain_action(n, q, alpha, beta))
-          for n in range(1, nmax + 1)]),
-        (f"claimed {q}-fold lowering chain coefficient",
-         [(f"n={n}", claimed_lowering_chain_action(n, q, alpha, beta),
-           deformed_lowering_chain_action(n, q, alpha, beta))
-          for n in range(q + 1, nmax + q + 1)]),
+    ab, qab, sec = (alpha, beta), (q, alpha, beta), "deformed ladders"
+    return [
+        _scored(sec, "one-step raising action table", "n = ",
+                deformed_raising_action, ab, up),
+        _scored(sec, "one-step lowering action table", "n = ",
+                deformed_lowering_action, ab, down),
+        CheckLine(sec, "lowering annihilates the bottom (degree-1) member",
+                  MATCH if bottom.is_zero() else MISMATCH,
+                  "image is identically zero" if bottom.is_zero() else
+                  f"image {bottom.pretty()} is not zero"),
+        _scored(sec, "claimed one-step raising coefficient", "n=",
+                claimed_deformed_raising_action, ab, up),
+        _scored(sec, "claimed one-step lowering coefficient", "n=",
+                claimed_deformed_lowering_action, ab, down),
+        _scored(sec, f"claimed {q}-fold raising chain coefficient", "n=",
+                claimed_raising_chain_action, qab,
+                {n: up_chain[n] for n in range(1, nmax + 1)}),
+        _scored(sec, f"claimed {q}-fold lowering chain coefficient", "n=",
+                claimed_lowering_chain_action, qab, down_chain),
+        _scored(sec, f"{q}-fold raising chain equals the product of its steps",
+                "n = ", deformed_raising_chain_action, qab,
+                {n: up_chain[n] for n in range(1, 4)}),
     ]
-    for name, pairs in claims:
-        lines.append(CheckLine("deformed ladders", name,
-                               *classify_claim(pairs)))
-
-    chain_rows = [(f"n = {n}",
-                   deformed_raising_chain_action(n, q, alpha, beta),
-                   action_report(deformed_raising_chain(n, q, alpha, beta),
-                                 member(n), member(n + q)))
-                  for n in range(1, 4)]
-    lines.append(CheckLine(
-        "deformed ladders",
-        f"{q}-fold raising chain equals the product of its steps",
-        *classify_claim(chain_rows)))
-    return lines
 
 
 def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
                          p: int, mmax: int) -> list[CheckLine]:
     a = k * angular_eigenroot(1, alpha, beta)
+
+    def measured(make, ms: range, shift: int, *steps: int
+                 ) -> dict[int, Measurement]:
+        """make(a, eps_m, *steps) from the radial state (m, a) to
+        (m + shift, a - 2 shift)."""
+        return {m: radial_action_report(make(a, radial_eps(m, a), *steps),
+                                        m, a, m + shift, a - 2 * shift)
+                for m in ms}
+
+    down = measured(radial_lowering, range(1, mmax + 1), -1)
+    up = measured(radial_raising, range(0, mmax + 1), 1)
+    down_chain = measured(radial_lowering_chain,
+                          range(p, max(mmax, 2) + p + 1), -p, p)
+    up_chain = measured(radial_raising_chain, range(0, mmax + 1), p, p)
     bottom = radial_family_image(radial_lowering(a, radial_eps(0, a)), 0, a,
                                  a + 2)
-    lower_rows = [(f"m = {m}", radial_lowering_action(m, a),
-                   radial_action_report(radial_lowering(a, radial_eps(m, a)),
-                                        m, a, m - 1, a + 2))
-                  for m in range(1, mmax + 1)]
-    raise_rows = [(f"m = {m}", radial_raising_action(m, a),
-                   radial_action_report(radial_raising(a, radial_eps(m, a)),
-                                        m, a, m + 1, a - 2))
-                  for m in range(0, mmax + 1)]
+    sec = "radial ladders"
     lines = [
-        CheckLine("radial ladders",
-                  "derived lowering annihilates the bottom state",
+        CheckLine(sec, "derived lowering annihilates the bottom state",
                   MATCH if bottom.is_zero() else MISMATCH,
                   "image is identically zero" if bottom.is_zero() else
                   f"image {bottom.pretty()} is not zero"),
-        CheckLine("radial ladders",
-                  f"derived lowering action table at a = {a}",
-                  *classify_claim(lower_rows)),
-        CheckLine("radial ladders",
-                  f"derived raising action table at a = {a}",
-                  *classify_claim(raise_rows)),
+        _scored(sec, f"derived lowering action table at a = {a}", "m = ",
+                radial_lowering_action, (a,), down),
+        _scored(sec, f"derived raising action table at a = {a}", "m = ",
+                radial_raising_action, (a,), up),
+        _scored(sec, "claimed one-step lowering coefficient", "m=",
+                claimed_radial_lowering_action, (a,), down),
+        _scored(sec, "claimed one-step raising coefficient", "m=",
+                claimed_radial_raising_action, (a,), up),
+        _scored(sec, f"claimed {p}-fold lowering chain coefficient", "m=",
+                claimed_radial_lowering_chain_action, (a, p),
+                {m: down_chain[m] for m in range(p, mmax + p + 1)}),
+        _scored(sec, f"claimed {p}-fold raising chain coefficient", "m=",
+                claimed_radial_raising_chain_action, (a, p), up_chain),
+        _scored(sec, f"{p}-fold lowering chain equals the product of its steps",
+                "m = ", radial_lowering_chain_action, (a, p),
+                {m: down_chain[m] for m in range(p, p + 3)}),
     ]
-
-    claim_tables = [
-        ("claimed one-step lowering coefficient",
-         [(f"m={m}", claimed_radial_lowering_action(m, a),
-           radial_lowering_action(m, a)) for m in range(1, mmax + 1)]),
-        ("claimed one-step raising coefficient",
-         [(f"m={m}", claimed_radial_raising_action(m, a),
-           radial_raising_action(m, a)) for m in range(0, mmax + 1)]),
-        (f"claimed {p}-fold lowering chain coefficient",
-         [(f"m={m}", claimed_radial_lowering_chain_action(m, a, p),
-           radial_lowering_chain_action(m, a, p))
-          for m in range(p, mmax + p + 1)]),
-        (f"claimed {p}-fold raising chain coefficient",
-         [(f"m={m}", claimed_radial_raising_chain_action(m, a, p),
-           radial_raising_chain_action(m, a, p))
-          for m in range(0, mmax + 1)]),
-    ]
-    for name, pairs in claim_tables:
-        lines.append(CheckLine("radial ladders", name, *classify_claim(pairs)))
-
-    chain_rows = [(f"m = {m}", radial_lowering_chain_action(m, a, p),
-                   radial_action_report(
-                       radial_lowering_chain(a, radial_eps(m, a), p),
-                       m, a, m - p, a + 2 * p))
-                  for m in range(p, p + 3)]
-    lines.append(CheckLine(
-        "radial ladders",
-        f"{p}-fold lowering chain equals the product of its steps",
-        *classify_claim(chain_rows)))
 
     own, witness = radial_action_report(
         radial_lowering_candidate(a, radial_eps(0, a)), 0, a, 0, a)
@@ -481,13 +452,10 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
     lines.append(CheckLine("radial ladders", "candidate lowering ladder",
                            verdict, detail))
 
-    cand_rows = [(f"m = {m}", radial_raising_action(m, a),
-                  radial_action_report(
-                      radial_raising_candidate(a, radial_eps(m, a)),
-                      m, a, m + 1, a - 2))
-                 for m in range(0, 3)]
-    verdict, detail = classify_claim(cand_rows)
-    left = [label for label, _, (c, _) in cand_rows if c is None]
+    cand = measured(radial_raising_candidate, range(0, 3), 1)
+    verdict, detail = classify_claim(
+        [(f"m = {m}", radial_raising_action(m, a), c) for m, c in cand.items()])
+    left = [f"m = {m}" for m, (c, _) in cand.items() if c is None]
     if left:
         detail = ("image is not proportional to any family member at "
                   + ", ".join(left))

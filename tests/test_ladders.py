@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from xsuperint import ladders
 from xsuperint.errors import (InsufficientSpanError, OutOfFamilyError,
                               VerificationError)
 from xsuperint.ladders import (
@@ -369,24 +368,12 @@ def test_parity_report_ok(alpha, beta, p, q):
     assert rep.negative_control_ok
 
 
-def test_parity_report_builds_each_deformed_chain_once(monkeypatch):
-    # the direct-substitution check reuses the tabulated lowering chains at
-    # n = 2 and 3: 2 * nmax tabulated chains plus 3 reflected raising chains
-    # and the lowering chain at n = 7/2
-    builds = []
-
-    def counting(name):
-        real = getattr(ladders, name)
-
-        def build(*args):
-            builds.append((name, args))
-            return real(*args)
-        return build
-
-    for name in ("deformed_raising_chain", "deformed_lowering_chain"):
-        monkeypatch.setattr(ladders, name, counting(name))
+def test_parity_report_builds_each_deformed_chain_once(deformed_compositions):
+    # 2 * nmax tabulated chains, the lowering chain at n = 7/2 and 3
+    # reflected raising chains; the lowering chains at n = 2 and 3 that the
+    # direct-substitution check compares with come from the cache
     assert parity_report(*A13, 1, 1, nmax=8).ok
-    assert len(builds) == len(set(builds)) == 20
+    assert len(deformed_compositions) == 20
 
 
 def test_parity_report_needs_enough_nodes():

@@ -111,6 +111,12 @@ def test_weight_pole_and_secondary_root():
 def test_model_params_reject_non_finite_omega():
     with pytest.raises(ParameterDomainError):
         ModelParams(1, 3, omega=math.inf)
+    # omega^2 must be a finite normal float: subnormal below, inf above
+    for omega in (1e-160, 1e155):
+        with pytest.raises(ParameterDomainError, match="omega"):
+            ModelParams(1, 3, omega=omega)
+    for omega in (1e-150, 1e150):
+        assert ModelParams(1, 3, omega=omega).omega == omega
 
 
 def test_closed_form_family_small_members():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xsuperint import ladders, spectral
 from xsuperint.errors import NumericalOverflowError, QuadratureError
 from xsuperint.params import ModelParams, QuantumState, energy_ratio
 from xsuperint.spectral import (
@@ -88,20 +87,12 @@ def test_ladder_numeric_ok(p, q):
     assert down.deviation < 1e-8
 
 
-def test_ladder_numeric_check_builds_the_angular_chain_once(monkeypatch):
-    # an in-family check applies the chains of the composite step it scores
-    builds = []
-    real = ladders.deformed_raising_chain
-
-    def counting(*args):
-        builds.append(args)
-        return real(*args)
-
-    for module in (ladders, spectral):
-        monkeypatch.setattr(module, "deformed_raising_chain", counting)
+def test_ladder_numeric_check_builds_the_angular_chain_once(
+        deformed_compositions):
+    # the composite step it scores takes the chain the check already built
     rep = ladder_numeric_check(QuantumState(1, 1), kparams(1, 2), raising=True)
     assert rep.status == "OK"
-    assert len(builds) == 1
+    assert len(deformed_compositions) == 1
 
 
 def test_ladder_numeric_annihilated():

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from xsuperint import verify
+from xsuperint import ladders, spectral, verify
 from xsuperint.angular import angular_operator
 from xsuperint.ladders import (composite_lowering, composite_raising,
-                               deformed_raising, jacobi_lowering,
-                               lowering_intertwiner, radial_lowering,
-                               radial_raising, radial_raising_candidate)
+                               deformed_lowering_chain, deformed_raising,
+                               jacobi_lowering, lowering_intertwiner,
+                               radial_lowering, radial_raising,
+                               radial_raising_candidate, radial_raising_chain,
+                               raising_intertwiner)
+from xsuperint.params import ModelParams, QuantumState
+from xsuperint.spectral import ladder_numeric_check
 from xsuperint.verify import (classify_claim, normalization,
                               verification_report)
 
@@ -166,3 +170,57 @@ def test_candidates_are_scored_against_the_derived_tables(
     doubled = lambda *args: 2 * derived(*args)
     assert _verdict(monkeypatch, name, doubled, section, line
                     ) == "NORMALIZATION(1/2)"
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return {(ln.section, ln.name): ln
+            for ln in verification_report(F(1), F(3), nmax=3, mmax=2).lines}
+
+
+@pytest.mark.parametrize("name,real,section,line", [
+    ("raising_intertwiner", raising_intertwiner, "intertwiners",
+     "claimed forward intertwiner coefficient 2n-2+2*alpha"),
+    ("deformed_raising", deformed_raising, "deformed ladders",
+     "claimed one-step raising coefficient"),
+    ("deformed_lowering_chain", deformed_lowering_chain, "deformed ladders",
+     "claimed 1-fold lowering chain coefficient"),
+    ("radial_raising_chain", radial_raising_chain, "radial ladders",
+     "claimed 1-fold raising chain coefficient"),
+])
+def test_claim_tables_are_scored_against_the_measured_operator(
+        monkeypatch, small_report, name, real, section, line):
+    # a claim compared with a formula cannot see a doubled operator; one
+    # compared with that operator's measured action must
+    monkeypatch.setattr(verify, name, lambda *args: 2 * real(*args))
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    doubled = next(ln for ln in rep.lines if (ln.section, ln.name)
+                   == (section, line))
+    before = small_report[(section, line)]
+    assert (doubled.verdict, doubled.detail) != (before.verdict, before.detail)
+
+
+def test_scorecard_composes_each_deformed_chain_once(monkeypatch,
+                                                     deformed_compositions):
+    # the checks ask for some chains several times; the memoised builders
+    # compose each distinct (builder, arguments) chain once
+    calls = []
+
+    def recording(name, real):
+        def build(*args):
+            calls.append((name, args))
+            return real(*args)
+        return build
+
+    for name in ("deformed_raising", "deformed_lowering",
+                 "deformed_raising_chain", "deformed_lowering_chain"):
+        wrapper = recording(name, getattr(ladders, name))
+        for module in (ladders, spectral, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    params = ModelParams(F(1), F(3), p=1, q=2)
+    verification_report(F(1), F(3), p=1, q=2, nmax=3, mmax=2)
+    ladder_numeric_check(QuantumState(1, 1), params, raising=True)
+    ladder_numeric_check(QuantumState(0, 3), params, raising=False)
+    assert len(calls) > len(set(calls))
+    assert len(deformed_compositions) == len(set(calls))
