@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DomainError, StepSizeError, WedgeExitError
-from .params import ModelParams
+from .params import ModelParams, omega_in_domain
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,14 @@ class ClassicalModel:
     beta_strength: float
 
     def __post_init__(self):
-        if self.omega <= 0 or self.k <= 0:
-            raise DomainError("omega and k must be positive")
-        if self.alpha_strength <= 0 or self.beta_strength <= 0:
-            raise DomainError("barrier strengths must be positive for a "
-                              "confined wedge orbit")
+        if not (omega_in_domain(self.omega) and 0 < self.k < math.inf):
+            raise DomainError(
+                f"need omega > 0 with omega^2 a finite normal float, and a "
+                f"finite k > 0 (got omega = {self.omega}, k = {self.k})")
+        if not all(0 < s < math.inf
+                   for s in (self.alpha_strength, self.beta_strength)):
+            raise DomainError("barrier strengths must be positive and finite "
+                              "for a confined wedge orbit")
 
     @classmethod
     def from_model_params(cls, params: ModelParams) -> "ClassicalModel":

@@ -28,12 +28,15 @@ class OutOfFamilyError(XSuperintError):
 
 
 class VerificationError(XSuperintError):
-    """Neither the candidate nor the derived form of an operator maps basis to basis."""
+    """An exact check failed: an image left its target's line, a chain had a
+    foreign denominator or missed a holdout, an intertwiner ansatz had no
+    single solution, or a composite broke energy or left the family."""
 
 
 class DomainError(XSuperintError):
-    """Classical model parameters outside their domain: a non-positive omega
-    or k, or a non-positive barrier strength (raised by `ClassicalModel`)."""
+    """Classical model parameters outside their domain: an omega outside the
+    rule `ModelParams` applies, or a k or barrier strength that is not
+    positive and finite (raised by `ClassicalModel`)."""
 
 
 class NumericalOverflowError(XSuperintError):
@@ -55,4 +58,5 @@ class StepSizeError(XSuperintError):
 
 
 class InsufficientSpanError(XSuperintError):
-    """A trajectory is too short for the requested diagnostic."""
+    """Too few index nodes for an exact interpolation with a held-out check
+    (raised by `parity_report` when nmax is too small for p and q)."""

@@ -5,11 +5,13 @@ Layers, bottom to top:
   * one-step ladders inside the classical Jacobi family (shifted parameters
     alpha+1, beta-1), acting by first-order operators;
   * a forward/backward intertwiner pair connecting that shifted classical
-    family to the deformed family, derived here from scratch by an exact
-    linear-ansatz nullspace solve (`derive_*`) and also frozen in closed form;
-  * deformed-family ladders F o (classical ladder) o B, and their q-fold
-    chains built as F o (classical steps joined by M = B o F) o B, where M
-    is polynomial (the shifted Jacobi operator plus a constant);
+    family to the deformed family, derived here from scratch by one exact
+    linear-ansatz nullspace solve that both `derive_*` call (the backward
+    map with an (x - b) pole) and also frozen in closed form;
+  * deformed-family q-fold chains built as F o (classical steps joined by
+    M = B o F) o B, where M is polynomial (the shifted Jacobi operator plus
+    a constant); the one-step ladders F o (classical ladder) o B are the
+    q = 1 chains;
   * radial (Laguerre-index) ladders in y = omega r^2 at fixed energy, and
     their p-fold chains;
   * energy-preserving composites that trade p radial quanta against q angular
@@ -23,7 +25,7 @@ derived operators and measured actions, never silently corrected.  Index
 arguments accept `Fraction`s so formal substitutions (such as the reflection
 n -> 1 - n - alpha - beta) can reuse the same builders.  The four chain
 builders are memoised for the life of the process, so a chain that several
-checks apply is composed once.
+checks apply, one-step ladders included, is composed once.
 """
 
 from __future__ import annotations
@@ -99,9 +101,7 @@ def jacobi_lowering(n: RationalLike, alpha: RationalLike,
 
     Action coefficient: (n+alpha)(n+beta), see `jacobi_lowering_action`.
     """
-    n = as_fraction(n)
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s = 2 * n + alpha + beta
     zeroth = Poly((-n * (alpha - beta) / 2, n * s / 2))
     first = Poly((s / 2, 0, -s / 2))
@@ -118,9 +118,7 @@ def jacobi_raising(n: RationalLike, alpha: RationalLike,
 
     Action coefficient: (n+1)(n+alpha+beta+1), see `jacobi_raising_action`.
     """
-    n = as_fraction(n)
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s2 = 2 * n + alpha + beta + 2
     zeroth = Poly(((n + alpha + beta + 1) * (alpha - beta) / 2,
                    (n + alpha + beta + 1) * s2 / 2))
@@ -184,8 +182,7 @@ def raising_intertwiner(alpha: RationalLike, beta: RationalLike) -> DiffOp:
     coefficient is -2(n+alpha) in the closed-form normalization of the
     deformed family (`raising_intertwiner_action`).
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = weight_pole(alpha, beta)
     c = secondary_root(alpha, beta)
     first = Poly((-1, 1)) * Poly((-b, 1))
@@ -202,8 +199,7 @@ def lowering_intertwiner(alpha: RationalLike, beta: RationalLike) -> DiffOp:
     The (x-b) pole always cancels on the deformed family.  Action coefficient
     -(n+beta)/2, see `lowering_intertwiner_action`.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = weight_pole(alpha, beta)
     pole = Poly((-b, 1))
     return DiffOp((RatFunc(Poly.constant(beta), pole),
@@ -246,8 +242,7 @@ def raising_intertwiner_candidate(alpha, beta, free_scalar) -> DiffOp:
     zeroth term into alpha*(x-c), i.e. the derived intertwiner; the factor
     (alpha-1) in the candidate cannot be a normalization convention.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     t = as_fraction(free_scalar)
     b = weight_pole(alpha, beta)
     c = secondary_root(alpha, beta)
@@ -261,12 +256,46 @@ def lowering_intertwiner_candidate(alpha, beta) -> DiffOp:
     divided by (x + b) — pole on the wrong side of the interval.  With this
     denominator the image of a deformed polynomial keeps a pole at x = -b,
     so the candidate does not even map into polynomials."""
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = weight_pole(alpha, beta)
     pole = Poly((b, 1))
     return DiffOp((RatFunc(Poly.constant(beta), pole),
                    RatFunc(Poly((1, 1)), pole)))
+
+
+def _solve_intertwiner(direction: str, fit: Sequence[tuple[Poly, Poly]],
+                       holdout: Sequence[tuple[Poly, Poly]], first_degree: int,
+                       zeroth_degree: int, pole: Poly) -> DiffOp:
+    """Solve the ansatz [ a(x) d + c(x) ] / pole, deg a <= first_degree and
+    deg c <= zeroth_degree, for a map sending each source to a multiple of
+    its target.  With the pole cleared, the fit pairs give a homogeneous
+    system in the ansatz coefficients and one image scalar per pair; its
+    nullspace must be a line, a is normalized monic, and the result is
+    validated on the held-out pairs."""
+    # unknowns: a_0..a_first, c_0..c_zeroth, then one scalar per fit pair
+    width = first_degree + zeroth_degree + 2
+    rows: list[list[Fraction]] = []
+    for idx, (src, tgt) in enumerate(fit):
+        dsrc, image = src.derivative(), pole * tgt
+        top = max(src.degree + max(first_degree - 1, zeroth_degree),
+                  image.degree)
+        rows += [[dsrc.coeff(s - j) for j in range(first_degree + 1)]
+                 + [src.coeff(s - j) for j in range(zeroth_degree + 1)]
+                 + [-image.coeff(s) if i == idx else Fraction(0)
+                    for i in range(len(fit))]
+                 for s in range(top + 1)]
+    basis = fraction_nullspace(rows, width + len(fit))
+    if len(basis) != 1 or basis[0][first_degree] == 0:
+        raise VerificationError(
+            f"{direction}-intertwiner ansatz has nullspace dimension "
+            f"{len(basis)}, expected a single line with a nonzero leading "
+            "first-order coefficient")
+    v = [u / basis[0][first_degree] for u in basis[0]]
+    op = DiffOp((RatFunc(Poly(v[first_degree + 1:width]), pole),
+                 RatFunc(Poly(v[:first_degree + 1]), pole)))
+    for src, tgt in holdout:
+        action_coefficient(op, src, tgt)
+    return op
 
 
 def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
@@ -280,38 +309,12 @@ def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
     line, and the leading coefficient of a is normalized to 1.  The result is
     then validated on degrees 3..6 before being returned.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-    # unknown layout: [a0, a1, a2, c0, c1, g0, g1, g2]
-    rows: list[list[Fraction]] = []
-    for n in range(3):
-        src = shifted_jacobi(n, alpha, beta)
-        dsrc = src.derivative()
-        tgt = exceptional_jacobi_closed_form(n + 1, alpha, beta)
-        for s in range(n + 2):
-            row = [Fraction(0)] * 8
-            for j in range(3):
-                row[j] = dsrc.coeff(s - j)
-            for j in range(2):
-                row[3 + j] = src.coeff(s - j)
-            row[5 + n] = -tgt.coeff(s)
-            rows.append(row)
-    basis = fraction_nullspace(rows, 8)
-    if len(basis) != 1:
-        raise VerificationError(
-            f"forward-intertwiner ansatz has nullspace dimension {len(basis)}, "
-            "expected a single line")
-    v = basis[0]
-    if v[2] == 0:
-        raise VerificationError(
-            "forward-intertwiner ansatz found a degenerate solution with "
-            "vanishing second-degree first-order coefficient")
-    v = [u / v[2] for u in v]
-    op = DiffOp((Poly(v[3:5]), Poly(v[0:3])))
-    for n in range(3, 7):
-        action_coefficient(op, shifted_jacobi(n, alpha, beta),
-                           exceptional_jacobi_closed_form(n + 1, alpha, beta))
-    return op
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    pairs = [(shifted_jacobi(n, alpha, beta),
+              exceptional_jacobi_closed_form(n + 1, alpha, beta))
+             for n in range(7)]
+    return _solve_intertwiner("forward", pairs[:3], pairs[3:], 2, 1,
+                              Poly.one())
 
 
 def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
@@ -324,39 +327,12 @@ def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
     must be a line, e is normalized monic, and the result is validated on
     degrees 4..7.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-    b = weight_pole(alpha, beta)
-    pole = Poly((-b, 1))
-    # unknown layout: [e0, e1, f0, f1, d1, d2, d3]
-    rows = []
-    for idx, n in enumerate((1, 2, 3)):
-        src = exceptional_jacobi_closed_form(n, alpha, beta)
-        dsrc = src.derivative()
-        tgt = pole * shifted_jacobi(n - 1, alpha, beta)
-        for s in range(n + 2):
-            row = [Fraction(0)] * 7
-            for j in range(2):
-                row[j] = dsrc.coeff(s - j)
-                row[2 + j] = src.coeff(s - j)
-            row[4 + idx] = -tgt.coeff(s)
-            rows.append(row)
-    basis = fraction_nullspace(rows, 7)
-    if len(basis) != 1:
-        raise VerificationError(
-            f"backward-intertwiner ansatz has nullspace dimension {len(basis)}, "
-            "expected a single line")
-    v = basis[0]
-    if v[1] == 0:
-        raise VerificationError(
-            "backward-intertwiner ansatz found a degenerate solution with "
-            "constant first-order coefficient")
-    v = [u / v[1] for u in v]
-    op = DiffOp((RatFunc(Poly(v[2:4]), pole), RatFunc(Poly(v[0:2]), pole)))
-    for n in range(4, 8):
-        action_coefficient(op, exceptional_jacobi_closed_form(n, alpha, beta),
-                           shifted_jacobi(n - 1, alpha, beta))
-    return op
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    pairs = [(exceptional_jacobi_closed_form(n, alpha, beta),
+              shifted_jacobi(n - 1, alpha, beta))
+             for n in range(1, 8)]
+    return _solve_intertwiner("backward", pairs[:3], pairs[3:], 1, 1,
+                              Poly((-weight_pole(alpha, beta), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +367,18 @@ def deformed_lowering(n: RationalLike, alpha: RationalLike,
                       beta: RationalLike) -> DiffOp:
     """Third-order ladder F o (classical lowering at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
-    the degree n-1 one.  Annihilates the degree-1 member."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
-    return _deformed_chain([jacobi_lowering(n - 1, alpha + 1, beta - 1)],
-                           alpha, beta)
+    the degree n-1 one.  Annihilates the degree-1 member.  It is the q = 1
+    lowering chain, and the same cached object."""
+    return deformed_lowering_chain(n, 1, alpha, beta)
 
 
 def deformed_raising(n: RationalLike, alpha: RationalLike,
                      beta: RationalLike) -> DiffOp:
     """Third-order ladder F o (classical raising at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
-    the degree n+1 one."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
-    return _deformed_chain([jacobi_raising(n - 1, alpha + 1, beta - 1)],
-                           alpha, beta)
+    the degree n+1 one.  It is the q = 1 raising chain, and the same cached
+    object."""
+    return deformed_raising_chain(n, 1, alpha, beta)
 
 
 def deformed_lowering_action(n, alpha, beta) -> Fraction:
@@ -492,13 +466,6 @@ def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
     return out
 
 
-def deformed_lowering_chain_action(n, q: int, alpha, beta) -> Fraction:
-    out = Fraction(1)
-    for i in range(q):
-        out *= deformed_lowering_action(as_fraction(n) - i, alpha, beta)
-    return out
-
-
 def claimed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
     """Transcribed q-fold raising coefficient:
     (-1)^q (n)_q (n+beta)_q (n+alpha)_q (n+alpha+beta)_q."""
@@ -520,6 +487,13 @@ def claimed_lowering_chain_action(n, q: int, alpha, beta) -> Fraction:
 # Radial (Laguerre-index) ladders in y = omega r^2 at fixed energy
 # ---------------------------------------------------------------------------
 
+def _radial_ladder(first: Fraction, energy: Fraction, pole: Fraction
+                   ) -> DiffOp:
+    """first * d_y + energy + pole / y: the one shape of every radial
+    one-step ladder and candidate below."""
+    return DiffOp((RatFunc(energy) + RatFunc(pole, Poly((0, 1))), first))
+
+
 def radial_lowering(a: RationalLike, eps: RationalLike) -> DiffOp:
     """First-order radial ladder at gauge parameter a and energy parameter
     eps (energy / (2 omega)):
@@ -530,12 +504,8 @@ def radial_lowering(a: RationalLike, eps: RationalLike) -> DiffOp:
     the one with (m-1, a+2); annihilates m = 0.  Valid on states whose energy
     matches eps = (2m + a + 1)/2.
     """
-    a = as_fraction(a)
-    eps = as_fraction(eps)
-    y = Poly((0, 1))
-    zeroth = RatFunc(Poly.constant(eps)) - RatFunc(
-        Poly.constant(a * (1 + a) / 2), y)
-    return DiffOp((zeroth, RatFunc(Poly.constant(1 + a))))
+    a, eps = as_fraction(a), as_fraction(eps)
+    return _radial_ladder(1 + a, eps, -a * (1 + a) / 2)
 
 
 def radial_raising(a: RationalLike, eps: RationalLike) -> DiffOp:
@@ -547,12 +517,8 @@ def radial_raising(a: RationalLike, eps: RationalLike) -> DiffOp:
     Sends Laguerre data (m, a) to -(m+1)(m+a) times (m+1, a-2) when
     eps = (2m + a + 1)/2.
     """
-    a = as_fraction(a)
-    eps = as_fraction(eps)
-    y = Poly((0, 1))
-    zeroth = RatFunc(Poly.constant(eps)) + RatFunc(
-        Poly.constant(a * (1 - a) / 2), y)
-    return DiffOp((zeroth, RatFunc(Poly.constant(1 - a))))
+    a, eps = as_fraction(a), as_fraction(eps)
+    return _radial_ladder(1 - a, eps, a * (1 - a) / 2)
 
 
 def radial_lowering_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
@@ -563,12 +529,8 @@ def radial_lowering_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
     — the energy term enters with the opposite sign.  On the bottom state
     m = 0 it returns -(1+a) times the state instead of annihilating it, which
     is the cleanest witness that the sign is wrong."""
-    a = as_fraction(a)
-    eps = as_fraction(eps)
-    y = Poly((0, 1))
-    zeroth = RatFunc(Poly.constant(-eps)) - RatFunc(
-        Poly.constant(a * (1 + a) / 2), y)
-    return DiffOp((zeroth, RatFunc(Poly.constant(1 + a))))
+    a, eps = as_fraction(a), as_fraction(eps)
+    return _radial_ladder(1 + a, -eps, -a * (1 + a) / 2)
 
 
 def radial_raising_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
@@ -578,12 +540,8 @@ def radial_raising_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
 
     — opposite-sign energy term, and the pole strength says (1+a) where the
     derived ladder needs (1-a)."""
-    a = as_fraction(a)
-    eps = as_fraction(eps)
-    y = Poly((0, 1))
-    zeroth = RatFunc(Poly.constant(-eps)) + RatFunc(
-        Poly.constant(a * (1 + a) / 2), y)
-    return DiffOp((zeroth, RatFunc(Poly.constant(1 - a))))
+    a, eps = as_fraction(a), as_fraction(eps)
+    return _radial_ladder(1 - a, -eps, a * (1 + a) / 2)
 
 
 def radial_eps(m: int, a: RationalLike) -> Fraction:
@@ -925,8 +883,7 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
     in A, so the swap is a genuine pairing.  Raises InsufficientSpanError when
     nmax leaves no held-out validation node.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     k = Fraction(p, q)
     eps = Fraction(7, 2)
     fit_ang = 2 * q + 2

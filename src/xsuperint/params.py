@@ -18,6 +18,13 @@ from .errors import ParameterDomainError
 from .polynomials import RationalLike, as_fraction, weight_pole
 
 
+def omega_in_domain(omega: float) -> bool:
+    """omega > 0 with omega^2 (carried by the radial force and energy) a
+    finite, normal float; NaN fails.  Shared by the quantum and classical
+    models."""
+    return omega > 0 and sys.float_info.min <= omega * omega < math.inf
+
+
 @dataclass(frozen=True)
 class ModelParams:
     alpha: Fraction
@@ -36,10 +43,7 @@ class ModelParams:
             raise ParameterDomainError(
                 f"need beta > alpha > 0 (got alpha={self.alpha}, beta={self.beta}); "
                 "this keeps the weight pole b outside [-1, 1]")
-        # the radial force and energy carry omega^2: it must be a finite,
-        # normal float for any float64 evaluation to mean something
-        if not (self.omega > 0
-                and sys.float_info.min <= self.omega * self.omega < math.inf):
+        if not omega_in_domain(self.omega):
             raise ParameterDomainError(
                 f"omega must be positive with omega^2 a finite normal float "
                 f"(got omega = {self.omega})")

@@ -20,7 +20,6 @@ from xsuperint.ladders import (
     deformed_lowering,
     deformed_lowering_action,
     deformed_lowering_chain,
-    deformed_lowering_chain_action,
     deformed_raising,
     deformed_raising_action,
     deformed_raising_action_monic,
@@ -55,7 +54,7 @@ from xsuperint.ladders import (
     raising_intertwiner_candidate,
     shifted_jacobi,
 )
-from xsuperint.ladders import _chain_value_table
+from xsuperint.ladders import _chain_value_table, _solve_intertwiner
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
 from xsuperint.polynomials import (Poly, exceptional_jacobi_closed_form,
@@ -118,6 +117,19 @@ def test_derived_intertwiners_match_frozen_forms(alpha, beta):
         lowering_intertwiner(alpha, beta)
 
 
+@pytest.mark.parametrize("direction,pair,first,pole", [
+    ("forward", (shifted_jacobi(0, *A13),
+                 exceptional_jacobi_closed_form(1, *A13)), 2, Poly.one()),
+    ("backward", (exceptional_jacobi_closed_form(1, *A13),
+                  shifted_jacobi(0, *A13)), 1, Poly((-2, 1))),
+])
+def test_intertwiner_ansatz_needs_enough_pairs(direction, pair, first, pole):
+    # one (source, target) pair leaves the ansatz underdetermined
+    with pytest.raises(VerificationError,
+                       match=f"{direction}-intertwiner ansatz has nullspace"):
+        _solve_intertwiner(direction, [pair], [], first, 1, pole)
+
+
 def test_claimed_forward_action_is_index_dependent():
     alpha, beta = A13
     ratios = [claimed_raising_intertwiner_action(n, alpha, beta)
@@ -169,6 +181,15 @@ def test_deformed_one_step_actions(alpha, beta):
             exceptional_jacobi_closed_form(n, alpha, beta),
             exceptional_jacobi_closed_form(n - 1, alpha, beta))
         assert coeff == deformed_lowering_action(n, alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", PAIRS)
+def test_one_step_ladders_are_the_q1_chains(alpha, beta):
+    for n in range(1, 4):
+        assert deformed_raising(n, alpha, beta) is \
+            deformed_raising_chain(n, 1, alpha, beta)
+        assert deformed_lowering(n, alpha, beta) is \
+            deformed_lowering_chain(n, 1, alpha, beta)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)
@@ -250,7 +271,8 @@ def test_deformed_chains_compose():
         deformed_lowering_chain(4, q, alpha, beta),
         exceptional_jacobi_closed_form(4, alpha, beta),
         exceptional_jacobi_closed_form(2, alpha, beta))
-    assert coeff == deformed_lowering_chain_action(4, q, alpha, beta)
+    assert coeff == (deformed_lowering_action(4, alpha, beta)
+                     * deformed_lowering_action(3, alpha, beta))
 
 
 def test_chain_claims_at_even_q_match():
@@ -261,7 +283,8 @@ def test_chain_claims_at_even_q_match():
     assert claimed_raising_chain_action(2, 3, alpha, beta) == \
         -deformed_raising_chain_action(2, 3, alpha, beta)
     assert claimed_lowering_chain_action(5, 2, alpha, beta) == \
-        deformed_lowering_chain_action(5, 2, alpha, beta)
+        (deformed_lowering_action(5, alpha, beta)
+         * deformed_lowering_action(4, alpha, beta))
 
 
 def test_radial_one_step_actions():

@@ -200,10 +200,9 @@ def test_claim_tables_are_scored_against_the_measured_operator(
     assert (doubled.verdict, doubled.detail) != (before.verdict, before.detail)
 
 
-def test_scorecard_composes_each_deformed_chain_once(monkeypatch,
-                                                     deformed_compositions):
-    # the checks ask for some chains several times; the memoised builders
-    # compose each distinct (builder, arguments) chain once
+def _record_builder_calls(monkeypatch):
+    """List of (builder name, arguments) of every call of the one-step and
+    chain deformed builders, wherever the scorecard looks them up."""
     calls = []
 
     def recording(name, real):
@@ -218,9 +217,37 @@ def test_scorecard_composes_each_deformed_chain_once(monkeypatch,
         for module in (ladders, spectral, verify):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _assert_one_composition_per_chain(calls, compositions):
+    # each distinct chain request is composed once, and every one-step
+    # ladder is served by the q = 1 chain at the same index
+    chains = {call for call in calls if call[0].endswith("_chain")}
+    assert len(compositions) == len(chains)
+    for name, (n, alpha, beta) in (call for call in calls
+                                   if not call[0].endswith("_chain")):
+        assert (f"{name}_chain", (n, 1, alpha, beta)) in chains
+
+
+def test_scorecard_composes_each_deformed_chain_once(monkeypatch,
+                                                     deformed_compositions):
+    # the checks ask for some chains several times; the memoised builders
+    # compose each distinct (builder, arguments) chain once
+    calls = _record_builder_calls(monkeypatch)
     params = ModelParams(F(1), F(3), p=1, q=2)
     verification_report(F(1), F(3), p=1, q=2, nmax=3, mmax=2)
     ladder_numeric_check(QuantumState(1, 1), params, raising=True)
     ladder_numeric_check(QuantumState(0, 3), params, raising=False)
     assert len(calls) > len(set(calls))
-    assert len(deformed_compositions) == len(set(calls))
+    _assert_one_composition_per_chain(calls, deformed_compositions)
+
+
+def test_one_step_ladders_reuse_the_q1_chains(monkeypatch,
+                                              deformed_compositions):
+    # at q = 1 the one-step tables and the 1-fold chain tables ask for the
+    # same operators, so they are composed once between them
+    calls = _record_builder_calls(monkeypatch)
+    verification_report(F(1), F(3), nmax=3, mmax=2)
+    _assert_one_composition_per_chain(calls, deformed_compositions)
+    assert len(deformed_compositions) == 20
