@@ -42,7 +42,7 @@ from .operators import DiffOp, RatFunc
 from .params import ModelParams, QuantumState, angular_eigenroot, energy_ratio
 from .polynomials import (Poly, RationalLike, as_fraction,
                           exceptional_jacobi_closed_form, jacobi_polynomial,
-                          lagrange_interpolate, laguerre_polynomial,
+                          lagrange_basis, lagrange_fit, laguerre_polynomial,
                           pochhammer, secondary_root, weight_pole)
 from .utils import fraction_nullspace
 
@@ -818,19 +818,20 @@ def _chain_value_table(chains: Sequence[DiffOp], pole: Poly
     {(derivative order, x power): value} map per chain.  Raises
     VerificationError when a chain's denominator is not a power of the
     pole."""
-    cleared = [chain.cleared() for chain in chains]
-    for den, _ in cleared:
-        if den != pole ** den.degree:
+    root = -pole.coeff(0)
+    for chain in chains:
+        if any(c.rest.degree or c.poles.keys() - {root} for c in chain.coeffs):
             raise VerificationError(
-                f"chain has unexpected denominator {den.pretty()}; expected "
-                f"a power of {pole.pretty()}")
-    common = max((den.degree for den, _ in cleared), default=0)
+                f"chain has unexpected denominator {chain.cleared()[0].pretty()}; "
+                f"expected a power of {pole.pretty()}")
+    common = max((c.poles.get(root, 0) for chain in chains for c in chain.coeffs),
+                 default=0)
     return [{(j, i): coef
-             for j, num in enumerate(nums)
+             for j, c in enumerate(chain.coeffs)
              for i, coef in enumerate(
-                 (num * pole ** (common - den.degree)).coeffs)
+                 (c.num * pole ** (common - c.poles.get(root, 0))).coeffs)
              if coef}
-            for den, nums in cleared]
+            for chain in chains]
 
 
 def _interpolate_tables(nodes: Sequence[Fraction],
@@ -840,11 +841,11 @@ def _interpolate_tables(nodes: Sequence[Fraction],
     polynomials in the node variable, fitted on the first fit_count nodes and
     validated on the rest."""
     keys = sorted({k for t in tables for k in t})
+    basis = lagrange_basis(nodes[:fit_count])
     out: dict[tuple[int, int], Poly] = {}
     for key in keys:
         values = [t.get(key, Fraction(0)) for t in tables]
-        fit = list(zip(nodes[:fit_count], values[:fit_count]))
-        poly = lagrange_interpolate(fit)
+        poly = lagrange_fit(basis, values[:fit_count])
         for node, val in zip(nodes[fit_count:], values[fit_count:]):
             if poly.evaluate(node) != val:
                 raise VerificationError(

@@ -245,25 +245,53 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a if a.is_zero() else a.monic()
 
 
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact Lagrange interpolation through distinct rational nodes."""
-    xs = [as_fraction(x) for x, _ in points]
+def divide_root(coeffs: Sequence[Fraction], r: Fraction
+                ) -> tuple[Sequence[Fraction], Fraction]:
+    """Synthetic division of sum_i coeffs[i] x^i (at least one coefficient)
+    by (x - r): the quotient's coefficients and the remainder, which is the
+    value at r."""
+    if not r:
+        return coeffs[1:], coeffs[0]
+    quot = [Fraction(0)] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        quot[i] = acc
+        acc = coeffs[i] + r * acc
+    return quot, acc
+
+
+def lagrange_basis(xs: Sequence[Fraction]) -> list[tuple[Poly, Fraction]]:
+    """The Lagrange basis over distinct rational nodes: for each node x_i the
+    pair (l_i, d_i) with l_i = prod_(j != i) (x - x_j) and d_i = l_i(x_i)."""
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    total = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        yi = as_fraction(yi)
-        if yi == 0:
-            continue
-        basis = Poly.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Poly((-xj, 1))
-            denom *= xi - xj
-        total = total + basis * (yi / denom)
-    return total
+    full = Poly.one()
+    for xj in xs:
+        full = full * Poly((-xj, 1))
+    basis = []
+    for xi in xs:
+        li = Poly(divide_root(full.coeffs, xi)[0])
+        basis.append((li, li.evaluate(xi)))
+    return basis
+
+
+def lagrange_fit(basis: Sequence[tuple[Poly, Fraction]],
+                 ys: Sequence[Fraction]) -> Poly:
+    """The interpolant sum_i (y_i / d_i) l_i of the values ys at the nodes of
+    `basis` (from `lagrange_basis`)."""
+    out = [Fraction(0)] * len(basis)
+    for (li, di), yi in zip(basis, ys):
+        if yi:
+            w = yi / di
+            for i, c in enumerate(li.coeffs):
+                out[i] += w * c
+    return Poly(out)
+
+
+def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
+    """Exact Lagrange interpolation through distinct rational nodes."""
+    basis = lagrange_basis([as_fraction(x) for x, _ in points])
+    return lagrange_fit(basis, [as_fraction(y) for _, y in points])
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from xsuperint.ladders import (
     shifted_jacobi,
 )
 from xsuperint.ladders import _chain_value_table, _solve_intertwiner
+from xsuperint import operators
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
 from xsuperint.polynomials import (Poly, exceptional_jacobi_closed_form,
@@ -397,6 +398,23 @@ def test_parity_report_builds_each_deformed_chain_once(deformed_compositions):
     # direct-substitution check compares with come from the cache
     assert parity_report(*A13, 1, 1, nmax=8).ok
     assert len(deformed_compositions) == 20
+
+
+def test_parity_report_never_reaches_poly_gcd(deformed_compositions,
+                                             monkeypatch):
+    # every chain denominator is a power of x - b or y, so all reduction is
+    # synthetic division at those roots; Euclid's gcd is for non-linear rests
+    gcd_calls = []
+    real = operators.poly_gcd
+
+    def counting(a, b):
+        gcd_calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(operators, "poly_gcd", counting)
+    assert parity_report(*A13, 2, 3, nmax=9).ok      # verify's span at k = 2/3
+    assert deformed_compositions            # the chains were really composed
+    assert gcd_calls == []
 
 
 def test_parity_report_needs_enough_nodes():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xsuperint.operators import DiffOp, RatFunc
-from xsuperint.polynomials import Poly
+from xsuperint.polynomials import Poly, poly_gcd
 
 
 def test_ratfunc_reduction_and_monic_denominator():
@@ -41,6 +43,80 @@ def test_ratfunc_evaluate():
     assert f.evaluate(Fraction(3)) == 4
     with pytest.raises(ZeroDivisionError):
         f.evaluate(Fraction(2))
+
+
+def test_ratfunc_cancellations_and_rests():
+    xm1, xp1, x2p1 = Poly((-1, 1)), Poly((1, 1)), Poly((1, 0, 1))
+    f = RatFunc(xm1 ** 2, xm1 ** 3)                        # 1/(x-1)
+    assert f == RatFunc(1, xm1) and f.poles == {Fraction(1): 1}
+    assert f * RatFunc(xm1) == RatFunc.one()
+    assert RatFunc(Poly.x(), xm1) - f == RatFunc.one()     # (x-1)/(x-1)
+    vanishing = f + RatFunc(1, xp1) - RatFunc(Poly((0, 2)), xm1 * xp1)
+    assert vanishing.is_zero() and vanishing.is_polynomial()
+    assert vanishing == RatFunc.zero() and hash(vanishing) == hash(RatFunc.zero())
+    g = RatFunc(Poly((3, 3)), xp1 * x2p1)                  # 3/(x^2+1)
+    assert g.rest == x2p1 and not g.poles
+    assert g == RatFunc(3, x2p1) and (g * x2p1).as_poly() == Poly((3,))
+    assert (f / g).poles == {Fraction(1): 1} and (f / g).num == x2p1 * Fraction(1, 3)
+
+
+# Denominators as the package builds them, c * prod (x - r)^m with m <= 3,
+# optionally times x^2 + 1, over numerators that may share those factors.
+ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def fractions_of_polys(draw) -> tuple[Poly, Poly]:
+    """An unreduced (num, den) pair."""
+    poles = draw(st.dictionaries(ROOTS, st.integers(1, 3), max_size=3))
+    den = Poly.constant(draw(SMALL.filter(bool)))
+    for r, m in poles.items():
+        den = den * Poly((-r, 1)) ** m
+    if draw(st.booleans()):
+        den = den * Poly((1, 0, 1))
+    num = Poly(draw(st.lists(SMALL, max_size=4)))
+    for r, m in poles.items():
+        num = num * Poly((-r, 1)) ** draw(st.integers(0, m + 1))
+    return num, den
+
+
+def _assert_reduced_form(f: RatFunc, num: Poly, den: Poly) -> None:
+    """f is num/den in lowest terms with a monic denominator, and equal, with
+    the same hash, to the RatFunc built from the expanded pair."""
+    assert f.num * den == num * f.den
+    assert f.den.leading() == 1
+    assert poly_gcd(f.num, f.den) == Poly.one()
+    built = RatFunc(num, den)
+    assert f == built and hash(f) == hash(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_of_polys(), fractions_of_polys())
+def test_ratfunc_arithmetic_matches_cross_multiplication(a, b):
+    (n1, d1), (n2, d2) = a, b
+    f, g = RatFunc(n1, d1), RatFunc(n2, d2)
+    _assert_reduced_form(f, n1, d1)
+    _assert_reduced_form(f + g, n1 * d2 + n2 * d1, d1 * d2)
+    _assert_reduced_form(f - g, n1 * d2 - n2 * d1, d1 * d2)
+    _assert_reduced_form(f * g, n1 * n2, d1 * d2)
+    _assert_reduced_form(f.derivative(),
+                         n1.derivative() * d1 - n1 * d1.derivative(), d1 * d1)
+    _assert_reduced_form(-f, -n1, d1)
+    _assert_reduced_form((f + g) - g, n1, d1)       # g's poles cancel again
+    assume(not n2.is_zero())
+    _assert_reduced_form(f / g, n1 * d2, d1 * n2)
+    _assert_reduced_form((f * g) / g, n1, d1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_of_polys(), st.lists(SMALL, min_size=1, max_size=5))
+def test_ratfunc_evaluate_off_the_poles(a, points):
+    num, den = a
+    f = RatFunc(num, den)
+    for t in points:
+        if den.evaluate(t):
+            assert f.evaluate(t) == num.evaluate(t) / den.evaluate(t)
 
 
 def test_diffop_apply_and_compose():
