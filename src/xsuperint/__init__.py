@@ -27,7 +27,6 @@ from .classical import (
     integrate,
 )
 from .errors import (
-    DomainError,
     NoSolutionError,
     NonUniqueSolutionError,
     NumericalOverflowError,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalModel",
     "DiffOp",
-    "DomainError",
     "ModelParams",
     "NoSolutionError",
     "NonUniqueSolutionError",

@@ -10,9 +10,10 @@ the angular invariant
     L1 = p_phi^2 / k^2 + A^2 / sin^2(k phi) + B^2 / cos^2(k phi),
 
 and for rational k = p/q every bounded orbit closes.  The module provides a
-fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme),
-long-run conservation-drift measurement, an orbit-closure detector with
-sub-step refinement, analytic and numeric equilibrium/minimum oracles, and a
+fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme)
+as one stream of steps, `trajectory`, which the drift measurement, the
+orbit-closure scan (with sub-step refinement) and the CLI's orbit table all
+read; analytic and numeric equilibrium/minimum oracles; and a
 convergence-order probe for the integrator itself.
 
 The integrator is deterministic: fixed step, fixed arithmetic order, no
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, StepSizeError, WedgeExitError
+from .errors import ParameterDomainError, StepSizeError, WedgeExitError
 from .params import ModelParams, omega_in_domain
 
 
@@ -40,13 +42,13 @@ class ClassicalModel:
 
     def __post_init__(self):
         if not (omega_in_domain(self.omega) and 0 < self.k < math.inf):
-            raise DomainError(
+            raise ParameterDomainError(
                 f"need omega > 0 with omega^2 a finite normal float, and a "
                 f"finite k > 0 (got omega = {self.omega}, k = {self.k})")
         if not all(0 < s < math.inf
                    for s in (self.alpha_strength, self.beta_strength)):
-            raise DomainError("barrier strengths must be positive and finite "
-                              "for a confined wedge orbit")
+            raise ParameterDomainError("barrier strengths must be positive "
+                                       "and finite for a confined wedge orbit")
 
     @classmethod
     def from_model_params(cls, params: ModelParams) -> "ClassicalModel":
@@ -216,35 +218,54 @@ def _check_inside(model: ClassicalModel, state: tuple, t: float) -> None:
             f"orbit left the wedge (phi = {phi:.6g}) at t = {t:.6g}")
 
 
-def integrate(model: ClassicalModel, start: OrbitState, t_end: float,
-              dt: float,
-              callback: Optional[Callable[[int, float, tuple], None]] = None
-              ) -> OrbitState:
+def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
+               dt: float) -> Iterator[tuple[float, tuple]]:
     """Integrate the flow from `start` for time t_end with fixed step dt
-    (the final partial step is shortened to land exactly on t_end).  The
-    optional callback sees (step index, time, state) after every accepted
-    step.  Raises WedgeExitError if the orbit leaves the open wedge."""
+    (the final partial step is shortened to land exactly on t_end), yielding
+    (t, state) after every step.  Raises WedgeExitError if the orbit leaves
+    the open wedge."""
     if dt <= 0 or not math.isfinite(dt):
         raise StepSizeError(f"step size must be positive and finite, got {dt}")
-    if t_end < 0:
-        raise StepSizeError("integration time must be nonnegative")
+    if not 0 <= t_end / dt < math.inf:
+        raise StepSizeError(f"integration time must be nonnegative and give "
+                            f"a finite step count (got t_end = {t_end}, "
+                            f"dt = {dt})")
     state = start.as_tuple()
     _check_inside(model, state, 0.0)
     nsteps = int(t_end / dt)
-    t = 0.0
     for i in range(nsteps):
         state = rk8_step(model, state, dt)
         t = (i + 1) * dt
         _check_inside(model, state, t)
-        if callback is not None:
-            callback(i + 1, t, state)
+        yield t, state
     rest = t_end - nsteps * dt
     if rest > 1e-15 * max(1.0, t_end):
         state = rk8_step(model, state, rest)
         _check_inside(model, state, t_end)
-        if callback is not None:
-            callback(nsteps + 1, t_end, state)
+        yield t_end, state
+
+
+def integrate(model: ClassicalModel, start: OrbitState, t_end: float,
+              dt: float) -> OrbitState:
+    """The state `trajectory` ends in."""
+    state = start.as_tuple()
+    for _, state in trajectory(model, start, t_end, dt):
+        pass
     return OrbitState(*state)
+
+
+def worst_drift(model: ClassicalModel, start: OrbitState,
+                states: Iterable[tuple]) -> tuple[float, float]:
+    """Largest relative deviation of the energy and of the angular invariant
+    over `states` from their (positive) values at `start`."""
+    e0 = classical_energy(model, start)
+    l0 = angular_invariant(model, start)
+    de = dl = 0.0
+    for state in states:
+        st = OrbitState(*state)
+        de = max(de, abs(classical_energy(model, st) - e0) / e0)
+        dl = max(dl, abs(angular_invariant(model, st) - l0) / l0)
+    return de, dl
 
 
 @dataclass(frozen=True)
@@ -260,29 +281,14 @@ class DriftReport:
 def conservation_drift(model: ClassicalModel, start: OrbitState,
                        n_periods: float, steps_per_period: int = 256
                        ) -> DriftReport:
-    """Integrate for n_periods radial periods and report the maximum relative
-    deviation of the energy and of the angular invariant from their initial
-    values, sampled every 16th step."""
-    e0 = classical_energy(model, start)
-    l0 = angular_invariant(model, start)
-    worst = [0.0, 0.0]
-
-    def watch(i: int, t: float, state: tuple) -> None:
-        if i % 16:
-            return
-        st = OrbitState(*state)
-        de = abs(classical_energy(model, st) - e0) / abs(e0)
-        dl = abs(angular_invariant(model, st) - l0) / abs(l0)
-        if de > worst[0]:
-            worst[0] = de
-        if dl > worst[1]:
-            worst[1] = dl
-
+    """Integrate for n_periods radial periods and report `worst_drift` over
+    every 16th step."""
     duration = n_periods * model.radial_period
     dt = model.radial_period / steps_per_period
-    integrate(model, start, duration, dt, callback=watch)
-    return DriftReport(worst[0], worst[1], duration,
-                       int(duration / dt))
+    steps = trajectory(model, start, duration, dt)
+    drift = worst_drift(model, start,
+                        (state for _, state in islice(steps, 15, None, 16)))
+    return DriftReport(*drift, duration, int(duration / dt))
 
 
 @dataclass(frozen=True)
@@ -296,58 +302,45 @@ class ClosureReport:
 def closure_report(model: ClassicalModel, start: OrbitState,
                    max_time: float,
                    exclude: Optional[float] = None) -> ClosureReport:
-    """Scan an orbit for its closest return to the initial phase-space point.
-
-    Coarse pass: fixed-step integration to max_time at 256 steps per radial
-    period, recording every step (excluding an initial window, half a period
-    by default, so the trivial t=0 match is not reported).
-    Fine pass: re-integration across the best coarse bracket at dt/64,
-    followed by a parabolic fit of the squared distance around the best fine
-    sample.  All arithmetic is fixed-step and deterministic.  Raises
-    StepSizeError when no step falls in the window (exclude, max_time].
-    """
+    """`scan_closure` of the orbit integrated to max_time at 256 steps per
+    radial period."""
     dt = model.radial_period / 256
+    samples = [(0.0, start.as_tuple())]
+    samples += trajectory(model, start, max_time, dt)
+    return scan_closure(model, samples, dt, exclude)
+
+
+def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
+                 dt: float, exclude: Optional[float] = None) -> ClosureReport:
+    """Scan an orbit's (t, state) samples, taken at step dt from the start
+    samples[0], for its closest return to that start.
+
+    Coarse pass: every sample after an initial window (half a radial period
+    by default, so the trivial t=0 match is not reported).  Fine pass:
+    re-integration across the best coarse bracket at dt/64, followed by a
+    parabolic fit of the squared distance around the best fine sample.  All
+    arithmetic is fixed-step and deterministic.  Raises StepSizeError when no
+    sample falls after the window.
+    """
     if exclude is None:
         exclude = 0.5 * model.radial_period
-    ref = start.as_tuple()
-    records: list[tuple[float, tuple]] = [(0.0, ref)]
-
-    def keep(i: int, t: float, state: tuple) -> None:
-        records.append((t, state))
-
-    integrate(model, start, max_time, dt, callback=keep)
-
-    mins = list(ref)
-    maxs = list(ref)
-    for _, st in records:
-        for i in range(4):
-            if st[i] < mins[i]:
-                mins[i] = st[i]
-            if st[i] > maxs[i]:
-                maxs[i] = st[i]
-    scales = tuple(max(maxs[i] - mins[i], 1e-12) for i in range(4))
+    ref = samples[0][1]
+    scales = tuple(max(max(col) - min(col), 1e-12)
+                   for col in zip(*(st for _, st in samples)))
 
     def dist2(state: tuple) -> float:
         return sum(((state[i] - ref[i]) / scales[i]) ** 2 for i in range(4))
 
-    best_i = None
-    best_d = math.inf
-    for i, (t, st) in enumerate(records):
-        if t <= exclude:
-            continue
-        d = dist2(st)
-        if d < best_d:
-            best_d = d
-            best_i = i
-
+    best_i = min((i for i, (t, _) in enumerate(samples) if t > exclude),
+                 key=lambda i: dist2(samples[i][1]), default=None)
     if best_i is None:
         raise StepSizeError(f"closure scan window ({exclude:.6g}, "
-                            f"{max_time:.6g}] holds no step")
+                            f"{samples[-1][0]:.6g}] holds no step")
 
     # fine pass across [t_{best-1}, t_{best+1}]
     lo = max(best_i - 1, 0)
-    t_lo, st_lo = records[lo]
-    span_steps = (min(best_i + 1, len(records) - 1) - lo) * 64
+    t_lo, st_lo = samples[lo]
+    span_steps = (min(best_i + 1, len(samples) - 1) - lo) * 64
     micro = dt / 64
     fine: list[tuple[float, float]] = [(t_lo, dist2(st_lo))]
     state = st_lo

@@ -39,7 +39,9 @@ from .classical import (
     classical_energy,
     closure_report,
     conservation_drift,
-    integrate,
+    scan_closure,
+    trajectory,
+    worst_drift,
 )
 from .errors import ParameterDomainError, XSuperintError
 from .params import ModelParams, QuantumState, angular_eigenroot, energy
@@ -91,6 +93,18 @@ def at_least(low: int) -> Callable[[str], int]:
             raise ValueError(f"must be at least {low}")
         return value
     return cast
+
+
+#: Most rows one command may compute: `spectrum` states, `orbit` steps,
+#: `verify` and `export-wavefunction` grid points; more is a usage error.
+MAX_ROWS = 10 ** 6
+
+
+def grid_size(text: str) -> int:
+    value = at_least(2)(text)
+    if value * value > MAX_ROWS:
+        raise ValueError(f"grid^2 must be at most {MAX_ROWS}")
+    return value
 
 
 def table_format(text: str) -> str:
@@ -146,7 +160,7 @@ FLAGS = {
     "state": Flag(parse_state, None, "initial r,phi,p_r,p_phi"),
     "dt": Flag(positive, None, "integrator step"),
     "t_end": Flag(positive, None, "integration horizon"),
-    "grid": Flag(at_least(2), 40, "grid points per axis"),
+    "grid": Flag(grid_size, 40, "grid points per axis"),
     "out": Flag(str, None, "output directory for files"),
 }
 
@@ -324,10 +338,6 @@ def _write_output(cfg: argparse.Namespace, basename: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-#: Most states `spectrum` lists; a larger --emax is a usage error.
-MAX_SPECTRUM_ROWS = 10 ** 6
-
-
 def _spectrum_size(params: ModelParams, emax: float) -> float:
     """States with E <= emax in O(1), over by less than the number N of
     angular indices: sum over n <= N of (R - e_n)/2 + 1, R = emax/omega,
@@ -335,7 +345,7 @@ def _spectrum_size(params: ModelParams, emax: float) -> float:
     k = params.k_float
     span = (emax / params.omega - 1
             - k * float(angular_eigenroot(1, params.alpha, params.beta)))
-    if span / (2 * k) >= MAX_SPECTRUM_ROWS:
+    if span / (2 * k) >= MAX_ROWS:
         return math.inf
     count = max(math.floor(span / (2 * k)) + 1, 0)
     return count * (span / 2 + 1) - k * count * (count - 1) / 2
@@ -345,9 +355,9 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     if cfg.emax is None:
         raise UsageError("spectrum requires --emax")
     params = model_params(cfg)
-    if _spectrum_size(params, cfg.emax) > MAX_SPECTRUM_ROWS:
+    if _spectrum_size(params, cfg.emax) > MAX_ROWS:
         raise UsageError(f"--emax {cfg.emax} admits more than "
-                         f"{MAX_SPECTRUM_ROWS} states")
+                         f"{MAX_ROWS} states")
     levels = degeneracy_table(params, cfg.emax)
     rows = []
     for idx, level in enumerate(levels, 1):
@@ -438,27 +448,23 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
             f"--t-end {t_end} is shorter than one radial period, pi/omega = "
             f"{fmt_float(model.radial_period)}: the orbit cannot return to "
             f"its start before then")
+    if not t_end / dt <= MAX_ROWS:
+        raise UsageError(f"the orbit to t = {t_end} at dt = {dt} takes "
+                         f"more than {MAX_ROWS} steps")
 
-    e0 = classical_energy(model, start)
-    l0 = angular_invariant(model, start)
-    rows = [(0.0, start.r, start.phi, start.pr, start.pphi, e0, l0)]
-    drift = [0.0, 0.0]
-
-    def record(_step: int, t: float, st: tuple) -> None:
-        obs = OrbitState(*st)
-        e = classical_energy(model, obs)
-        l1 = angular_invariant(model, obs)
-        drift[0] = max(drift[0], abs(e - e0) / max(abs(e0), 1e-300))
-        drift[1] = max(drift[1], abs(l1 - l0) / max(abs(l0), 1e-300))
-        rows.append((t, obs.r, obs.phi, obs.pr, obs.pphi, e, l1))
-
-    integrate(model, start, t_end, dt, callback=record)
-    closure = closure_report(model, start, t_end)
+    samples = [(0.0, start.as_tuple())]
+    samples += trajectory(model, start, t_end, dt)
+    drift = worst_drift(model, start, (st for _, st in samples))
+    closure = scan_closure(model, samples, dt)
 
     lines = ["t,r,phi,p_r,p_phi,H,L1"]
-    lines += [",".join(fmt_float(v) for v in row) for row in rows]
+    for t, st in samples:
+        obs = OrbitState(*st)
+        row = (t, *st, classical_energy(model, obs),
+               angular_invariant(model, obs))
+        lines.append(",".join(fmt_float(v) for v in row))
     _write_output(cfg, "orbit.csv", "\n".join(lines) + "\n")
-    print(f"orbit: {len(rows)} samples over t = {fmt_float(t_end)}, "
+    print(f"orbit: {len(samples)} samples over t = {fmt_float(t_end)}, "
           f"dt = {fmt_float(dt)}")
     print(f"energy drift {fmt_float(drift[0])}, invariant drift "
           f"{fmt_float(drift[1])}, closure {fmt_float(closure.distance)} "

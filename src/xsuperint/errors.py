@@ -12,7 +12,9 @@ class XSuperintError(Exception):
 
 
 class ParameterDomainError(XSuperintError):
-    """Model parameters outside the admissible domain (e.g. alpha == beta)."""
+    """Model parameters outside the admissible domain (e.g. alpha == beta),
+    quantum or classical (a k or barrier strength of `ClassicalModel` that is
+    not positive and finite)."""
 
 
 class NoSolutionError(XSuperintError):
@@ -33,12 +35,6 @@ class VerificationError(XSuperintError):
     single solution, or a composite broke energy or left the family."""
 
 
-class DomainError(XSuperintError):
-    """Classical model parameters outside their domain: an omega outside the
-    rule `ModelParams` applies, or a k or barrier strength that is not
-    positive and finite (raised by `ClassicalModel`)."""
-
-
 class NumericalOverflowError(XSuperintError):
     """A float evaluation would overflow (grid radius too large for omega)."""
 
@@ -53,8 +49,8 @@ class WedgeExitError(XSuperintError):
 
 class StepSizeError(XSuperintError):
     """Bad integration step or horizon (non-positive or non-finite step,
-    negative time, an empty closure window), or no convergence-probe rung
-    could be certified."""
+    negative time, a step count that is not finite, an empty closure
+    window), or no convergence-probe rung could be certified."""
 
 
 class InsufficientSpanError(XSuperintError):

@@ -52,7 +52,6 @@ from .ladders import (
     deformed_raising,
     deformed_raising_action,
     deformed_raising_chain,
-    deformed_raising_chain_action,
     derive_lowering_intertwiner,
     derive_raising_intertwiner,
     jacobi_lowering,
@@ -73,7 +72,6 @@ from .ladders import (
     radial_lowering_action,
     radial_lowering_candidate,
     radial_lowering_chain,
-    radial_lowering_chain_action,
     radial_raising,
     radial_raising_action,
     radial_raising_candidate,
@@ -170,6 +168,24 @@ def _scored(section: str, name: str, label: str, formula, args: tuple,
     k, the row labelled `label` followed by k."""
     return CheckLine(section, name, *classify_claim(
         [(f"{label}{k}", formula(k, *args), c) for k, c in measured.items()]))
+
+
+def _product_scored(section: str, name: str, label: str,
+                    chains: dict[int, Measurement],
+                    steps: dict[int, list[Measurement]]) -> CheckLine:
+    """Score the product of the measured one-steps steps[k] against the
+    measured chain chains[k] at every index k; a one-step that leaves the
+    family makes the line MISMATCH with its witness."""
+    rows = []
+    for k, chain in chains.items():
+        product = Fraction(1)
+        for c, witness in steps[k]:
+            if c is None:
+                return CheckLine(section, name, MISMATCH, (
+                    f"a step leaves the family — {label}{k}: {witness}"))
+            product *= c
+        rows.append((f"{label}{k}", product, chain))
+    return CheckLine(section, name, *classify_claim(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +379,7 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
                                  member(n + shift)) for n in ns}
 
     up = measured(deformed_raising, range(1, nmax + 1), 1)
+    steps = {**up, **measured(deformed_raising, range(nmax + 1, q + 3), 1)}
     down = measured(deformed_lowering, range(2, nmax + 2), -1)
     up_chain = measured(deformed_raising_chain, range(1, max(nmax, 3) + 1),
                         q, q)
@@ -388,9 +405,10 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
                 {n: up_chain[n] for n in range(1, nmax + 1)}),
         _scored(sec, f"claimed {q}-fold lowering chain coefficient", "n=",
                 claimed_lowering_chain_action, qab, down_chain),
-        _scored(sec, f"{q}-fold raising chain equals the product of its steps",
-                "n = ", deformed_raising_chain_action, qab,
-                {n: up_chain[n] for n in range(1, 4)}),
+        _product_scored(
+            sec, f"{q}-fold raising chain equals the product of its steps",
+            "n = ", {n: up_chain[n] for n in range(1, 4)},
+            {n: [steps[n + i] for i in range(q)] for n in range(1, 4)}),
     ]
 
 
@@ -432,9 +450,13 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
                 {m: down_chain[m] for m in range(p, mmax + p + 1)}),
         _scored(sec, f"claimed {p}-fold raising chain coefficient", "m=",
                 claimed_radial_raising_chain_action, (a, p), up_chain),
-        _scored(sec, f"{p}-fold lowering chain equals the product of its steps",
-                "m = ", radial_lowering_chain_action, (a, p),
-                {m: down_chain[m] for m in range(p, p + 3)}),
+        _product_scored(
+            sec, f"{p}-fold lowering chain equals the product of its steps",
+            "m = ", {m: down_chain[m] for m in range(p, p + 3)},
+            {m: [radial_action_report(
+                radial_lowering(a + 2 * i, radial_eps(m, a)),
+                m - i, a + 2 * i, m - i - 1, a + 2 * i + 2) for i in range(p)]
+             for m in range(p, p + 3)}),
     ]
 
     own, witness = radial_action_report(

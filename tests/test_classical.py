@@ -17,10 +17,12 @@ from xsuperint.classical import (
     equilibrium_state,
     integrate,
     time_reversal_error,
+    trajectory,
     wedge_minimum_exact,
     wedge_minimum_numeric,
 )
-from xsuperint.errors import DomainError, StepSizeError, WedgeExitError
+from xsuperint.errors import (ParameterDomainError, StepSizeError,
+                              WedgeExitError)
 
 MODEL = ClassicalModel(1.0, 1.0, 1.0, 3.0)
 START = OrbitState(1.7, 0.4, 0.3, 1.1)
@@ -49,7 +51,7 @@ def test_model_domain_checks():
             (1.0, math.inf, 1.0, 3.0),
             (1.0, 1.0, math.nan, 3.0),
             (1.0, 1.0, 1.0, math.inf)]:
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterDomainError):
             ClassicalModel(*args)
 
 
@@ -133,6 +135,18 @@ def test_step_size_validation():
     # the default window starts half a radial period in
     with pytest.raises(StepSizeError):
         closure_report(MODEL, START, max_time=0.4 * MODEL.radial_period)
+
+
+def test_step_count_must_be_finite():
+    # t_end / dt overflows to inf: a StepSizeError, not an OverflowError
+    with pytest.raises(StepSizeError):
+        integrate(MODEL, START, 1.0, 1e-310)
+
+
+def test_trajectory_lands_on_t_end():
+    steps = list(trajectory(MODEL, START, 1.0, 0.3))
+    assert [t for t, _ in steps] == [0.3, 0.6, 3 * 0.3, 1.0]
+    assert integrate(MODEL, START, 1.0, 0.3).as_tuple() == steps[-1][1]
 
 
 def test_invariant_value_at_start():

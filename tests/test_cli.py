@@ -10,7 +10,11 @@ import sys
 import pytest
 
 import xsuperint
-from xsuperint.cli import build_parser, main
+from xsuperint import classical
+from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
+                                 scan_closure, trajectory)
+from xsuperint.cli import build_parser, fmt_float, main
+from xsuperint.params import ModelParams
 
 
 def run_cli(*argv):
@@ -154,6 +158,41 @@ def test_orbit_wedge_exit_is_reported(tmp_path):
     assert "error:" in err
 
 
+def test_orbit_integrates_once(monkeypatch, tmp_path):
+    # the table, the drift and the closure scan read one integration; only
+    # the closure's fine pass (two coarse steps at 64 sub-steps) steps again
+    real = classical.rk8_step
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classical, "rk8_step", counting)
+    code, _, err = run_cli("orbit", "--out", str(tmp_path))
+    assert code == 0, err
+    with open(tmp_path / "orbit.csv") as fh:
+        steps = len(fh.readlines()) - 2         # the header and the start
+    assert steps == 640
+    assert len(calls) == steps + 2 * 64
+
+
+def test_orbit_closure_scans_its_own_samples():
+    # off the default step the closure line is the scan of the orbit the
+    # command integrated, not of a re-integration at pi/(256 omega)
+    code, out, err = run_cli("orbit", "--dt", "0.01")
+    assert code == 0, err
+    model = ClassicalModel.from_model_params(ModelParams(1, 3))
+    start = OrbitState(1.7, 0.4, 0.3, 1.1)
+    t_end = 2.5 * model.radial_period
+    samples = [(0.0, start.as_tuple())]
+    samples += trajectory(model, start, t_end, 0.01)
+    own = scan_closure(model, samples, 0.01)
+    assert own.time != closure_report(model, start, t_end).time
+    assert out.splitlines()[-1].endswith(
+        f"closure {fmt_float(own.distance)} at t = {fmt_float(own.time)}")
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1/2\nbeta = 5/2\nemax = 9\n# comment\n")
@@ -207,6 +246,10 @@ def test_bad_rational_flag():
     ("orbit", "--omega", "1e-300"),
     ("orbit", "--omega", "1e-320"),
     ("verify", "--omega", "1e200", "--classical"),
+    ("orbit", "--dt", "1e-310"),
+    ("orbit", "--t-end", "1e9"),
+    ("export-wavefunction", "--grid", "1001", "--out", "wf"),
+    ("verify", "--grid", "1001"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out, pass its path;

@@ -200,6 +200,42 @@ def test_claim_tables_are_scored_against_the_measured_operator(
     assert (doubled.verdict, doubled.detail) != (before.verdict, before.detail)
 
 
+PRODUCT_LINES = {
+    "deformed_raising":
+        ("deformed ladders",
+         "1-fold raising chain equals the product of its steps"),
+    "radial_lowering":
+        ("radial ladders",
+         "1-fold lowering chain equals the product of its steps"),
+}
+
+
+@pytest.mark.parametrize("name,real", [("deformed_raising", deformed_raising),
+                                       ("radial_lowering", radial_lowering)])
+def test_chain_products_multiply_measured_steps(monkeypatch, small_report,
+                                                name, real):
+    # the product side is the one-steps' measured action, so a doubled step
+    # doubles it while the applied chain stays as it was
+    line = PRODUCT_LINES[name]
+    assert small_report[line].verdict == "MATCH"
+    monkeypatch.setattr(verify, name, lambda *args: 2 * real(*args))
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    doubled = next(ln for ln in rep.lines if (ln.section, ln.name) == line)
+    assert doubled.verdict == "NORMALIZATION(2)"
+
+
+def test_chain_product_with_a_step_off_the_family_is_a_mismatch(monkeypatch):
+    # the one-step built for n + 1 sends member n off the family's line
+    monkeypatch.setattr(verify, "deformed_raising",
+                        lambda n, a, b: deformed_raising(n + 1, a, b))
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    line = next(ln for ln in rep.lines
+                if (ln.section, ln.name) == PRODUCT_LINES["deformed_raising"])
+    assert line.verdict == "MISMATCH"
+    assert line.detail.startswith("a step leaves the family — n = ")
+    assert "not proportional to" in line.detail
+
+
 def _record_builder_calls(monkeypatch):
     """List of (builder name, arguments) of every call of the one-step and
     chain deformed builders, wherever the scorecard looks them up."""
