@@ -10,14 +10,13 @@ the angular invariant
     L1 = p_phi^2 / k^2 + A^2 / sin^2(k phi) + B^2 / cos^2(k phi),
 
 and for rational k = p/q every bounded orbit closes.  The module provides a
-fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme)
-as one stream of steps, `trajectory`, which the drift measurement, the
-orbit-closure scan (with sub-step refinement) and the CLI's orbit table all
-read; analytic and numeric equilibrium/minimum oracles; and a
-convergence-order probe for the integrator itself.
-
-The integrator is deterministic: fixed step, fixed arithmetic order, no
-adaptivity, so repeated runs are bit-identical.
+fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme),
+whose step `rk8_step` is one straight-line function generated at import from
+the tableau; one stream of its steps, `trajectory`, which the drift
+measurement, the orbit-closure scan (with sub-step refinement) and the CLI's
+orbit table all read; analytic and numeric equilibrium/minimum oracles; and
+a convergence-order probe for the integrator itself.  Fixed step, fixed
+arithmetic order, no adaptivity: repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -136,24 +135,6 @@ def equilibrium_state(model: ClassicalModel) -> OrbitState:
     return OrbitState(r_star, phi_star, 0.0, 0.0)
 
 
-def derivatives(model: ClassicalModel, state: tuple) -> tuple:
-    """Hamiltonian flow field in (r, phi, p_r, p_phi)."""
-    r, phi, pr, pphi = state
-    k = model.k
-    s = math.sin(k * phi)
-    c = math.cos(k * phi)
-    a2 = model.alpha_strength ** 2
-    b2 = model.beta_strength ** 2
-    w = a2 / (s * s) + b2 / (c * c)
-    wp = 2 * k * (b2 * s / (c * c * c) - a2 * c / (s * s * s))
-    r2 = r * r
-    r3 = r2 * r
-    return (pr,
-            pphi / r2,
-            pphi * pphi / r3 - model.omega ** 2 * r + k * k * w / r3,
-            -k * k * wp / (2 * r2))
-
-
 def _cooper_verner_tableau() -> tuple[list[list[float]], list[float]]:
     s = math.sqrt(21.0)
     a = [
@@ -180,40 +161,58 @@ def _cooper_verner_tableau() -> tuple[list[list[float]], list[float]]:
     return a, b
 
 
-_TABLEAU_A, _TABLEAU_B = _cooper_verner_tableau()
-# sparsified rows: per stage, the list of (index, coefficient) with coeff != 0
-_TABLEAU_SPARSE = [[(j, aij) for j, aij in enumerate(row) if aij != 0.0]
-                   for row in _TABLEAU_A]
-_B_SPARSE = [(j, bj) for j, bj in enumerate(_TABLEAU_B) if bj != 0.0]
+_HEAD = """\
+def rk8_step(model, state, dt):
+    \"""One fixed step of the 11-stage 8th-order Cooper-Verner scheme.\"""
+    k, om2 = model.k, model.omega ** 2
+    a2, b2 = model.alpha_strength ** 2, model.beta_strength ** 2
+    kk, nkk, twok = k * k, -k * k, 2 * k
+    x0, x1, x2, x3 = state"""
+# the Hamiltonian flow field in (r, phi, p_r, p_phi) at stage point y0..y3
+_FLOW = """\
+    s = sin(k * y1)
+    c = cos(k * y1)
+    w = a2 / (s * s) + b2 / (c * c)
+    wp = twok * (b2 * s / (c * c * c) - a2 * c / (s * s * s))
+    r2 = y0 * y0
+    r3 = r2 * y0
+    k{j}_0 = y2
+    k{j}_1 = y3 / r2
+    k{j}_2 = y3 * y3 / r3 - om2 * y0 + kk * w / r3
+    k{j}_3 = nkk * wp / (2 * r2)"""
 
 
-def rk8_step(model: ClassicalModel, state: tuple, dt: float) -> tuple:
-    """One fixed step of the 11-stage 8th-order Cooper-Verner scheme."""
-    ks = [derivatives(model, state)]
-    n = len(state)
-    for row in _TABLEAU_SPARSE[1:]:
-        stage = list(state)
-        for j, aij in row:
-            kj = ks[j]
-            f = aij * dt
-            for i in range(n):
-                stage[i] += f * kj[i]
-        ks.append(derivatives(model, tuple(stage)))
-    out = list(state)
-    for j, bj in _B_SPARSE:
-        kj = ks[j]
-        f = bj * dt
-        for i in range(n):
-            out[i] += f * kj[i]
-    return tuple(out)
+def _straight_line_step():
+    """`rk8_step` compiled from the tableau's stages written out in full.
+    Each nonzero a_ij * dt is computed once, and every stage sum is
+    x_i + (a_ij dt) k_j[i] taken left to right over ascending j, so a step
+    is the same float as an index loop over the tableau gives."""
+    a, b = _cooper_verner_tableau()
+    src = [_HEAD]
+    for j, row in enumerate(a + [b]):
+        nonzero = [i for i, aij in enumerate(row) if aij != 0.0]
+        src += [f"    h{j}_{i} = {row[i]!r} * dt" for i in nonzero]
+        sums = [f"x{c}" + "".join(f" + h{j}_{i} * k{i}_{c}" for i in nonzero)
+                for c in range(4)]
+        if j == len(a):
+            src.append(f"    return ({', '.join(sums)})")
+        else:
+            src += [f"    y{c} = {sums[c]}" for c in range(4)]
+            src.append(_FLOW.format(j=j))
+    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
+    exec(compile("\n".join(src), "<rk8_step>", "exec"), namespace)
+    return namespace["rk8_step"]
 
 
-def _check_inside(model: ClassicalModel, state: tuple, t: float) -> None:
+rk8_step = _straight_line_step()
+
+
+def _check_inside(span: float, state: tuple, t: float) -> None:
     # written so that NaN fails both tests: a state gone NaN has left too
     r, phi = state[0], state[1]
     if not r > 0.0:
         raise WedgeExitError(f"orbit left r > 0 (r = {r:.6g}) at t = {t:.6g}")
-    if not 0.0 < phi < model.wedge_span:
+    if not 0.0 < phi < span:
         raise WedgeExitError(
             f"orbit left the wedge (phi = {phi:.6g}) at t = {t:.6g}")
 
@@ -231,17 +230,18 @@ def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
                             f"a finite step count (got t_end = {t_end}, "
                             f"dt = {dt})")
     state = start.as_tuple()
-    _check_inside(model, state, 0.0)
+    span = model.wedge_span
+    _check_inside(span, state, 0.0)
     nsteps = int(t_end / dt)
     for i in range(nsteps):
         state = rk8_step(model, state, dt)
         t = (i + 1) * dt
-        _check_inside(model, state, t)
+        _check_inside(span, state, t)
         yield t, state
     rest = t_end - nsteps * dt
     if rest > 1e-15 * max(1.0, t_end):
         state = rk8_step(model, state, rest)
-        _check_inside(model, state, t_end)
+        _check_inside(span, state, t_end)
         yield t_end, state
 
 

@@ -457,13 +457,14 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
     drift = worst_drift(model, start, (st for _, st in samples))
     closure = scan_closure(model, samples, dt)
 
-    lines = ["t,r,phi,p_r,p_phi,H,L1"]
-    for t, st in samples:
-        obs = OrbitState(*st)
-        row = (t, *st, classical_energy(model, obs),
-               angular_invariant(model, obs))
-        lines.append(",".join(fmt_float(v) for v in row))
-    _write_output(cfg, "orbit.csv", "\n".join(lines) + "\n")
+    if cfg.out is not None:
+        lines = ["t,r,phi,p_r,p_phi,H,L1"]
+        for t, st in samples:
+            obs = OrbitState(*st)
+            row = (t, *st, classical_energy(model, obs),
+                   angular_invariant(model, obs))
+            lines.append(",".join(fmt_float(v) for v in row))
+        _write_output(cfg, "orbit.csv", "\n".join(lines) + "\n")
     print(f"orbit: {len(samples)} samples over t = {fmt_float(t_end)}, "
           f"dt = {fmt_float(dt)}")
     print(f"energy drift {fmt_float(drift[0])}, invariant drift "

@@ -51,6 +51,12 @@ class ModelParams:
             raise ParameterDomainError("p and q must be positive integers")
         if math.gcd(self.p, self.q) != 1:
             raise ParameterDomainError(f"p={self.p}, q={self.q} must be coprime")
+        if max(self.p, self.q) > sys.float_info.max:
+            # then k = p/q is a float in [1/max, max], never 0 or inf
+            raise ParameterDomainError(
+                f"p and q must each be at most {sys.float_info.max:.6g}, so "
+                f"that they and k = p/q are finite floats (got p = {self.p}, "
+                f"q = {self.q})")
 
     @property
     def k(self) -> Fraction:

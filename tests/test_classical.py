@@ -4,6 +4,8 @@ and the analytic fixed point."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsuperint import classical as cm
 from xsuperint.classical import (
@@ -34,6 +36,84 @@ def test_tableau_consistency():
     # row-sum condition c_i = sum_j a_ij for a consistent RK scheme
     for row in a:
         assert sum(row) <= 1.0 + 1e-12
+
+
+def reference_derivatives(model, state):
+    """The Hamiltonian flow field, written out once per call."""
+    r, phi, pr, pphi = state
+    k = model.k
+    s = math.sin(k * phi)
+    c = math.cos(k * phi)
+    a2 = model.alpha_strength ** 2
+    b2 = model.beta_strength ** 2
+    w = a2 / (s * s) + b2 / (c * c)
+    wp = 2 * k * (b2 * s / (c * c * c) - a2 * c / (s * s * s))
+    r2 = r * r
+    r3 = r2 * r
+    return (pr,
+            pphi / r2,
+            pphi * pphi / r3 - model.omega ** 2 * r + k * k * w / r3,
+            -k * k * wp / (2 * r2))
+
+
+_A, _B = cm._cooper_verner_tableau()
+_A_SPARSE = [[(j, aij) for j, aij in enumerate(row) if aij != 0.0]
+             for row in _A]
+_B_SPARSE = [(j, bj) for j, bj in enumerate(_B) if bj != 0.0]
+
+
+def reference_step(model, state, dt):
+    """One Cooper-Verner step as an index loop over the sparse tableau: the
+    oracle the generated straight-line `rk8_step` must equal bit for bit."""
+    ks = [reference_derivatives(model, state)]
+    n = len(state)
+    for row in _A_SPARSE[1:]:
+        stage = list(state)
+        for j, aij in row:
+            kj = ks[j]
+            f = aij * dt
+            for i in range(n):
+                stage[i] += f * kj[i]
+        ks.append(reference_derivatives(model, tuple(stage)))
+    out = list(state)
+    for j, bj in _B_SPARSE:
+        kj = ks[j]
+        f = bj * dt
+        for i in range(n):
+            out[i] += f * kj[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 0.5, 1.5, 2 / 3])
+@pytest.mark.parametrize("steps_per_period", [256, 16384])
+def test_step_matches_the_tableau_loop(k, steps_per_period):
+    model = ClassicalModel(1.0, k, 1.0, 3.0)
+    dt = model.radial_period / steps_per_period
+    state = (1.7, min(0.4, 0.5 * model.wedge_span), 0.3, 1.1)
+    for _ in range(500):
+        expect = reference_step(model, state, dt)
+        state = cm.rk8_step(model, state, dt)
+        assert state == expect
+
+
+def test_partial_step_matches_the_tableau_loop():
+    # trajectory's last step is shortened to land on t_end
+    steps = list(trajectory(MODEL, START, 1.0, 0.3))
+    assert cm.rk8_step(MODEL, steps[-2][1], 1.0 - 3 * 0.3) == steps[-1][1]
+    assert steps[-1][1] == reference_step(MODEL, steps[-2][1], 1.0 - 3 * 0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 10), st.floats(0.2, 5), st.floats(0.05, 5),
+       st.floats(0.05, 5), st.floats(0.3, 3), st.floats(0.05, 0.95),
+       st.floats(-2, 2), st.floats(-2, 2), st.floats(1e-4, 0.1))
+def test_step_matches_the_tableau_loop_anywhere(omega, k, a, b, r, frac, pr,
+                                                pphi, dt_frac):
+    # any strengths, any start inside the wedge, any step: the same floats
+    model = ClassicalModel(omega, k, a, b)
+    state = (r, frac * model.wedge_span, pr, pphi)
+    dt = dt_frac * model.radial_period
+    assert cm.rk8_step(model, state, dt) == reference_step(model, state, dt)
 
 
 def test_model_domain_checks():

@@ -177,6 +177,18 @@ def test_orbit_integrates_once(monkeypatch, tmp_path):
     assert len(calls) == steps + 2 * 64
 
 
+def test_orbit_prints_the_same_without_out(tmp_path):
+    # without --out no table is built, and the summary does not depend on it
+    code, bare, err = run_cli("orbit", "--alpha", "1/2", "--beta", "5/2",
+                              "--p", "2", "--q", "3")
+    assert code == 0, err
+    code, out, err = run_cli("orbit", "--alpha", "1/2", "--beta", "5/2",
+                             "--p", "2", "--q", "3", "--out", str(tmp_path))
+    assert code == 0, err
+    assert out.splitlines()[1:] == bare.splitlines()
+    assert "closure" in bare.splitlines()[-1]
+
+
 def test_orbit_closure_scans_its_own_samples():
     # off the default step the closure line is the scan of the orbit the
     # command integrated, not of a re-integration at pi/(256 omega)
@@ -250,6 +262,10 @@ def test_bad_rational_flag():
     ("orbit", "--t-end", "1e9"),
     ("export-wavefunction", "--grid", "1001", "--out", "wf"),
     ("verify", "--grid", "1001"),
+    ("orbit", "--p", "1" + "0" * 400),
+    ("spectrum", "--p", "1" + "0" * 400, "--emax", "5"),
+    ("spectrum", "--q", "1" + "0" * 400, "--emax", "5"),
+    ("export-wavefunction", "--q", "1" + "0" * 400, "--out", "wf"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out, pass its path;
