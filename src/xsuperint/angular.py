@@ -47,9 +47,7 @@ def angular_gauge_logderiv(alpha: RationalLike, beta: RationalLike) -> RatFunc:
     b = weight_pole(alpha, beta)
     e1 = alpha / 2 + Fraction(1, 4)
     e2 = beta / 2 + Fraction(1, 4)
-    return (RatFunc(Poly.constant(e1), Poly((-1, 1)))      # e1 / (x - 1)
-            + RatFunc(Poly.constant(e2), Poly((1, 1)))     # e2 / (x + 1)
-            - RatFunc(Poly.one(), Poly((-b, 1))))          # -1 / (x - b)
+    return RatFunc(e1, {1: 1}) + RatFunc(e2, {-1: 1}) - RatFunc(1, {b: 1})
 
 
 def angular_potential(alpha: RationalLike, beta: RationalLike) -> RatFunc:
@@ -64,10 +62,9 @@ def angular_potential(alpha: RationalLike, beta: RationalLike) -> RatFunc:
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
-    pole = Poly((-b, 1))
-    return (RatFunc(Poly.constant(2 * (alpha * alpha - Fraction(1, 4))), Poly((1, -1)))
-            + RatFunc(Poly.constant(2 * (beta * beta - Fraction(1, 4))), Poly((1, 1)))
-            + RatFunc(Poly((8, -8 * b)), pole * pole))
+    return (RatFunc(-2 * (alpha * alpha - Fraction(1, 4)), {1: 1})
+            + RatFunc(2 * (beta * beta - Fraction(1, 4)), {-1: 1})
+            + RatFunc(Poly((8, -8 * b)), {b: 2}))
 
 
 def angular_potential_candidate(alpha: RationalLike, beta: RationalLike) -> RatFunc:
@@ -78,10 +75,9 @@ def angular_potential_candidate(alpha: RationalLike, beta: RationalLike) -> RatF
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
-    pole = Poly((b, 1))
-    return (RatFunc(Poly.constant(2 * (alpha * alpha - Fraction(1, 4))), Poly((1, -1)))
-            + RatFunc(Poly.constant(2 * (beta * beta - Fraction(1, 4))), Poly((1, 1)))
-            + RatFunc(Poly((4, 4 * b)), pole * pole))
+    return (RatFunc(-2 * (alpha * alpha - Fraction(1, 4)), {1: 1})
+            + RatFunc(2 * (beta * beta - Fraction(1, 4)), {-1: 1})
+            + RatFunc(Poly((4, 4 * b)), {-b: 2}))
 
 
 def angular_schrodinger_x(alpha: RationalLike, beta: RationalLike,
@@ -121,7 +117,7 @@ def angular_operator_candidate(alpha: RationalLike, beta: RationalLike) -> DiffO
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
-    rat = RatFunc(Poly((4 * (beta - alpha), -4 * b * (beta - alpha))), Poly((b, -1)))
+    rat = RatFunc(Poly((-4 * (beta - alpha), 4 * b * (beta - alpha))), {b: 1})
     first = rat * RatFunc(Poly((b, 1)))
     zeroth = -rat + Fraction((alpha + beta + 1) ** 2)
     return DiffOp((zeroth, first, RatFunc(Poly((-4, 0, 4)))))

@@ -100,6 +100,13 @@ def at_least(low: int) -> Callable[[str], int]:
 MAX_ROWS = 10 ** 6
 
 
+#: Largest p and q `verify` accepts.  It builds exact p- and q-fold ladder
+#: chains, and their cost grows steeply with q: on a 2-core machine
+#: `verification_report(1, 3, p, q)` takes 0.6 s at k = 6/1, 6.5 s at 4/5,
+#: 9.2 s at 1/6 and about a minute at 1/9.
+MAX_VERIFY_PQ = 6
+
+
 def grid_size(text: str) -> int:
     value = at_least(2)(text)
     if value * value > MAX_ROWS:
@@ -259,6 +266,11 @@ def _eigen_identity_ok(alpha: Fraction, beta: Fraction, nmax: int) -> bool:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     params = model_params(cfg)
+    if max(params.p, params.q) > MAX_VERIFY_PQ:
+        raise ParameterDomainError(
+            f"verify builds exact p- and q-fold ladder chains: p and q must "
+            f"each be at most {MAX_VERIFY_PQ} (got p = {params.p}, "
+            f"q = {params.q})")
     alpha, beta = params.alpha, params.beta
     print(f"verify: alpha = {alpha}, beta = {beta}, omega = {params.omega}, "
           f"k = {params.p}/{params.q}, tol = {fmt_float(cfg.tol)}")
@@ -341,10 +353,16 @@ def _write_output(cfg: argparse.Namespace, basename: str, text: str) -> None:
 def _spectrum_size(params: ModelParams, emax: float) -> float:
     """States with E <= emax in O(1), over by less than the number N of
     angular indices: sum over n <= N of (R - e_n)/2 + 1, R = emax/omega,
-    e_n = k A_n + 1 = e_1 + 2k(n - 1); inf once N passes the cap."""
+    e_n = k A_n + 1 = e_1 + 2k(n - 1); inf once N passes the cap.  Raises
+    ParameterDomainError when R or e_1 is not a finite float."""
     k = params.k_float
     span = (emax / params.omega - 1
             - k * float(angular_eigenroot(1, params.alpha, params.beta)))
+    if not math.isfinite(span):
+        raise ParameterDomainError(
+            f"--emax / omega and the lowest level k A_1 + 1 must be finite "
+            f"floats (emax = {emax}, omega = {params.omega}, "
+            f"k = {k:.6g})")
     if span / (2 * k) >= MAX_ROWS:
         return math.inf
     count = max(math.floor(span / (2 * k)) + 1, 0)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from .angular import angular_operator, exceptional_jacobi
 from .errors import (InsufficientSpanError, OutOfFamilyError,
                      VerificationError)
-from .operators import DiffOp, RatFunc
+from .operators import DiffOp, Poles, RatFunc
 from .params import ModelParams, QuantumState, angular_eigenroot, energy_ratio
 from .polynomials import (Poly, RationalLike, as_fraction,
                           exceptional_jacobi_closed_form, jacobi_polynomial,
@@ -200,10 +200,8 @@ def lowering_intertwiner(alpha: RationalLike, beta: RationalLike) -> DiffOp:
     -(n+beta)/2, see `lowering_intertwiner_action`.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    b = weight_pole(alpha, beta)
-    pole = Poly((-b, 1))
-    return DiffOp((RatFunc(Poly.constant(beta), pole),
-                   RatFunc(Poly((1, 1)), pole)))
+    poles = {weight_pole(alpha, beta): 1}
+    return DiffOp((RatFunc(beta, poles), RatFunc(Poly((1, 1)), poles)))
 
 
 def raising_intertwiner_action(n, alpha, beta) -> Fraction:
@@ -257,26 +255,25 @@ def lowering_intertwiner_candidate(alpha, beta) -> DiffOp:
     denominator the image of a deformed polynomial keeps a pole at x = -b,
     so the candidate does not even map into polynomials."""
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    b = weight_pole(alpha, beta)
-    pole = Poly((b, 1))
-    return DiffOp((RatFunc(Poly.constant(beta), pole),
-                   RatFunc(Poly((1, 1)), pole)))
+    poles = {-weight_pole(alpha, beta): 1}
+    return DiffOp((RatFunc(beta, poles), RatFunc(Poly((1, 1)), poles)))
 
 
 def _solve_intertwiner(direction: str, fit: Sequence[tuple[Poly, Poly]],
                        holdout: Sequence[tuple[Poly, Poly]], first_degree: int,
-                       zeroth_degree: int, pole: Poly) -> DiffOp:
-    """Solve the ansatz [ a(x) d + c(x) ] / pole, deg a <= first_degree and
-    deg c <= zeroth_degree, for a map sending each source to a multiple of
-    its target.  With the pole cleared, the fit pairs give a homogeneous
-    system in the ansatz coefficients and one image scalar per pair; its
-    nullspace must be a line, a is normalized monic, and the result is
-    validated on the held-out pairs."""
+                       zeroth_degree: int, poles: Poles) -> DiffOp:
+    """Solve the ansatz [ a(x) d + c(x) ] / prod (x - r)^m over the pole map
+    {r: m}, deg a <= first_degree and deg c <= zeroth_degree, for a map
+    sending each source to a multiple of its target.  With the poles cleared,
+    the fit pairs give a homogeneous system in the ansatz coefficients and
+    one image scalar per pair; its nullspace must be a line, a is normalized
+    monic, and the result is validated on the held-out pairs."""
     # unknowns: a_0..a_first, c_0..c_zeroth, then one scalar per fit pair
     width = first_degree + zeroth_degree + 2
     rows: list[list[Fraction]] = []
+    den = RatFunc(1, poles).den
     for idx, (src, tgt) in enumerate(fit):
-        dsrc, image = src.derivative(), pole * tgt
+        dsrc, image = src.derivative(), den * tgt
         top = max(src.degree + max(first_degree - 1, zeroth_degree),
                   image.degree)
         rows += [[dsrc.coeff(s - j) for j in range(first_degree + 1)]
@@ -291,8 +288,8 @@ def _solve_intertwiner(direction: str, fit: Sequence[tuple[Poly, Poly]],
             f"{len(basis)}, expected a single line with a nonzero leading "
             "first-order coefficient")
     v = [u / basis[0][first_degree] for u in basis[0]]
-    op = DiffOp((RatFunc(Poly(v[first_degree + 1:width]), pole),
-                 RatFunc(Poly(v[:first_degree + 1]), pole)))
+    op = DiffOp((RatFunc(Poly(v[first_degree + 1:width]), poles),
+                 RatFunc(Poly(v[:first_degree + 1]), poles)))
     for src, tgt in holdout:
         action_coefficient(op, src, tgt)
     return op
@@ -313,8 +310,7 @@ def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
     pairs = [(shifted_jacobi(n, alpha, beta),
               exceptional_jacobi_closed_form(n + 1, alpha, beta))
              for n in range(7)]
-    return _solve_intertwiner("forward", pairs[:3], pairs[3:], 2, 1,
-                              Poly.one())
+    return _solve_intertwiner("forward", pairs[:3], pairs[3:], 2, 1, {})
 
 
 def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
@@ -332,7 +328,7 @@ def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
               shifted_jacobi(n - 1, alpha, beta))
              for n in range(1, 8)]
     return _solve_intertwiner("backward", pairs[:3], pairs[3:], 1, 1,
-                              Poly((-weight_pole(alpha, beta), 1)))
+                              {weight_pole(alpha, beta): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +487,7 @@ def _radial_ladder(first: Fraction, energy: Fraction, pole: Fraction
                    ) -> DiffOp:
     """first * d_y + energy + pole / y: the one shape of every radial
     one-step ladder and candidate below."""
-    return DiffOp((RatFunc(energy) + RatFunc(pole, Poly((0, 1))), first))
+    return DiffOp((RatFunc(energy) + RatFunc(pole, {0: 1}), first))
 
 
 def radial_lowering(a: RationalLike, eps: RationalLike) -> DiffOp:
@@ -554,8 +550,7 @@ def radial_gauge_logderiv(a: RationalLike) -> RatFunc:
     """(log G)' for the radial gauge factor G = y^(a/2) e^(-y/2):
     a/(2y) - 1/2."""
     a = as_fraction(a)
-    return RatFunc(Poly.constant(a / 2), Poly((0, 1))) - RatFunc(
-        Poly.constant(Fraction(1, 2)))
+    return RatFunc(a / 2, {0: 1}) - Fraction(1, 2)
 
 
 def radial_family_image(op: DiffOp, m: int, a: RationalLike,
@@ -574,8 +569,8 @@ def radial_family_image(op: DiffOp, m: int, a: RationalLike,
         raise ValueError("gauge parameters must differ by an even integer")
     stripped = op.gauge_conjugate(-radial_gauge_logderiv(a))
     img = stripped.apply_poly(laguerre_polynomial(m, a))
-    y_power = RatFunc(Poly((0, 1)) ** abs(int(shift)))
-    return img * y_power if shift >= 0 else img / y_power
+    s = int(shift)
+    return img * (RatFunc(Poly.x() ** s) if s >= 0 else RatFunc(1, {0: -s}))
 
 
 def radial_action_report(op: DiffOp, m: int, a: RationalLike, target_m: int,
@@ -811,16 +806,16 @@ class ParityReport:
         return out
 
 
-def _chain_value_table(chains: Sequence[DiffOp], pole: Poly
+def _chain_value_table(chains: Sequence[DiffOp], root: Fraction
                        ) -> list[dict[tuple[int, int], Fraction]]:
-    """Clear all chains by a common power of the (monic, linear) pole and
-    tabulate the x-coefficients of every cleared operator coefficient: one
+    """Clear all chains by a common power of the pole x - root and tabulate
+    the x-coefficients of every cleared operator coefficient: one
     {(derivative order, x power): value} map per chain.  Raises
     VerificationError when a chain's denominator is not a power of the
     pole."""
-    root = -pole.coeff(0)
+    pole = Poly((-root, 1))
     for chain in chains:
-        if any(c.rest.degree or c.poles.keys() - {root} for c in chain.coeffs):
+        if any(c.poles.keys() - {root} for c in chain.coeffs):
             raise VerificationError(
                 f"chain has unexpected denominator {chain.cleared()[0].pretty()}; "
                 f"expected a power of {pole.pretty()}")
@@ -896,11 +891,11 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
     details: list[str] = []
     ns = [Fraction(n) for n in range(1, nmax + 1)]
     roots = [angular_eigenroot(n, alpha, beta) for n in ns]
-    pole = Poly((-weight_pole(alpha, beta), 1))
 
     raising_chains = [deformed_raising_chain(n, q, alpha, beta) for n in ns]
     lowering_chains = [deformed_lowering_chain(n, q, alpha, beta) for n in ns]
-    tables = _chain_value_table(raising_chains + lowering_chains, pole)
+    tables = _chain_value_table(raising_chains + lowering_chains,
+                                weight_pole(alpha, beta))
     plus = _interpolate_tables(roots, tables[:nmax], fit_ang)
     minus = _interpolate_tables(roots, tables[nmax:], fit_ang)
     bad = _swap_mismatches(plus, minus)
@@ -912,7 +907,7 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
 
     rlow = [radial_lowering_chain(k * r, eps, p) for r in roots]
     rraise = [radial_raising_chain(k * r, eps, p) for r in roots]
-    rtables = _chain_value_table(rlow + rraise, Poly((0, 1)))
+    rtables = _chain_value_table(rlow + rraise, Fraction(0))
     rplus = _interpolate_tables(roots, rtables[:nmax], fit_rad)
     rminus = _interpolate_tables(roots, rtables[nmax:], fit_rad)
     radial_ok = not _swap_mismatches(rplus, rminus)

@@ -1,16 +1,15 @@
 """Exact differential-operator algebra with rational-function coefficients.
 
-A `RatFunc` is a reduced fraction num / den whose monic denominator is kept
-factored: a map from each rational root r to the multiplicity of (x - r),
-times a monic rest with no rational root (almost always 1).  Every
-denominator the package builds is a product of the linear factors x -/+ 1,
-x - b and y, so the arithmetic only adds or takes the larger of
-multiplicities and cancels by exact synthetic division at those roots; the
-Euclidean `poly_gcd` is needed only to reduce against a non-linear rest.
-Zero-testing and equality stay structural.  A `DiffOp` is sum_j c_j(x) d^j
-with RatFunc coefficients c_j, normal-ordered with derivatives on the right;
-it supports composition, commutators, application to functions, and gauge
-conjugation by a factor known only through its logarithmic derivative.
+A `RatFunc` is num / prod (x - r)^m in lowest terms: a numerator polynomial
+and a pole map {rational root r: multiplicity m}.  Every operator the package
+builds has its poles at the wedge walls x = +-1, the weight pole x = b and
+y = 0, so a denominator never needs an irrational root.  Sums take the larger
+multiplicity at each root, products add them, and `_cancel` removes the
+common factors by exact synthetic division at the poles; zero-testing and
+equality are structural.  A `DiffOp` is sum_j c_j(x) d^j with RatFunc
+coefficients c_j, normal-ordered with derivatives on the right; it supports
+composition, commutators, application to functions, and gauge conjugation by
+a factor known only through its logarithmic derivative.
 
 The gauge trick is what keeps everything rational: the weight factors that
 dress the polynomial eigenfunctions involve irrational powers, but their log
@@ -22,10 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import VerificationError
-from .polynomials import Poly, as_fraction, divide_root, poly_gcd
+from .polynomials import Poly, RationalLike, as_fraction, divide_root
 
 Coefficientable = Union["RatFunc", Poly, Fraction, int]
 #: {root r: multiplicity m} standing for prod (x - r)^m
@@ -64,89 +63,29 @@ def _excess(big: Poles, small: Poles) -> Poles:
     return {r: m - small.get(r, 0) for r, m in big.items() if m > small.get(r, 0)}
 
 
-def _rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
-    """A rational root of the monic polynomial of degree >= 1, or None.
-    Degrees 1 and 2 are solved in closed form, so a pole (x - b)^2 costs no
-    search whatever the size of b; higher degrees try the candidates +-u/v of
-    the rational-root theorem, u dividing the constant and v the leading
-    coefficient of the integer multiple."""
-    if not coeffs[0]:
-        return Fraction(0)
-    if len(coeffs) == 2:
-        return -coeffs[0]
-    if len(coeffs) == 3:
-        disc = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-        if disc < 0:
-            return None
-        top, bottom = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-        if top * top != disc.numerator or bottom * bottom != disc.denominator:
-            return None
-        return (Fraction(top, bottom) - coeffs[1]) / 2
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    for u in _divisors(abs(int(coeffs[0] * scale))):
-        for v in _divisors(abs(int(coeffs[-1] * scale))):
-            for r in (Fraction(u, v), Fraction(-u, v)):
-                if not divide_root(coeffs, r)[1]:
-                    return r
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _split(den: Poly) -> tuple[Fraction, Poles, Poly]:
-    """den = lead * rest * prod (x - r)^m, every rational root taken out:
-    (lead, poles, monic rest)."""
-    lead = den.leading()
-    coeffs = den.monic().coeffs
-    poles: Poles = {}
-    while len(coeffs) > 1:
-        r = _rational_root(coeffs)
-        if r is None:
-            break
-        while len(coeffs) > 1:
-            quot, rem = divide_root(coeffs, r)
-            if rem:
-                break
-            coeffs, poles[r] = quot, poles.get(r, 0) + 1
-    return lead, poles, Poly(coeffs)
-
-
 class RatFunc:
-    """Reduced rational function num / den with den = rest * prod (x - r)^m
-    monic and nonzero.  `poles` maps each rational root r of den to its
-    multiplicity m; `rest` is monic with no rational root.  `den` is the
-    expanded product."""
+    """Reduced rational function num / prod (x - r)^m.  `poles` maps each
+    root r of the monic denominator to its multiplicity m >= 1, and num
+    vanishes at none of them; `den` is the expanded product."""
 
-    __slots__ = ("num", "poles", "rest")
+    __slots__ = ("num", "poles")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+    def __init__(self, num: Union[Poly, RationalLike],
+                 poles: Mapping[RationalLike, int] = {}):
+        if not isinstance(num, Poly):
             num = Poly.constant(num)
-        if isinstance(den, (int, Fraction)):
-            den = Poly.constant(den)
-        if den is not None and den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.num, self.poles, self.rest = num, {}, _ONE
-        if den is None or num.is_zero():
-            return
-        lead, poles, rest = _split(den)
-        num, self.poles = _cancel(num * (Fraction(1) / lead), poles)
-        if rest.degree > 0:
-            g = poly_gcd(num, rest)
-            if g.degree > 0:
-                num, rest = num.div_exact(g), rest.div_exact(g)
-        self.num, self.rest = num, rest
+        self.num, self.poles = num, {}
+        if poles and not num.is_zero():
+            if min(poles.values()) < 0:
+                raise ValueError(f"negative pole multiplicity in {dict(poles)}")
+            self.num, self.poles = _cancel(
+                num, {as_fraction(r): m for r, m in poles.items()})
 
     @classmethod
-    def _of_parts(cls, num: Poly, poles: Poles, rest: Poly = _ONE) -> "RatFunc":
-        """The RatFunc with already reduced parts, skipping the split."""
+    def _of_parts(cls, num: Poly, poles: Poles) -> "RatFunc":
+        """The RatFunc with already reduced parts, skipping the cancellation."""
         out = cls.__new__(cls)
-        if num.is_zero():
-            poles, rest = {}, _ONE
-        out.num, out.poles, out.rest = num, poles, rest
+        out.num, out.poles = num, (poles if not num.is_zero() else {})
         return out
 
     # -- constructors ---------------------------------------------------
@@ -154,9 +93,7 @@ class RatFunc:
     def of(cls, value: Coefficientable) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, Poly):
-            return cls(value)
-        return cls(Poly.constant(as_fraction(value)))
+        return cls(value)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -173,13 +110,13 @@ class RatFunc:
     # -- queries ---------------------------------------------------------
     @property
     def den(self) -> Poly:
-        return _times_poles(self.rest, self.poles)
+        return _times_poles(_ONE, self.poles)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return not self.poles and self.rest.degree == 0
+        return not self.poles
 
     def as_poly(self) -> Poly:
         if not self.is_polynomial():
@@ -193,8 +130,6 @@ class RatFunc:
             return self
         if self.is_zero():
             return o
-        if self.rest.degree or o.rest.degree:
-            return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
         poles = dict(self.poles)
         for r, m in o.poles.items():
             poles[r] = max(poles.get(r, 0), m)
@@ -207,7 +142,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc._of_parts(-self.num, self.poles, self.rest)
+        return RatFunc._of_parts(-self.num, self.poles)
 
     def __sub__(self, other: Coefficientable) -> "RatFunc":
         return self + (-RatFunc.of(other))
@@ -217,12 +152,10 @@ class RatFunc:
 
     def __mul__(self, other: Coefficientable) -> "RatFunc":
         if isinstance(other, (int, Fraction)):
-            return RatFunc._of_parts(self.num * other, self.poles, self.rest)
+            return RatFunc._of_parts(self.num * other, self.poles)
         o = RatFunc.of(other)
         if self.is_zero() or o.is_zero():
             return RatFunc.zero()
-        if self.rest.degree or o.rest.degree:
-            return RatFunc(self.num * o.num, self.den * o.den)
         a, b_poles = _cancel(self.num, o.poles)
         b, poles = _cancel(o.num, self.poles)
         for r, m in b_poles.items():
@@ -231,33 +164,20 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Coefficientable) -> "RatFunc":
-        o = RatFunc.of(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFunc(o.den, o.num)
-
-    def __rtruediv__(self, other: Coefficientable) -> "RatFunc":
-        return RatFunc.of(other) / self
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RatFunc, Poly, Fraction, int)):
             return NotImplemented
         o = RatFunc.of(other)
-        return self.num == o.num and self.poles == o.poles and self.rest == o.rest
+        return self.num == o.num and self.poles == o.poles
 
     def __hash__(self) -> int:
-        return hash((self.num, frozenset(self.poles.items()), self.rest))
+        return hash((self.num, frozenset(self.poles.items())))
 
     # -- calculus / evaluation -----------------------------------------------
     def derivative(self) -> "RatFunc":
         """(N / prod l_i^m_i)' = (N' L - N sum_i m_i L / l_i) / prod l_i^(m_i+1)
         with L = prod l_i.  The numerator is -m_i N(r_i) prod_(j != i)
         (r_i - r_j) != 0 at each root r_i, so the result is already reduced."""
-        if self.rest.degree:
-            den = self.den
-            return RatFunc(self.num.derivative() * den - self.num * den.derivative(),
-                           den * den)
         num = _times_poles(self.num.derivative(), dict.fromkeys(self.poles, 1))
         for r, m in self.poles.items():
             others = {s: 1 for s in self.poles if s != r}
@@ -385,19 +305,13 @@ class DiffOp:
     def cleared(self) -> tuple[Poly, list[Poly]]:
         """(D, [D c_j]): the monic least common denominator D of the
         coefficients and the polynomial coefficients of D * A.  Each root of
-        D has the largest multiplicity any coefficient gives it; only a
-        non-linear rest is combined by `poly_gcd`."""
+        D has the largest multiplicity any coefficient gives it."""
         poles: Poles = {}
-        rest = _ONE
         for c in self.coeffs:
             for r, m in c.poles.items():
                 poles[r] = max(poles.get(r, 0), m)
-            if c.rest.degree:
-                rest = (rest * c.rest).div_exact(poly_gcd(rest, c.rest))
-        nums = [_times_poles(c.num * rest.div_exact(c.rest) if rest.degree else c.num,
-                             _excess(poles, c.poles))
-                for c in self.coeffs]
-        return _times_poles(rest, poles), nums
+        return (_times_poles(_ONE, poles),
+                [_times_poles(c.num, _excess(poles, c.poles)) for c in self.coeffs])
 
     # -- action ------------------------------------------------------------
     def apply_ratfunc(self, f: Coefficientable) -> RatFunc:

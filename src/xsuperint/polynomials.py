@@ -173,32 +173,7 @@ class Poly:
         lead = self.leading()
         return Poly(tuple(c / lead for c in self.coeffs))
 
-    # -- division ---------------------------------------------------------
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dd = len(den) - 1
-        lead = den[-1]
-        if len(rem) - 1 < dd:
-            return Poly.zero(), Poly(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lead
-                quot[i - dd] = q
-                for j in range(dd + 1):
-                    rem[i - dd + j] -= q * den[j]
-        return Poly(quot), Poly(rem)
-
-    def div_exact(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division: remainder {r}")
-        return q
-
+    # -- comparison --------------------------------------------------------
     def proportionality(self, other: "Poly"):
         """Return c with self == c * other, or None if no such scalar exists.
 
@@ -236,13 +211,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.pretty()})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (gcd(0, 0) = 0)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a if a.is_zero() else a.monic()
 
 
 def divide_root(coeffs: Sequence[Fraction], r: Fraction

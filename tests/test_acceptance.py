@@ -202,9 +202,9 @@ def test_acceptance_3_ladders_map_basis_to_basis():
     first = radial_family_image(radial_lowering(a, eps), m, a, a + 2)
     second = radial_family_image(radial_lowering(a + 2, eps), m - 1, a + 2,
                                  a + 4)
-    coeff = (first / RatFunc.of(laguerre_polynomial(m - 1, a + 2))) \
-        * (second / RatFunc.of(laguerre_polynomial(m - 2, a + 4)))
-    if whole != RatFunc.of(laguerre_polynomial(m - 2, a + 4)) * coeff:
+    # whole = L_(m-2)^(a+4) (first / L_(m-1)^(a+2)) (second / L_(m-2)^(a+4)),
+    # cross-multiplied by the nonzero L_(m-1)^(a+2)
+    if whole * laguerre_polynomial(m - 1, a + 2) != first * second:
         problems.append("radial chain != stepwise composition")
     # every transcription-claim comparison ends in a definite verdict
     rep = verification_report(F(1), F(3), nmax=5, mmax=5)

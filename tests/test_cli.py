@@ -266,6 +266,9 @@ def test_bad_rational_flag():
     ("spectrum", "--p", "1" + "0" * 400, "--emax", "5"),
     ("spectrum", "--q", "1" + "0" * 400, "--emax", "5"),
     ("export-wavefunction", "--q", "1" + "0" * 400, "--out", "wf"),
+    ("verify", "--p", "1" + "0" * 300),
+    ("spectrum", "--p", "1" + "0" * 308, "--emax", "5"),
+    ("verify", "--q", "7"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out, pass its path;

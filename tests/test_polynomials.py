@@ -18,7 +18,6 @@ from xsuperint.polynomials import (
     lagrange_interpolate,
     laguerre_polynomial,
     pochhammer,
-    poly_gcd,
     secondary_root,
     weight_pole,
 )
@@ -50,15 +49,6 @@ def test_poly_arithmetic():
     assert cube.degree == 3
     assert (cube - cube).degree == -1
     assert (cube - cube).is_zero()
-
-
-def test_poly_divmod_exact():
-    num = Poly((-6, 11, -6, 1))          # (x-1)(x-2)(x-3)
-    quot, rem = num.divmod(Poly((-2, 1)))
-    assert rem.is_zero()
-    assert quot == Poly((3, -4, 1))       # (x-1)(x-3)
-    _, rem2 = num.divmod(Poly((1, 1)))
-    assert not rem2.is_zero()
 
 
 def test_poly_reflect_and_monic():
@@ -150,9 +140,3 @@ def test_lagrange_interpolation_roundtrip():
     p = lagrange_interpolate(pts)
     assert p == Poly((-2, 0, 0, 1))
 
-
-def test_poly_gcd():
-    a = Poly((-1, 0, 1))        # (x-1)(x+1)
-    b = Poly((-1, 1)) * Poly((3, 1))
-    g = poly_gcd(a, b)
-    assert g == Poly((-1, 1))
