@@ -101,10 +101,10 @@ MAX_ROWS = 10 ** 6
 
 
 #: Largest p and q `verify` accepts.  It builds exact p- and q-fold ladder
-#: chains, and their cost grows steeply with q: on a 2-core machine
-#: `verification_report(1, 3, p, q)` takes 0.6 s at k = 6/1, 6.5 s at 4/5,
-#: 9.2 s at 1/6 and about a minute at 1/9.
-MAX_VERIFY_PQ = 6
+#: chains, and their cost grows with p + q: on a 2-core machine the whole
+#: `verify` at the default (alpha, beta) = (1, 3) takes 1.2 s at k = 6/1,
+#: 2.5 s at 5/6, 4.5 s at 1/8 and 4.7 s at 7/8, the slowest point admitted.
+MAX_VERIFY_PQ = 8
 
 
 def grid_size(text: str) -> int:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import VerificationError
-from .polynomials import Poly, RationalLike, as_fraction, divide_root
+from .polynomials import (Poly, RationalLike, as_fraction, divide_root,
+                          times_roots)
 
 Coefficientable = Union["RatFunc", Poly, Fraction, int]
 #: {root r: multiplicity m} standing for prod (x - r)^m
@@ -36,26 +37,12 @@ _ONE = Poly.one()
 def _cancel(num: Poly, poles: Poles) -> tuple[Poly, Poles]:
     """Divide the nonzero num by each (x - r) of poles as often as it
     divides exactly, at most the multiplicity; return what is left of both."""
-    coeffs = num.coeffs
     left: Poles = {}
     for r, m in poles.items():
-        while m:
-            quot, rem = divide_root(coeffs, r)
-            if rem:
-                break
-            coeffs, m = quot, m - 1
-        if m:
-            left[r] = m
-    return (num if coeffs is num.coeffs else Poly(coeffs)), left
-
-
-def _times_poles(p: Poly, poles: Poles) -> Poly:
-    """p * prod (x - r)^m."""
-    cs = list(p.coeffs)
-    for r, m in poles.items():
-        for _ in range(m):      # coefficient i of (x - r) p is p[i-1] - r p[i]
-            cs = [a - r * b for a, b in zip([Fraction(0)] + cs, cs + [Fraction(0)])]
-    return Poly(cs)
+        num, k = divide_root(num, r, m)
+        if m > k:
+            left[r] = m - k
+    return num, left
 
 
 def _excess(big: Poles, small: Poles) -> Poles:
@@ -110,7 +97,7 @@ class RatFunc:
     # -- queries ---------------------------------------------------------
     @property
     def den(self) -> Poly:
-        return _times_poles(_ONE, self.poles)
+        return times_roots(_ONE, self.poles)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -133,8 +120,8 @@ class RatFunc:
         poles = dict(self.poles)
         for r, m in o.poles.items():
             poles[r] = max(poles.get(r, 0), m)
-        num = (_times_poles(self.num, _excess(poles, self.poles))
-               + _times_poles(o.num, _excess(poles, o.poles)))
+        num = (times_roots(self.num, _excess(poles, self.poles))
+               + times_roots(o.num, _excess(poles, o.poles)))
         if num.is_zero():
             return RatFunc.zero()
         return RatFunc._of_parts(*_cancel(num, poles))
@@ -178,10 +165,10 @@ class RatFunc:
         """(N / prod l_i^m_i)' = (N' L - N sum_i m_i L / l_i) / prod l_i^(m_i+1)
         with L = prod l_i.  The numerator is -m_i N(r_i) prod_(j != i)
         (r_i - r_j) != 0 at each root r_i, so the result is already reduced."""
-        num = _times_poles(self.num.derivative(), dict.fromkeys(self.poles, 1))
+        num = times_roots(self.num.derivative(), dict.fromkeys(self.poles, 1))
         for r, m in self.poles.items():
             others = {s: 1 for s in self.poles if s != r}
-            num = num - _times_poles(self.num, others) * m
+            num = num - times_roots(self.num, others) * m
         return RatFunc._of_parts(num, {r: m + 1 for r, m in self.poles.items()})
 
     def evaluate(self, x):
@@ -310,8 +297,8 @@ class DiffOp:
         for c in self.coeffs:
             for r, m in c.poles.items():
                 poles[r] = max(poles.get(r, 0), m)
-        return (_times_poles(_ONE, poles),
-                [_times_poles(c.num, _excess(poles, c.poles)) for c in self.coeffs])
+        return (times_roots(_ONE, poles),
+                [times_roots(c.num, _excess(poles, c.poles)) for c in self.coeffs])
 
     # -- action ------------------------------------------------------------
     def apply_ratfunc(self, f: Coefficientable) -> RatFunc:

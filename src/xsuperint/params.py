@@ -57,6 +57,10 @@ class ModelParams:
                 f"p and q must each be at most {sys.float_info.max:.6g}, so "
                 f"that they and k = p/q are finite floats (got p = {self.p}, "
                 f"q = {self.q})")
+        if not sys.float_info.min <= self.wedge_span < math.inf:
+            raise ParameterDomainError(
+                f"the wedge span pi/(2k) must be a positive, normal, finite "
+                f"float (got {self.wedge_span} at k = {self.p}/{self.q})")
 
     @property
     def k(self) -> Fraction:

@@ -1,8 +1,10 @@
 """Exact univariate polynomials over the rationals, plus the classical and
 exceptional orthogonal families the rest of the package is built from.
 
-Scalars are `fractions.Fraction` throughout; nothing in this module touches
-floating point except the explicit `float_coeffs` helper.
+A `Poly` keeps integer numerators over one common denominator, so products,
+sums and exact division by x - r run on Python ints; coefficients and values
+come back as `fractions.Fraction`.  Nothing here touches floating point
+except `float_coeffs` and `evaluate` at a float.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParameterDomainError
 
@@ -48,20 +50,30 @@ def binomial_rational(z: RationalLike, j: int) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients, stored as
+    integer numerators over one common denominator.
 
-    coeffs[i] is the coefficient of x**i; trailing zeros are trimmed so the
-    representation is canonical and equality is structural.  The zero
-    polynomial is the empty tuple and reports degree -1.
+    nums[i] / den is the coefficient of x**i.  den > 0, gcd(den, *nums) == 1
+    and trailing zeros are trimmed, so the representation is canonical and
+    equality and hashing are structural.  The zero polynomial has nums == ()
+    and den == 1 and reports degree -1.  `coeffs` returns the coefficients as
+    Fractions for callers off the hot path.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+        self.nums, self.den = _reduced([c.numerator * (den // c.denominator)
+                                        for c in cs], den)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "Poly":
+        """sum_i nums[i] / den x^i for integers with den != 0; consumes nums."""
+        out = cls.__new__(cls)
+        out.nums, out.den = _reduced(nums, den)
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -82,48 +94,62 @@ class Poly:
 
     # -- basic queries -------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.nums, other.nums, self.den
+        if not b:
+            return self
+        if not a:
+            return other
+        if den != other.den:
+            g = math.gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            a, b, den = [n * fa for n in a], [n * fb for n in b], den * fa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        for i, n in enumerate(b):
+            out[i] += n
+        return Poly._of(out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Poly(out)
-        c = as_fraction(other)
-        return Poly(tuple(c * a for a in self.coeffs))
+            out = [0] * (len(a) + len(b) - 1)
+            for i, u in enumerate(a):
+                if u:
+                    for j, v in enumerate(b, i):
+                        out[j] += u * v
+            return Poly._of(out, self.den * other.den)
+        c = other if isinstance(other, int) else as_fraction(other)
+        return Poly._of([c.numerator * n for n in self.nums],
+                        c.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -140,38 +166,45 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- calculus / evaluation ------------------------------------------
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly._of([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def evaluate(self, x):
-        """Horner evaluation; exact for Fraction input, float for float input."""
-        acc = 0 if not isinstance(x, float) else 0.0
+        """Horner evaluation: a Fraction at an int or Fraction, by integer
+        Horner on the numerators of x = a/b; a float at a float, each
+        coefficient rounded once (as float(Fraction) does)."""
         if isinstance(x, float):
-            for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
+            acc, den = 0.0, self.den
+            for n in reversed(self.nums):
+                acc = acc * x + n / den
             return acc
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = as_fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for n in reversed(self.nums):       # acc = b^deg p(a/b) at the end
+            acc = acc * a + n * scale
+            scale *= b
+        return Fraction(acc, self.den * b ** max(self.degree, 0))
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        return [n / self.den for n in self.nums]
 
     def reflect(self) -> "Poly":
         """p(x) -> p(-x)."""
-        return Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return Poly._of([-n if i % 2 else n for i, n in enumerate(self.nums)],
+                        self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading()
-        return Poly(tuple(c / lead for c in self.coeffs))
+        return Poly._of(list(self.nums), self.nums[-1])
 
     # -- comparison --------------------------------------------------------
     def proportionality(self, other: "Poly"):
@@ -184,8 +217,10 @@ class Poly:
             return Fraction(0)
         if other.is_zero() or self.degree != other.degree:
             return None
-        c = self.leading() / other.leading()
-        return c if self == c * other else None
+        s, o = self.nums[-1], other.nums[-1]
+        if any(u * o != v * s for u, v in zip(self.nums, other.nums)):
+            return None
+        return Fraction(s * other.den, o * self.den)
 
     # -- formatting --------------------------------------------------------
     def pretty(self, var: str = "x") -> str:
@@ -193,7 +228,7 @@ class Poly:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = self.coeff(i)
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -213,19 +248,65 @@ class Poly:
         return f"Poly({self.pretty()})"
 
 
-def divide_root(coeffs: Sequence[Fraction], r: Fraction
-                ) -> tuple[Sequence[Fraction], Fraction]:
-    """Synthetic division of sum_i coeffs[i] x^i (at least one coefficient)
-    by (x - r): the quotient's coefficients and the remainder, which is the
-    value at r."""
-    if not r:
-        return coeffs[1:], coeffs[0]
-    quot = [Fraction(0)] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        quot[i] = acc
-        acc = coeffs[i] + r * acc
-    return quot, acc
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical (nums, den) of sum_i nums[i] / den x^i: trailing zeros
+    trimmed, den > 0 and gcd(den, *nums) == 1.  Consumes nums."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+def _divide_linear(nums: Sequence[int], a: int, b: int) -> list[int] | None:
+    """The integer Q with sum nums[i] x^i = (b x - a) Q, or None when b x - a
+    does not divide.  For coprime a, b > 0 this factor is primitive, so by
+    Gauss's lemma a rational quotient would be integral: the first inexact
+    step settles it."""
+    quot = [0] * (len(nums) - 1)
+    acc = 0
+    for i in range(len(nums) - 1, 0, -1):       # acc = Q[i-1]
+        acc, rem = divmod(nums[i] + a * acc, b)
+        if rem:
+            return None
+        quot[i - 1] = acc
+    return quot if nums[0] + a * acc == 0 else None
+
+
+def divide_root(p: Poly, r: Fraction, most: int = 1) -> tuple[Poly, int]:
+    """(q, k) with p = (x - r)^k q and k <= most as large as exact division
+    allows, for a nonzero p.  For r = a/b the integer numerators are divided
+    by the primitive b x - a, and q = b^k Q / den."""
+    a, b = r.numerator, r.denominator
+    nums, k = p.nums, 0
+    while k < most:
+        quot = _divide_linear(nums, a, b)
+        if quot is None:
+            break
+        nums, k = quot, k + 1
+    if not k:
+        return p, 0
+    scale = b ** k
+    return Poly._of([scale * n for n in nums], p.den), k
+
+
+def times_roots(p: Poly, roots: Mapping[Fraction, int]) -> Poly:
+    """p * prod (x - r)^m over the map {r: m}: the numerators are multiplied
+    by b x - a for r = a/b, and the denominator by b, m times each."""
+    if not roots:
+        return p
+    nums, den = list(p.nums), p.den
+    for r, m in roots.items():
+        a, b = r.numerator, r.denominator
+        for _ in range(m):      # coefficient i of (b x - a) N is b N[i-1] - a N[i]
+            nums = [b * u - a * v for u, v in zip([0] + nums, nums + [0])]
+        den *= b ** m
+    return Poly._of(nums, den)
 
 
 def lagrange_basis(xs: Sequence[Fraction]) -> list[tuple[Poly, Fraction]]:
@@ -233,12 +314,10 @@ def lagrange_basis(xs: Sequence[Fraction]) -> list[tuple[Poly, Fraction]]:
     pair (l_i, d_i) with l_i = prod_(j != i) (x - x_j) and d_i = l_i(x_i)."""
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    full = Poly.one()
-    for xj in xs:
-        full = full * Poly((-xj, 1))
+    full = times_roots(Poly.one(), dict.fromkeys(xs, 1))
     basis = []
     for xi in xs:
-        li = Poly(divide_root(full.coeffs, xi)[0])
+        li = divide_root(full, xi)[0]
         basis.append((li, li.evaluate(xi)))
     return basis
 
@@ -247,13 +326,11 @@ def lagrange_fit(basis: Sequence[tuple[Poly, Fraction]],
                  ys: Sequence[Fraction]) -> Poly:
     """The interpolant sum_i (y_i / d_i) l_i of the values ys at the nodes of
     `basis` (from `lagrange_basis`)."""
-    out = [Fraction(0)] * len(basis)
+    out = Poly.zero()
     for (li, di), yi in zip(basis, ys):
         if yi:
-            w = yi / di
-            for i, c in enumerate(li.coeffs):
-                out[i] += w * c
-    return Poly(out)
+            out = out + li * (yi / di)
+    return out
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -287,7 +364,7 @@ def jacobi_polynomial(n: int, alpha: Fraction, beta: Fraction) -> Poly:
         lin = Poly((alpha * alpha - beta * beta, (2 * j + s) * (2 * j + s - 2)))
         p_next = (lin * p_cur * (2 * j + s - 1)
                   - p_prev * (2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + s)))
-        p_prev, p_cur = p_cur, Poly(tuple(c / c0 for c in p_next.coeffs))
+        p_prev, p_cur = p_cur, p_next * (1 / c0)
     return p_cur
 
 

@@ -54,6 +54,8 @@ from xsuperint.verify import verification_report
 F = Fraction
 THREE_PAIRS = [(F(1), F(3)), (F(1, 2), F(5, 2)), (F(2), F(7, 2))]
 FOUR_RATIOS = [(1, 1), (2, 1), (1, 2), (3, 2)]          # k = 1, 2, 1/2, 3/2
+# the exact criteria 4 and 5 also run at k = 3/4, whose chains are 4-fold
+EXACT_RATIOS = FOUR_RATIOS + [(3, 4)]
 
 
 def report(idx: int, ok: bool, detail: str) -> None:
@@ -223,7 +225,7 @@ def test_acceptance_3_ladders_map_basis_to_basis():
 
 def test_acceptance_4_energy_fixing_and_degeneracy():
     problems = []
-    for p, q in FOUR_RATIOS:
+    for p, q in EXACT_RATIOS:
         params = ModelParams(F(1), F(3), p=p, q=q)
         for state in (QuantumState(p, 1), QuantumState(p + 1, 2)):
             step = composite_raising(state, params)
@@ -251,20 +253,21 @@ def test_acceptance_4_energy_fixing_and_degeneracy():
     report(4, not problems,
            "composite targets carry exactly equal rational energy and every "
            "degenerate level is a chain of (p,-q) steps for k in "
-           "{1, 2, 1/2, 3/2}" + (f"; problems: {problems}" if problems else ""))
+           "{1, 2, 1/2, 3/2, 3/4}" + (f"; problems: {problems}" if problems else ""))
 
 
 def test_acceptance_5_index_reflection_and_noncommutation():
     problems = []
-    for p, q in FOUR_RATIOS:
-        rep = parity_report(F(1), F(3), p, q, nmax=8)
+    for p, q in EXACT_RATIOS:
+        # the interpolation needs 2q + 3 index nodes: 11 at k = 3/4
+        rep = parity_report(F(1), F(3), p, q, nmax=max(8, 2 * q + 3))
         if not rep.ok:
             problems.append(f"chain reflection fails at p={p}, q={q}: "
                             f"{rep.details}")
     rep = parity_report(F(1, 2), F(5, 2), 1, 1, nmax=8)
     if not rep.ok:
         problems.append("chain reflection fails at the half-integer pair")
-    for p, q in FOUR_RATIOS:
+    for p, q in EXACT_RATIOS:
         params = ModelParams(F(1), F(3), p=p, q=q)
         for m in range(p, p + 3):
             for n in range(1, 4):
@@ -279,8 +282,9 @@ def test_acceptance_5_index_reflection_and_noncommutation():
                                     f"k={p}/{q}")
     report(5, not problems,
            "interpolated chain coefficients swap exactly under the "
-           "eigenroot reflection (n = 1..8) and the composites fail to "
-           "commute with the angular invariant on every interior state"
+           "eigenroot reflection (n = 1..8, 1..11 at k = 3/4) and the "
+           "composites fail to commute with the angular invariant on every "
+           "interior state, for k in {1, 2, 1/2, 3/2, 3/4}"
            + (f"; problems: {problems}" if problems else ""))
 
 

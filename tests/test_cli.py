@@ -268,7 +268,10 @@ def test_bad_rational_flag():
     ("export-wavefunction", "--q", "1" + "0" * 400, "--out", "wf"),
     ("verify", "--p", "1" + "0" * 300),
     ("spectrum", "--p", "1" + "0" * 308, "--emax", "5"),
-    ("verify", "--q", "7"),
+    ("verify", "--q", "9"),
+    ("orbit", "--p", "1" + "0" * 308),
+    ("orbit", "--q", "17976931348623157" + "0" * 292),
+    ("export-wavefunction", "--p", "1" + "0" * 308, "--out", "wf"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out, pass its path;
