@@ -127,13 +127,6 @@ def angular_operator_candidate(alpha: RationalLike, beta: RationalLike) -> DiffO
 # Exact eigenpolynomial solver
 # ---------------------------------------------------------------------------
 
-def _falling(i: int, j: int) -> int:
-    out = 1
-    for l in range(j):
-        out *= i - l
-    return out
-
-
 def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: Fraction) -> Poly:
     """The unique-up-to-scale polynomial u of exactly the given degree with
 
@@ -148,22 +141,13 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: Fraction) -> Poly
     shifted = op - DiffOp.identity().premultiply(Fraction(eigenvalue))
     _, cleared = shifted.cleared()
 
-    ncols = degree + 1
-    max_row = 0
-    for j, a in enumerate(cleared):
-        if not a.is_zero():
-            max_row = max(max_row, a.degree + degree - j)
-    rows = [[Fraction(0)] * ncols for _ in range(max_row + 1)]
-    for j, a in enumerate(cleared):
-        if a.is_zero():
-            continue
-        for i in range(j, ncols):
-            fall = _falling(i, j)
-            for t, coef in enumerate(a.coeffs):
-                if coef:
-                    rows[t + i - j][i] += fall * coef
+    def image(i: int) -> Poly:          # the cleared operator applied to x^i
+        out, term = Poly.zero(), Poly.x() ** i
+        for a in cleared:
+            out, term = out + a * term, term.derivative()
+        return out
 
-    basis = fraction_nullspace(rows, ncols)
+    basis = fraction_nullspace([[image(i) for i in range(degree + 1)]])
     if not basis:
         raise NoSolutionError(
             f"no polynomial of degree <= {degree} satisfies the cleared "

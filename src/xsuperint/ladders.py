@@ -270,18 +270,12 @@ def _solve_intertwiner(direction: str, fit: Sequence[tuple[Poly, Poly]],
     monic, and the result is validated on the held-out pairs."""
     # unknowns: a_0..a_first, c_0..c_zeroth, then one scalar per fit pair
     width = first_degree + zeroth_degree + 2
-    rows: list[list[Fraction]] = []
-    den = RatFunc(1, poles).den
-    for idx, (src, tgt) in enumerate(fit):
-        dsrc, image = src.derivative(), den * tgt
-        top = max(src.degree + max(first_degree - 1, zeroth_degree),
-                  image.degree)
-        rows += [[dsrc.coeff(s - j) for j in range(first_degree + 1)]
-                 + [src.coeff(s - j) for j in range(zeroth_degree + 1)]
-                 + [-image.coeff(s) if i == idx else Fraction(0)
-                    for i in range(len(fit))]
-                 for s in range(top + 1)]
-    basis = fraction_nullspace(rows, width + len(fit))
+    den, x = RatFunc(1, poles).den, Poly.x()
+    basis = fraction_nullspace([
+        [x ** j * src.derivative() for j in range(first_degree + 1)]
+        + [x ** j * src for j in range(zeroth_degree + 1)]
+        + [-(den * tgt) if i == idx else Poly.zero() for i in range(len(fit))]
+        for idx, (src, tgt) in enumerate(fit)])
     if len(basis) != 1 or basis[0][first_degree] == 0:
         raise VerificationError(
             f"{direction}-intertwiner ansatz has nullspace dimension "

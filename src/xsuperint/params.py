@@ -71,10 +71,6 @@ class ModelParams:
         return self.p / self.q
 
     @property
-    def b(self) -> Fraction:
-        return weight_pole(self.alpha, self.beta)
-
-    @property
     def wedge_span(self) -> float:
         """Angular width pi/(2k) of the open wedge."""
         return math.pi / (2 * self.k_float)

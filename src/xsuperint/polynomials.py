@@ -104,11 +104,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     def coeff(self, i: int) -> Fraction:
         return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 

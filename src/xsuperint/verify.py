@@ -282,11 +282,7 @@ def _resolve_free_scalar(alpha: Fraction, beta: Fraction, n: int
     tgt = exceptional_jacobi_closed_form(n + 1, alpha, beta)
     img0 = raising_intertwiner_candidate(alpha, beta, 0).apply_poly(src).as_poly()
     img1 = raising_intertwiner_candidate(alpha, beta, 1).apply_poly(src).as_poly()
-    slope = img1 - img0
-    deg = max(img0.degree, slope.degree, tgt.degree)
-    rows = [[slope.coeff(j), -tgt.coeff(j), img0.coeff(j)]
-            for j in range(deg + 1)]
-    basis = fraction_nullspace(rows, 3)
+    basis = fraction_nullspace([[img1 - img0, -tgt, img0]])
     particular = [v for v in basis if v[2] != 0]
     if len(basis) >= 2:
         return "any", None, None

@@ -384,8 +384,9 @@ def test_acceptance_8_cli_contract(tmp_path):
         if code != 0:
             problems.append(f"export exited {code}")
     for name in ("wavefunction_m1_n2.csv", "wavefunction_m1_n2.json"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        with open(os.path.join(out1, name), "rb") as f1, \
+                open(os.path.join(out2, name), "rb") as f2:
+            b1, b2 = f1.read(), f2.read()
         if b1 != b2:
             problems.append(f"{name} differs between identical runs")
     _, s1, _ = run_cli("spectrum", "--emax", "15", "--alpha", "1/2",

@@ -115,7 +115,8 @@ def test_export_wavefunction(tmp_path):
     assert len(lines) == 1 + 12 * 12
     vals = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert all(v > 0 for v in vals) or all(v < 0 for v in vals)
-    sidecar = json.loads(open(json_path).read())
+    with open(json_path) as fh:
+        sidecar = json.load(fh)
     assert set(sidecar) == {"m", "n", "alpha", "beta", "omega", "p", "q",
                             "energy"}
     assert sidecar["alpha"] == "1"
@@ -124,7 +125,8 @@ def test_export_wavefunction(tmp_path):
     code2, _, _ = run_cli("export-wavefunction", "--m", "0", "--n", "1",
                           "--grid", "12", "--out", out_dir)
     assert code2 == 0
-    assert open(csv_path).read() == text
+    with open(csv_path) as fh:
+        assert fh.read() == text
 
 
 def test_export_rejects_bad_state(tmp_path):
