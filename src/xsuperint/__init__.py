@@ -23,7 +23,6 @@ from .classical import (
     closure_report,
     conservation_drift,
     convergence_order,
-    equilibrium_state,
     integrate,
 )
 from .errors import (
@@ -103,7 +102,6 @@ __all__ = [
     "degeneracy_table",
     "energy",
     "energy_ratio",
-    "equilibrium_state",
     "exceptional_jacobi",
     "exceptional_jacobi_closed_form",
     "hamiltonian_residual",

@@ -14,9 +14,9 @@ fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme),
 whose step `rk8_step` is one straight-line function generated at import from
 the tableau; one stream of its steps, `trajectory`, which the drift
 measurement, the orbit-closure scan (with sub-step refinement) and the CLI's
-orbit table all read; analytic and numeric equilibrium/minimum oracles; and
-a convergence-order probe for the integrator itself.  Fixed step, fixed
-arithmetic order, no adaptivity: repeated runs are bit-identical.
+orbit table all read; and a convergence-order probe for the integrator
+itself.  Fixed step, fixed arithmetic order, no adaptivity: repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -93,46 +93,6 @@ def classical_energy(model: ClassicalModel, st: OrbitState) -> float:
 def angular_invariant(model: ClassicalModel, st: OrbitState) -> float:
     """The conserved angular quantity L1 = p_phi^2/k^2 + wedge potential."""
     return (st.pphi / model.k) ** 2 + wedge_potential(model, st.phi)
-
-
-def wedge_minimum_exact(model: ClassicalModel) -> tuple[float, float]:
-    """Closed-form minimum of the angular barrier: located where
-    tan^2(k phi) = A/B, with value (A + B)^2."""
-    a, b = model.alpha_strength, model.beta_strength
-    phi_star = math.atan(math.sqrt(a / b)) / model.k
-    return phi_star, (a + b) ** 2
-
-
-def wedge_minimum_numeric(model: ClassicalModel) -> tuple[float, float]:
-    """Independent oracle for the barrier minimum: golden-section search over
-    the open wedge to 1e-14 of its span, no derivative information used."""
-    lo = 1e-9 * model.wedge_span
-    hi = model.wedge_span * (1 - 1e-9)
-    inv = (math.sqrt(5) - 1) / 2
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1 = wedge_potential(model, x1)
-    f2 = wedge_potential(model, x2)
-    while hi - lo > 1e-14 * model.wedge_span:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = wedge_potential(model, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = wedge_potential(model, x2)
-    phi = 0.5 * (lo + hi)
-    return phi, wedge_potential(model, phi)
-
-
-def equilibrium_state(model: ClassicalModel) -> OrbitState:
-    """The circular fixed point of the flow: both momenta zero, the angle at
-    the barrier minimum, and r balancing the trap against the barrier:
-    r^2 = k (A + B) / omega."""
-    phi_star, wmin = wedge_minimum_exact(model)
-    r_star = math.sqrt(model.k * math.sqrt(wmin) / model.omega)
-    return OrbitState(r_star, phi_star, 0.0, 0.0)
 
 
 def _cooper_verner_tableau() -> tuple[list[list[float]], list[float]]:
@@ -406,15 +366,3 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
         raise StepSizeError(
             "convergence probe hit rounding floor on every step ladder rung")
     return best
-
-
-def time_reversal_error(model: ClassicalModel, start: OrbitState,
-                        t_span: float, dt: float) -> float:
-    """Integrate forward, flip the momenta, integrate forward again, flip
-    back: the result must be the initial state up to integration error."""
-    fwd = integrate(model, start, t_span, dt)
-    back = integrate(model, OrbitState(fwd.r, fwd.phi, -fwd.pr, -fwd.pphi),
-                     t_span, dt)
-    ref = start.as_tuple()
-    out = (back.r, back.phi, -back.pr, -back.pphi)
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(ref, out)))

@@ -127,6 +127,12 @@ def parse_state(text: str) -> tuple[float, ...]:
     return tuple(finite(part) for part in parts)
 
 
+def out_dir(text: str) -> str:
+    if os.path.exists(text) and not os.path.isdir(text):
+        raise ValueError("exists and is not a directory")
+    return text
+
+
 def parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -168,7 +174,7 @@ FLAGS = {
     "dt": Flag(positive, None, "integrator step"),
     "t_end": Flag(positive, None, "integration horizon"),
     "grid": Flag(grid_size, 40, "grid points per axis"),
-    "out": Flag(str, None, "output directory for files"),
+    "out": Flag(out_dir, None, "output directory for files"),
 }
 
 MODEL_FLAGS = ("alpha", "beta", "omega", "p", "q")
@@ -188,17 +194,21 @@ COMMANDS = {
 def load_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(
+                f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -340,13 +350,15 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _write_output(cfg: argparse.Namespace, basename: str, text: str) -> None:
-    if cfg.out is None:
-        return
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, basename)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_output(out: str, basename: str, text: str) -> None:
+    """Write `text` to out/basename, creating the directory, and say so."""
+    path = os.path.join(out, basename)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise XSuperintError(f"cannot write {path}: {exc}")
     print(f"wrote {path}")
 
 
@@ -397,7 +409,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
         }
         text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    _write_output(cfg, f"spectrum.{cfg.format}", text)
+    if cfg.out is not None:
+        _write_output(cfg.out, f"spectrum.{cfg.format}", text)
     return 0
 
 
@@ -435,15 +448,10 @@ def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
     }
     sidecar_text = json.dumps(sidecar, indent=2) + "\n"
 
-    out_dir = cfg.out if cfg.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, f"wavefunction_m{state.m}_n{state.n}")
-    with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(grid_text)
-    with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sidecar_text)
-    print(f"wrote {base}.csv")
-    print(f"wrote {base}.json")
+    out = cfg.out if cfg.out is not None else "."
+    base = f"wavefunction_m{state.m}_n{state.n}"
+    _write_output(out, base + ".csv", grid_text)
+    _write_output(out, base + ".json", sidecar_text)
     return 0
 
 
@@ -482,7 +490,7 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
             row = (t, *st, classical_energy(model, obs),
                    angular_invariant(model, obs))
             lines.append(",".join(fmt_float(v) for v in row))
-        _write_output(cfg, "orbit.csv", "\n".join(lines) + "\n")
+        _write_output(cfg.out, "orbit.csv", "\n".join(lines) + "\n")
     print(f"orbit: {len(samples)} samples over t = {fmt_float(t_end)}, "
           f"dt = {fmt_float(dt)}")
     print(f"energy drift {fmt_float(drift[0])}, invariant drift "

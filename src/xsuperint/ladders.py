@@ -449,13 +449,6 @@ def deformed_lowering_chain(n: RationalLike, q: int, alpha: RationalLike,
         alpha, beta)
 
 
-def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
-    out = Fraction(1)
-    for i in range(q):
-        out *= deformed_raising_action(as_fraction(n) + i, alpha, beta)
-    return out
-
-
 def claimed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
     """Transcribed q-fold raising coefficient:
     (-1)^q (n)_q (n+beta)_q (n+alpha)_q (n+alpha+beta)_q."""
@@ -613,12 +606,6 @@ def radial_raising_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
     a-2(p-1), rightmost first."""
     a = as_fraction(a)
     return _composed([radial_raising(a - 2 * i, eps) for i in range(p)])
-
-
-def radial_lowering_chain_action(m: int, a, p: int) -> Fraction:
-    """(-1)^p when the chain stays in the family (m >= p); 0 once it hits the
-    bottom."""
-    return Fraction(0) if m < p else Fraction((-1) ** p)
 
 
 def radial_raising_chain_action(m: int, a, p: int) -> Fraction:

@@ -8,8 +8,8 @@ multiplicity at each root, products add them, and `_cancel` removes the
 common factors by exact synthetic division at the poles; zero-testing and
 equality are structural.  A `DiffOp` is sum_j c_j(x) d^j with RatFunc
 coefficients c_j, normal-ordered with derivatives on the right; it supports
-composition, commutators, application to functions, and gauge conjugation by
-a factor known only through its logarithmic derivative.
+composition, application to functions, and gauge conjugation by a factor
+known only through its logarithmic derivative.
 
 The gauge trick is what keeps everything rational: the weight factors that
 dress the polynomial eigenfunctions involve irrational powers, but their log
@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import VerificationError
 from .polynomials import (Poly, RationalLike, as_fraction, divide_root,
                           times_roots)
 
@@ -90,10 +89,6 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return cls(Poly.one())
 
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.x())
-
     # -- queries ---------------------------------------------------------
     @property
     def den(self) -> Poly:
@@ -134,9 +129,6 @@ class RatFunc:
     def __sub__(self, other: Coefficientable) -> "RatFunc":
         return self + (-RatFunc.of(other))
 
-    def __rsub__(self, other: Coefficientable) -> "RatFunc":
-        return RatFunc.of(other) + (-self)
-
     def __mul__(self, other: Coefficientable) -> "RatFunc":
         if isinstance(other, (int, Fraction)):
             return RatFunc._of_parts(self.num * other, self.poles)
@@ -174,10 +166,10 @@ class RatFunc:
     def evaluate(self, x):
         return self.num.evaluate(x) / self.den.evaluate(x)
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_polynomial():
-            return self.num.pretty(var)
-        return f"({self.num.pretty(var)}) / ({self.den.pretty(var)})"
+            return self.num.pretty()
+        return f"({self.num.pretty()}) / ({self.den.pretty()})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.pretty()})"
@@ -203,21 +195,6 @@ class DiffOp:
     def identity(cls) -> "DiffOp":
         return cls((RatFunc.one(),))
 
-    @classmethod
-    def d(cls) -> "DiffOp":
-        return cls((RatFunc.zero(), RatFunc.one()))
-
-    # -- queries ------------------------------------------------------------
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, j: int) -> RatFunc:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else RatFunc.zero()
-
     # -- linear structure ------------------------------------------------
     def __add__(self, other: "DiffOp") -> "DiffOp":
         a, b = self.coeffs, other.coeffs
@@ -239,18 +216,6 @@ class DiffOp:
         g = RatFunc.of(f)
         return DiffOp(tuple(g * c for c in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, DiffOp):
-            return self.compose(other)
-        if isinstance(other, (int, Fraction)):
-            return self.premultiply(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.premultiply(other)
-        return NotImplemented
-
     # -- multiplicative structure ----------------------------------------
     def compose(self, other: "DiffOp") -> "DiffOp":
         """(A o B) f = A(B f), expanded to normal order by the Leibniz rule:
@@ -271,17 +236,6 @@ class DiffOp:
                     term = a * derivs[l] * math.comb(j, l)
                     out[j + i - l] = out[j + i - l] + term
         return DiffOp(out)
-
-    def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
-
-    def __pow__(self, n: int) -> "DiffOp":
-        if n < 0:
-            raise ValueError("negative operator power")
-        out = DiffOp.identity()
-        for _ in range(n):
-            out = out.compose(self)
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffOp) and self.coeffs == other.coeffs
@@ -315,17 +269,6 @@ class DiffOp:
     def apply_poly(self, p: Poly) -> RatFunc:
         return self.apply_ratfunc(RatFunc(p))
 
-    def apply_expect_poly(self, p: Poly) -> Poly:
-        """Apply to a polynomial and insist the image is again a polynomial.
-
-        Raises VerificationError when a pole survives — callers use this as a
-        hard check that an operator maps the family into itself."""
-        image = self.apply_poly(p)
-        if not image.is_polynomial():
-            raise VerificationError(
-                f"image is not a polynomial: denominator {image.den.pretty()}")
-        return image.as_poly()
-
     # -- gauge conjugation -----------------------------------------------
     def gauge_conjugate(self, logderiv: RatFunc) -> "DiffOp":
         """Return G A G^{-1} where (log G)' = logderiv.
@@ -345,20 +288,17 @@ class DiffOp:
         return out
 
     # -- formatting ----------------------------------------------------------
-    def pretty(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
+    def pretty(self) -> str:
         parts = []
-        for j in range(self.order, -1, -1):
-            c = self.coeff(j)
+        for j, c in reversed(list(enumerate(self.coeffs))):
             if c.is_zero():
                 continue
             dsym = "" if j == 0 else ("D" if j == 1 else f"D^{j}")
-            body = c.pretty(var)
+            body = c.pretty()
             if dsym:
                 body = f"[{body}]*{dsym}"
             parts.append(body)
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"DiffOp({self.pretty()})"

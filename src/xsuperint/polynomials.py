@@ -4,7 +4,7 @@ exceptional orthogonal families the rest of the package is built from.
 A `Poly` keeps integer numerators over one common denominator, so products,
 sums and exact division by x - r run on Python ints; coefficients and values
 come back as `fractions.Fraction`.  Nothing here touches floating point
-except `float_coeffs` and `evaluate` at a float.
+except `float_coeffs`.
 """
 
 from __future__ import annotations
@@ -171,15 +171,9 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._of([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
-    def evaluate(self, x):
-        """Horner evaluation: a Fraction at an int or Fraction, by integer
-        Horner on the numerators of x = a/b; a float at a float, each
-        coefficient rounded once (as float(Fraction) does)."""
-        if isinstance(x, float):
-            acc, den = 0.0, self.den
-            for n in reversed(self.nums):
-                acc = acc * x + n / den
-            return acc
+    def evaluate(self, x: RationalLike) -> Fraction:
+        """The Fraction p(x) at an int or Fraction x = a/b, by integer Horner
+        on the numerators."""
         x = as_fraction(x)
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
@@ -218,7 +212,7 @@ class Poly:
         return Fraction(s * other.den, o * self.den)
 
     # -- formatting --------------------------------------------------------
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_zero():
             return "0"
         parts: list[str] = []
@@ -231,7 +225,7 @@ class Poly:
             if i == 0:
                 body = f"{mag}"
             else:
-                xs = var if i == 1 else f"{var}^{i}"
+                xs = "x" if i == 1 else f"x^{i}"
                 body = xs if mag == 1 else f"{mag}*{xs}"
             if not parts:
                 parts.append(f"-{body}" if sign == "-" else body)
@@ -326,12 +320,6 @@ def lagrange_fit(basis: Sequence[tuple[Poly, Fraction]],
         if yi:
             out = out + li * (yi / di)
     return out
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact Lagrange interpolation through distinct rational nodes."""
-    basis = lagrange_basis([as_fraction(x) for x, _ in points])
-    return lagrange_fit(basis, [as_fraction(y) for _, y in points])
 
 
 # ---------------------------------------------------------------------------

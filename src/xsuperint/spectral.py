@@ -1,5 +1,5 @@
 """Numerical spectral layer: bound-state wavefunctions on the plane wedge,
-independent Hamiltonian-residual oracles, orthogonality quadrature, numeric
+an independent Hamiltonian-residual oracle, orthogonality quadrature, numeric
 cross-checks of the composite ladders, and exact degeneracy bookkeeping.
 
 Everything structural (polynomials, operators, coefficients) is taken from
@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .angular import (angular_potential, angular_potential_candidate,
-                      exceptional_jacobi)
+from .angular import angular_potential, exceptional_jacobi
 from .errors import (NumericalOverflowError, OutOfFamilyError, QuadratureError,
                      VerificationError)
 from .ladders import (composite_lowering, composite_raising,
@@ -117,8 +116,7 @@ def _interior_grid(params: ModelParams, nr: int, nphi: int, margin: float
 
 
 def hamiltonian_residual(state: QuantumState, params: ModelParams,
-                         nr: int = 60, nphi: int = 60,
-                         candidate_potential: bool = False) -> float:
+                         nr: int = 60, nphi: int = 60) -> float:
     """Independent oracle: max |H psi - E psi| / (|E| max |psi|) on an
     interior grid, with H = -Laplacian/2 + omega^2 r^2 / 2
     + (k^2 / 2 r^2) V(cos 2 k phi) applied through exact closed-form
@@ -127,9 +125,6 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     The derivative chain never reuses the eigenvalue identity being tested:
     radial and angular factors are differentiated symbol by symbol, so a wrong
     potential, gauge, eigenvalue, or polynomial shows up as an O(1) residual.
-    With candidate_potential=True the transcribed candidate deformation term
-    is used instead of the derived one — a deliberate negative control (the
-    residual then sits at O(1), which is how the candidate is scored).
     """
     alpha, beta = params.alpha, params.beta
     omega, kf = params.omega, params.k_float
@@ -173,9 +168,7 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     ang0 = w0
     ang2 = 4 * kf ** 2 * ((1 - x ** 2) * w2 - x * w1)
 
-    pot = (angular_potential_candidate(alpha, beta) if candidate_potential
-           else angular_potential(alpha, beta))
-    v_ang = _ratval(pot, x)
+    v_ang = _ratval(angular_potential(alpha, beta), x)
     rr = r[:, None]
     psi = np.outer(rad0, ang0)
     h_psi = (-0.5 * (np.outer(rad2, ang0) + np.outer(rad1 / r, ang0)
@@ -186,56 +179,26 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     return float(np.max(np.abs(h_psi - e_val * psi))) / scale
 
 
-def hamiltonian_residual_fd(state: QuantumState, params: ModelParams
-                            ) -> float:
-    """Second, fully independent residual oracle: the Laplacian by central
-    finite differences (step h = 1e-5) on the factored wavefunction, over a
-    12 x 12 interior grid.  Coarser accuracy (~h^2 * second-derivative scale)
-    but shares no derivative algebra with the analytic path."""
-    omega, kf = params.omega, params.k_float
-    alpha, beta = params.alpha, params.beta
-    a = params.k * angular_eigenroot(state.n, alpha, beta)
-    e_val = energy(state, params)
-    h = 1e-5
-    r, phi = _interior_grid(params, 12, 12, 0.05)
-
-    def rad(rv: np.ndarray) -> np.ndarray:
-        return radial_values(state.m, a, omega, rv)
-
-    def ang(pv: np.ndarray) -> np.ndarray:
-        return angular_values(state.n, params, pv)
-
-    r0, rp, rm = rad(r), rad(r + h), rad(r - h)
-    a0, ap, am = ang(phi), ang(phi + h), ang(phi - h)
-    d1r = (rp - rm) / (2 * h)
-    d2r = (rp - 2 * r0 + rm) / h ** 2
-    d2a = (ap - 2 * a0 + am) / h ** 2
-    v_ang = _ratval(angular_potential(alpha, beta),
-                    np.cos(2 * kf * phi))
-    rr = r[:, None]
-    psi = np.outer(r0, a0)
-    h_psi = (-0.5 * (np.outer(d2r, a0) + np.outer(d1r / r, a0)
-                     + np.outer(r0, d2a) / rr ** 2)
-             + (0.5 * omega ** 2 * rr ** 2
-                + (kf ** 2 / (2 * rr ** 2)) * v_ang[None, :]) * psi)
-    scale = abs(e_val) * float(np.max(np.abs(psi)))
-    return float(np.max(np.abs(h_psi - e_val * psi))) / scale
-
-
 # ---------------------------------------------------------------------------
 # Orthogonality quadrature
 # ---------------------------------------------------------------------------
 
-def angular_gram(alpha: Fraction, beta: Fraction, nmax: int,
-                 tol: float = 1e-13, max_order: int = 4096) -> np.ndarray:
+#: Agreement of two successive Gram matrices that certifies convergence,
+#: relative to the largest diagonal entry.
+GRAM_TOL = 1e-13
+#: The last order at which `angular_gram` still doubles the quadrature.
+GRAM_MAX_ORDER = 4096
+
+
+def angular_gram(alpha: Fraction, beta: Fraction, nmax: int) -> np.ndarray:
     """Normalized Gram matrix of the deformed polynomials under their true
     weight (1-x)^alpha (1+x)^beta / (b-x)^2 on [-1, 1].
 
     Gauss-Jacobi quadrature handles the classical part of the weight exactly;
     the (b-x)^-2 factor is analytic on the interval (the pole sits outside),
-    so doubling the order until two successive Gram matrices agree to `tol`
-    certifies convergence.  Returns G with unit diagonal; off-diagonal entries
-    measure any loss of orthogonality.
+    so doubling the order until two successive Gram matrices agree to
+    GRAM_TOL certifies convergence.  Returns G with unit diagonal;
+    off-diagonal entries measure any loss of orthogonality.
     """
     from scipy.special import roots_jacobi
 
@@ -250,17 +213,17 @@ def angular_gram(alpha: Fraction, beta: Fraction, nmax: int,
 
     order = 64
     prev = gram(order)
-    while order <= max_order:
+    while order <= GRAM_MAX_ORDER:
         order *= 2
         cur = gram(order)
         scale = float(np.max(np.abs(np.diag(cur))))
-        if float(np.max(np.abs(cur - prev))) < tol * scale:
+        if float(np.max(np.abs(cur - prev))) < GRAM_TOL * scale:
             d = 1.0 / np.sqrt(np.diag(cur))
             return cur * np.outer(d, d)
         prev = cur
     raise QuadratureError(
-        f"angular Gram quadrature did not converge to {tol} by order "
-        f"{max_order}")
+        f"angular Gram quadrature did not converge to {GRAM_TOL} by order "
+        f"{order}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +316,6 @@ class SpectralLevel:
     ratio: Fraction
     energy: float
     states: tuple[QuantumState, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.states)
 
 
 def degeneracy_table(params: ModelParams, emax: float) -> list[SpectralLevel]:

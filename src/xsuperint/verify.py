@@ -118,27 +118,23 @@ class CheckLine:
         return text
 
 
-def classify_claim(
-        rows: Sequence[tuple[str, Fraction, Fraction | Measurement]]
-        ) -> tuple[str, str]:
-    """Score a table of (label, claimed, measured) exact values.
+def classify_claim(rows: Sequence[tuple[str, Fraction, Measurement]]
+                   ) -> tuple[str, str]:
+    """Score a table of (label, claimed value, measurement) rows, each
+    measurement a measuring primitive's (coefficient, witness) output.
 
-    `measured` is an exact value or a measuring primitive's (coefficient,
-    witness) output; a None coefficient (the image left the family) scores
-    MISMATCH with its witness.  All ratios 1 -> MATCH; one common ratio
-    c != 1 -> NORMALIZATION(c); anything index-dependent -> MISMATCH with the
-    varying ratios as witness.  An empty table has nothing to score and
-    raises ValueError.
+    A None coefficient (the image left the family) scores MISMATCH with its
+    witness.  All ratios 1 -> MATCH; one common ratio c != 1 ->
+    NORMALIZATION(c); anything index-dependent -> MISMATCH with the varying
+    ratios as witness.  An empty table has nothing to score and raises
+    ValueError.
     """
     if not rows:
         raise ValueError("classify_claim needs at least one probe")
     ratios: list[tuple[str, Fraction]] = []
-    for label, claimed, measured in rows:
-        if isinstance(measured, tuple):
-            measured, witness = measured
-            if measured is None:
-                return MISMATCH, (f"image leaves the family — {label}: "
-                                  f"{witness}")
+    for label, claimed, (measured, witness) in rows:
+        if measured is None:
+            return MISMATCH, f"image leaves the family — {label}: {witness}"
         if measured == 0:
             if claimed == 0:
                 continue

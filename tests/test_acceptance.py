@@ -240,7 +240,7 @@ def test_acceptance_4_energy_fixing_and_degeneracy():
                                                                  params):
                 problems.append(f"lowering breaks energy at k={p}/{q}")
         levels = degeneracy_table(params, emax=40.0)
-        if not any(lv.multiplicity >= 2 for lv in levels):
+        if not any(len(lv.states) >= 2 for lv in levels):
             problems.append(f"no degenerate level below cutoff at k={p}/{q}")
         for lv in levels:
             if not degeneracy_chain_ok(lv, params):

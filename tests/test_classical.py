@@ -16,12 +16,9 @@ from xsuperint.classical import (
     closure_report,
     conservation_drift,
     convergence_order,
-    equilibrium_state,
     integrate,
-    time_reversal_error,
     trajectory,
-    wedge_minimum_exact,
-    wedge_minimum_numeric,
+    wedge_potential,
 )
 from xsuperint.errors import (ParameterDomainError, StepSizeError,
                               WedgeExitError)
@@ -141,9 +138,61 @@ def test_short_run_conserves():
     assert rep.invariant_drift < 1e-12
 
 
+def time_reversal_error(model: ClassicalModel, start: OrbitState,
+                        t_span: float, dt: float) -> float:
+    """Integrate forward, flip the momenta, integrate forward again, flip
+    back: the result must be the initial state up to integration error."""
+    fwd = integrate(model, start, t_span, dt)
+    back = integrate(model, OrbitState(fwd.r, fwd.phi, -fwd.pr, -fwd.pphi),
+                     t_span, dt)
+    ref = start.as_tuple()
+    out = (back.r, back.phi, -back.pr, -back.pphi)
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(ref, out)))
+
+
 def test_time_reversal():
     err = time_reversal_error(MODEL, START, 3.0, MODEL.radial_period / 256)
     assert err < 1e-10
+
+
+def wedge_minimum_exact(model: ClassicalModel) -> tuple[float, float]:
+    """Closed-form minimum of the angular barrier: located where
+    tan^2(k phi) = A/B, with value (A + B)^2."""
+    a, b = model.alpha_strength, model.beta_strength
+    phi_star = math.atan(math.sqrt(a / b)) / model.k
+    return phi_star, (a + b) ** 2
+
+
+def wedge_minimum_numeric(model: ClassicalModel) -> tuple[float, float]:
+    """Independent oracle for the barrier minimum: golden-section search over
+    the open wedge to 1e-14 of its span, no derivative information used."""
+    lo = 1e-9 * model.wedge_span
+    hi = model.wedge_span * (1 - 1e-9)
+    inv = (math.sqrt(5) - 1) / 2
+    x1 = hi - inv * (hi - lo)
+    x2 = lo + inv * (hi - lo)
+    f1 = wedge_potential(model, x1)
+    f2 = wedge_potential(model, x2)
+    while hi - lo > 1e-14 * model.wedge_span:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv * (hi - lo)
+            f1 = wedge_potential(model, x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv * (hi - lo)
+            f2 = wedge_potential(model, x2)
+    phi = 0.5 * (lo + hi)
+    return phi, wedge_potential(model, phi)
+
+
+def equilibrium_state(model: ClassicalModel) -> OrbitState:
+    """The circular fixed point of the flow: both momenta zero, the angle at
+    the barrier minimum, and r balancing the trap against the barrier:
+    r^2 = k (A + B) / omega."""
+    phi_star, wmin = wedge_minimum_exact(model)
+    r_star = math.sqrt(model.k * math.sqrt(wmin) / model.omega)
+    return OrbitState(r_star, phi_star, 0.0, 0.0)
 
 
 def test_equilibrium_is_stationary():

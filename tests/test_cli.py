@@ -274,16 +274,25 @@ def test_bad_rational_flag():
     ("orbit", "--p", "1" + "0" * 308),
     ("orbit", "--q", "17976931348623157" + "0" * 292),
     ("export-wavefunction", "--p", "1" + "0" * 308, "--out", "wf"),
+    ("spectrum", "--emax", "5", "--config", "# \u00b5"),
+    ("spectrum", "--emax", "5", "--config", None),
+    ("spectrum", "--emax", "5", "--out", "file"),
+    ("orbit", "--out", "file"),
+    ("export-wavefunction", "--grid", "4", "--out", "file"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
-    # a --config value here is the file's text: write it out, pass its path;
-    # an --out value is a directory name under tmp_path
+    # a --config value here is the file's text: write it out in Latin-1, so
+    # that a non-ASCII character is not UTF-8, and pass its path (None
+    # passes tmp_path, a directory); an --out value is a path under
+    # tmp_path, where "file" is an existing plain file
+    (tmp_path / "file").write_text("")
     argv = list(argv)
     if "--config" in argv:
         i = argv.index("--config") + 1
         path = tmp_path / "run.cfg"
-        path.write_text(argv[i] + "\n")
-        argv[i] = str(path)
+        if argv[i] is not None:
+            path.write_bytes((argv[i] + "\n").encode("latin-1"))
+        argv[i] = str(path if argv[i] is not None else tmp_path)
     if "--out" in argv:
         i = argv.index("--out") + 1
         argv[i] = str(tmp_path / argv[i])
@@ -302,6 +311,20 @@ def test_package_error_exits_1_with_one_error_line(argv, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (("spectrum", "--emax", "7"), "m,n,energy_ratio,energy,level\n"),
+    (("orbit",), ""),
+    (("export-wavefunction", "--grid", "4"), ""),
+])
+def test_unwritable_out_exits_1_with_one_error_line(argv, printed, tmp_path):
+    # --out under a plain file cannot be created: the writer reports it
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "file" / "sub"))
+    assert code == 1
+    assert out.startswith(printed) and "wrote" not in out
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 MODEL_FLAGS = {"--alpha", "--beta", "--omega", "--p", "--q", "--config"}

@@ -24,7 +24,6 @@ from xsuperint.ladders import (
     deformed_raising_action,
     deformed_raising_action_monic,
     deformed_raising_chain,
-    deformed_raising_chain_action,
     derive_lowering_intertwiner,
     derive_raising_intertwiner,
     jacobi_lowering,
@@ -44,7 +43,6 @@ from xsuperint.ladders import (
     radial_lowering_action,
     radial_lowering_candidate,
     radial_lowering_chain,
-    radial_lowering_chain_action,
     radial_raising,
     radial_raising_action,
     radial_raising_chain,
@@ -242,7 +240,7 @@ def test_backward_after_forward_intertwiner_is_polynomial(alpha, beta):
     middle = lowering_intertwiner(alpha, beta).compose(
         raising_intertwiner(alpha, beta))
     assert all(c.is_polynomial() for c in middle.coeffs)
-    assert middle.coeff(2) == RatFunc(Poly((-1, 0, 1)))
+    assert middle.coeffs[2] == RatFunc(Poly((-1, 0, 1)))
     # the shifted Jacobi operator plus a constant: diagonal on that family
     for n in range(4):
         action_coefficient(middle, shifted_jacobi(n, alpha, beta),
@@ -253,6 +251,14 @@ def test_chain_table_rejects_a_foreign_denominator():
     stray = DiffOp((RatFunc(1, {-1: 1}),))                 # 1/(x+1)
     with pytest.raises(VerificationError):
         _chain_value_table([stray], Fraction(2))
+
+
+def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
+    """The q-fold raising coefficient as the product of its one-steps."""
+    out = Fraction(1)
+    for i in range(q):
+        out *= deformed_raising_action(Fraction(n) + i, alpha, beta)
+    return out
 
 
 def test_deformed_chains_compose():
@@ -317,6 +323,12 @@ def test_radial_candidate_witnesses():
     img = radial_family_image(radial_lowering_candidate(a, radial_eps(1, a)),
                               1, a, a + 2)
     assert img.den.degree >= 1
+
+
+def radial_lowering_chain_action(m: int, a, p: int) -> Fraction:
+    """(-1)^p when the chain stays in the family (m >= p); 0 once it hits the
+    bottom."""
+    return Fraction(0) if m < p else Fraction((-1) ** p)
 
 
 def test_radial_chains():

@@ -6,14 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from xsuperint import spectral
+from xsuperint.angular import angular_potential, angular_potential_candidate
 from xsuperint.errors import NumericalOverflowError, QuadratureError
-from xsuperint.params import ModelParams, QuantumState, energy_ratio
+from xsuperint.params import (ModelParams, QuantumState, angular_eigenroot,
+                              energy, energy_ratio)
 from xsuperint.spectral import (
     angular_gram,
+    angular_values,
+    default_rmax,
     degeneracy_chain_ok,
     degeneracy_table,
     hamiltonian_residual,
-    hamiltonian_residual_fd,
     ladder_numeric_check,
     radial_values,
     wavefunction_on_grid,
@@ -64,10 +68,52 @@ def test_verify_residual_gate(p, q):
     assert worst < 1e-9
 
 
-def test_candidate_potential_is_a_negative_control():
-    res = hamiltonian_residual(QuantumState(0, 1), P13,
-                               candidate_potential=True)
+def test_candidate_potential_is_a_negative_control(monkeypatch):
+    # the transcribed candidate deformation term in place of the derived one
+    monkeypatch.setattr(spectral, "angular_potential",
+                        angular_potential_candidate)
+    res = hamiltonian_residual(QuantumState(0, 1), P13)
     assert res > 1e-2
+
+
+def hamiltonian_residual_fd(state: QuantumState, params: ModelParams
+                            ) -> float:
+    """Second, fully independent residual oracle: the Laplacian by central
+    finite differences (step h = 1e-5) on the factored wavefunction, over a
+    12 x 12 interior grid.  Coarser accuracy (~h^2 * second-derivative scale)
+    but shares no derivative algebra with the analytic path."""
+    omega, kf = params.omega, params.k_float
+    alpha, beta = params.alpha, params.beta
+    a = params.k * angular_eigenroot(state.n, alpha, beta)
+    e_val = energy(state, params)
+    h = 1e-5
+    rmax, span = default_rmax(params), params.wedge_span
+    r = np.linspace(0.05 * rmax, rmax * 0.95, 12)
+    phi = np.linspace(0.05 * span, span * 0.95, 12)
+
+    def rad(rv: np.ndarray) -> np.ndarray:
+        return radial_values(state.m, a, omega, rv)
+
+    def ang(pv: np.ndarray) -> np.ndarray:
+        return angular_values(state.n, params, pv)
+
+    r0, rp, rm = rad(r), rad(r + h), rad(r - h)
+    a0, ap, am = ang(phi), ang(phi + h), ang(phi - h)
+    d1r = (rp - rm) / (2 * h)
+    d2r = (rp - 2 * r0 + rm) / h ** 2
+    d2a = (ap - 2 * a0 + am) / h ** 2
+    pot = angular_potential(alpha, beta)
+    x = np.cos(2 * kf * phi)
+    v_ang = (np.polynomial.polynomial.polyval(x, pot.num.float_coeffs())
+             / np.polynomial.polynomial.polyval(x, pot.den.float_coeffs()))
+    rr = r[:, None]
+    psi = np.outer(r0, a0)
+    h_psi = (-0.5 * (np.outer(d2r, a0) + np.outer(d1r / r, a0)
+                     + np.outer(r0, d2a) / rr ** 2)
+             + (0.5 * omega ** 2 * rr ** 2
+                + (kf ** 2 / (2 * rr ** 2)) * v_ang[None, :]) * psi)
+    scale = abs(e_val) * float(np.max(np.abs(psi)))
+    return float(np.max(np.abs(h_psi - e_val * psi))) / scale
 
 
 def test_residual_fd_agrees():
@@ -89,9 +135,14 @@ def test_angular_gram_orthogonality(alpha, beta):
     assert np.allclose(np.diag(g), 1.0)
 
 
-def test_angular_gram_impossible_tolerance():
-    with pytest.raises(QuadratureError):
-        angular_gram(Fraction(1), Fraction(3), nmax=4, tol=0.0, max_order=256)
+def test_angular_gram_impossible_tolerance(monkeypatch):
+    # doubling stops after the order passes GRAM_MAX_ORDER: 128 and 256 are
+    # the two last orders computed past 64
+    monkeypatch.setattr(spectral, "GRAM_TOL", 0.0)
+    monkeypatch.setattr(spectral, "GRAM_MAX_ORDER", 128)
+    with pytest.raises(QuadratureError, match=r"did not converge to 0\.0 by "
+                       r"order 256$"):
+        angular_gram(Fraction(1), Fraction(3), nmax=4)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
@@ -128,7 +179,7 @@ def test_degeneracy_table_structure():
     assert all(lv.energy == float(lv.ratio) for lv in levels)
     # k = 1 at (1,3): E/omega = 2m + 2n + 4
     assert ratios[0] == 6
-    mult = {lv.ratio: lv.multiplicity for lv in levels}
+    mult = {lv.ratio: len(lv.states) for lv in levels}
     assert mult[Fraction(8)] == 2
     assert mult[Fraction(12)] == 4
     lv8 = next(lv for lv in levels if lv.ratio == 8)
@@ -138,7 +189,7 @@ def test_degeneracy_table_structure():
 def test_degeneracy_chain_step():
     params = kparams(3, 2)       # k = 3/2; within-level step (-3, +2)
     levels = degeneracy_table(params, emax=40.0)
-    fat = [lv for lv in levels if lv.multiplicity >= 2]
+    fat = [lv for lv in levels if len(lv.states) >= 2]
     assert fat, "expected at least one degenerate level below the cutoff"
     for lv in fat:
         assert degeneracy_chain_ok(lv, params)

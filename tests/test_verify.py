@@ -21,26 +21,35 @@ from xsuperint.verify import (classify_claim, normalization,
 F = Fraction
 
 
+def measured(c):
+    """A measuring primitive's (coefficient, witness) output for c."""
+    return F(c), "proportional"
+
+
 def test_classifier_match():
-    verdict, _ = classify_claim([("n=1", F(3), F(3)), ("n=2", F(-7), F(-7))])
+    verdict, _ = classify_claim([("n=1", F(3), measured(3)),
+                                 ("n=2", F(-7), measured(-7))])
     assert verdict == "MATCH"
 
 
 def test_classifier_normalization():
-    verdict, detail = classify_claim([("n=1", F(-3), F(3)),
-                                      ("n=2", F(7), F(-7))])
+    verdict, detail = classify_claim([("n=1", F(-3), measured(3)),
+                                      ("n=2", F(7), measured(-7))])
     assert verdict == normalization(F(-1)) == "NORMALIZATION(-1)"
     assert "-1" in detail
 
 
 def test_classifier_mismatch_on_index_dependent_ratio():
-    verdict, _ = classify_claim([("n=1", F(2), F(2)), ("n=2", F(9), F(3))])
+    verdict, _ = classify_claim([("n=1", F(2), measured(2)),
+                                 ("n=2", F(9), measured(3))])
     assert verdict == "MISMATCH"
 
 
 def test_classifier_mismatch_on_zero():
     # claim says zero where the measurement is not (or vice versa)
-    verdict, _ = classify_claim([("n=1", F(0), F(3))])
+    verdict, _ = classify_claim([("n=1", F(0), measured(3))])
+    assert verdict == "MISMATCH"
+    verdict, _ = classify_claim([("n=1", F(3), measured(0))])
     assert verdict == "MISMATCH"
 
 
@@ -82,7 +91,7 @@ def test_classifier_rejects_empty_table():
 
 def test_classifier_scores_image_off_the_family_as_mismatch():
     verdict, detail = classify_claim([
-        ("n = 1", F(2), (F(2), "proportional")),
+        ("n = 1", F(2), measured(2)),
         ("n = 2", F(3), (None, "image x not proportional to 1"))])
     assert verdict == "MISMATCH"
     assert detail == ("image leaves the family — n = 2: image x not "
@@ -167,7 +176,7 @@ def test_candidates_are_scored_against_the_derived_tables(
         monkeypatch, name, derived, section, line):
     # a candidate equal to twice the derived operator is off by a constant,
     # which only a comparison with the derived table can see
-    doubled = lambda *args: 2 * derived(*args)
+    doubled = lambda *args: derived(*args).premultiply(2)
     assert _verdict(monkeypatch, name, doubled, section, line
                     ) == "NORMALIZATION(1/2)"
 
@@ -192,7 +201,7 @@ def test_claim_tables_are_scored_against_the_measured_operator(
         monkeypatch, small_report, name, real, section, line):
     # a claim compared with a formula cannot see a doubled operator; one
     # compared with that operator's measured action must
-    monkeypatch.setattr(verify, name, lambda *args: 2 * real(*args))
+    monkeypatch.setattr(verify, name, lambda *args: real(*args).premultiply(2))
     rep = verification_report(F(1), F(3), nmax=3, mmax=2)
     doubled = next(ln for ln in rep.lines if (ln.section, ln.name)
                    == (section, line))
@@ -218,7 +227,7 @@ def test_chain_products_multiply_measured_steps(monkeypatch, small_report,
     # doubles it while the applied chain stays as it was
     line = PRODUCT_LINES[name]
     assert small_report[line].verdict == "MATCH"
-    monkeypatch.setattr(verify, name, lambda *args: 2 * real(*args))
+    monkeypatch.setattr(verify, name, lambda *args: real(*args).premultiply(2))
     rep = verification_report(F(1), F(3), nmax=3, mmax=2)
     doubled = next(ln for ln in rep.lines if (ln.section, ln.name) == line)
     assert doubled.verdict == "NORMALIZATION(2)"
