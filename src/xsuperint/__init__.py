@@ -14,7 +14,6 @@ from .angular import (
     angular_potential,
     angular_schrodinger_x,
     exceptional_jacobi,
-    reconcile_family,
     solve_eigenpolynomial,
 )
 from .classical import (
@@ -115,7 +114,6 @@ __all__ = [
     "radial_lowering",
     "radial_raising",
     "raising_intertwiner",
-    "reconcile_family",
     "solve_eigenpolynomial",
     "verification_report",
     "wavefunction_on_grid",

@@ -14,23 +14,21 @@ Pipeline, all exact:
 
 `angular_operator_candidate` is a verbatim transcription of a circulating
 closed form for the same operator.  It is kept, applied, and scored — never
-silently corrected: `reconcile_family` reports where the two constructions
-disagree.  (The candidate admits a degree-1 eigenpolynomial that differs from
-the closed-form family, and no eigenpolynomial at all for degree >= 2; the
-derived operator reproduces the closed-form family at every degree.)
+silently corrected: `verify.verification_report` scores where the two
+constructions disagree.  (The candidate admits a degree-1 eigenpolynomial
+that differs from the closed-form family, and no eigenpolynomial at all for
+degree >= 2; the derived operator reproduces the closed-form family at every
+degree.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .errors import NoSolutionError, NonUniqueSolutionError
 from .operators import DiffOp, RatFunc
-from .polynomials import (Poly, RationalLike, as_fraction,
-                          exceptional_jacobi_closed_form, weight_pole)
+from .polynomials import Poly, RationalLike, as_fraction, weight_pole
 from .params import angular_eigenroot
 from .utils import fraction_nullspace
 
@@ -194,55 +192,3 @@ def exceptional_jacobi_candidate_solve(n: int, alpha: RationalLike,
     op = angular_operator_candidate(alpha, beta)
     lam = angular_eigenroot(n, alpha, beta) ** 2
     return solve_eigenpolynomial(op, n, lam)
-
-
-# ---------------------------------------------------------------------------
-# Reconciliation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyReconcileRow:
-    n: int
-    closed_form: Poly
-    eigen: Poly
-    closed_vs_eigen: str          # MATCH / MISMATCH
-    ratio: Optional[Fraction]     # closed_form = ratio * eigen when MATCH
-    candidate_eigen: Optional[Poly]
-    candidate_verdict: str        # MATCH / MISMATCH / NO-SOLUTION
-    candidate_detail: str
-
-
-def reconcile_family(nmax: int, alpha: RationalLike, beta: RationalLike
-                     ) -> list[FamilyReconcileRow]:
-    """Compare, degree by degree, the closed-form family against (a) the
-    derived-operator eigenfamily and (b) the candidate-operator eigen-solve.
-    Emits MATCH/MISMATCH verdicts with both polynomials; never reconciles
-    silently.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-    rows = []
-    for n in range(1, nmax + 1):
-        closed = exceptional_jacobi_closed_form(n, alpha, beta)
-        eig = exceptional_jacobi(n, alpha, beta)
-        ratio = closed.proportionality(eig)
-        verdict = "MATCH" if ratio not in (None, 0) else "MISMATCH"
-        try:
-            cand = exceptional_jacobi_candidate_solve(n, alpha, beta)
-        except NoSolutionError as exc:
-            rows.append(FamilyReconcileRow(
-                n, closed, eig, verdict, ratio, None, "NO-SOLUTION",
-                f"candidate operator: {exc}"))
-            continue
-        cratio = closed.proportionality(cand)
-        if cratio not in (None, 0):
-            cverdict, detail = "MATCH", "candidate eigen-solve proportional to closed form"
-        else:
-            cverdict = "MISMATCH"
-            detail = (f"closed form {closed.pretty()} vs candidate-operator "
-                      f"eigen {cand.pretty()} — not proportional")
-        rows.append(FamilyReconcileRow(n, closed, eig, verdict, ratio, cand,
-                                       cverdict, detail))
-    return rows

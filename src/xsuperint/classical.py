@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParameterDomainError, StepSizeError, WedgeExitError
 from .params import ModelParams, omega_in_domain
@@ -65,15 +65,24 @@ class ClassicalModel:
         return math.pi / self.omega
 
 
-@dataclass(frozen=True)
-class OrbitState:
+class OrbitState(NamedTuple):
+    """A phase-space point (r, phi, p_r, p_phi).  A tuple, so everything
+    that reads one reads the plain 4-tuples `rk8_step` returns as well."""
     r: float
     phi: float
     pr: float
     pphi: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.r, self.phi, self.pr, self.pphi)
+
+#: Integrator steps per radial period wherever the step is not given.
+STEPS_PER_PERIOD = 256
+
+
+def default_start(model: ClassicalModel) -> OrbitState:
+    """The orbit start `verify --classical` and `orbit` use when none is
+    given: (r, phi, p_r, p_phi) = (1.7, 0.4, 0.3, 1.1), with phi at most
+    half the wedge."""
+    return OrbitState(1.7, min(0.4, 0.5 * model.wedge_span), 0.3, 1.1)
 
 
 def wedge_potential(model: ClassicalModel, phi: float) -> float:
@@ -84,15 +93,17 @@ def wedge_potential(model: ClassicalModel, phi: float) -> float:
             + model.beta_strength ** 2 / (c * c))
 
 
-def classical_energy(model: ClassicalModel, st: OrbitState) -> float:
-    return (0.5 * (st.pr ** 2 + (st.pphi / st.r) ** 2)
-            + 0.5 * model.omega ** 2 * st.r ** 2
-            + model.k ** 2 / (2 * st.r ** 2) * wedge_potential(model, st.phi))
+def classical_energy(model: ClassicalModel, state: tuple) -> float:
+    r, phi, pr, pphi = state
+    return (0.5 * (pr ** 2 + (pphi / r) ** 2)
+            + 0.5 * model.omega ** 2 * r ** 2
+            + model.k ** 2 / (2 * r ** 2) * wedge_potential(model, phi))
 
 
-def angular_invariant(model: ClassicalModel, st: OrbitState) -> float:
+def angular_invariant(model: ClassicalModel, state: tuple) -> float:
     """The conserved angular quantity L1 = p_phi^2/k^2 + wedge potential."""
-    return (st.pphi / model.k) ** 2 + wedge_potential(model, st.phi)
+    _, phi, _, pphi = state
+    return (pphi / model.k) ** 2 + wedge_potential(model, phi)
 
 
 def _cooper_verner_tableau() -> tuple[list[list[float]], list[float]]:
@@ -189,7 +200,7 @@ def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
         raise StepSizeError(f"integration time must be nonnegative and give "
                             f"a finite step count (got t_end = {t_end}, "
                             f"dt = {dt})")
-    state = start.as_tuple()
+    state = start
     span = model.wedge_span
     _check_inside(span, state, 0.0)
     nsteps = int(t_end / dt)
@@ -208,7 +219,7 @@ def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
 def integrate(model: ClassicalModel, start: OrbitState, t_end: float,
               dt: float) -> OrbitState:
     """The state `trajectory` ends in."""
-    state = start.as_tuple()
+    state = start
     for _, state in trajectory(model, start, t_end, dt):
         pass
     return OrbitState(*state)
@@ -222,9 +233,8 @@ def worst_drift(model: ClassicalModel, start: OrbitState,
     l0 = angular_invariant(model, start)
     de = dl = 0.0
     for state in states:
-        st = OrbitState(*state)
-        de = max(de, abs(classical_energy(model, st) - e0) / e0)
-        dl = max(dl, abs(angular_invariant(model, st) - l0) / l0)
+        de = max(de, abs(classical_energy(model, state) - e0) / e0)
+        dl = max(dl, abs(angular_invariant(model, state) - l0) / l0)
     return de, dl
 
 
@@ -239,8 +249,8 @@ class DriftReport:
 
 
 def conservation_drift(model: ClassicalModel, start: OrbitState,
-                       n_periods: float, steps_per_period: int = 256
-                       ) -> DriftReport:
+                       n_periods: float,
+                       steps_per_period: int = STEPS_PER_PERIOD) -> DriftReport:
     """Integrate for n_periods radial periods and report `worst_drift` over
     every 16th step."""
     duration = n_periods * model.radial_period
@@ -262,10 +272,10 @@ class ClosureReport:
 def closure_report(model: ClassicalModel, start: OrbitState,
                    max_time: float,
                    exclude: Optional[float] = None) -> ClosureReport:
-    """`scan_closure` of the orbit integrated to max_time at 256 steps per
-    radial period."""
-    dt = model.radial_period / 256
-    samples = [(0.0, start.as_tuple())]
+    """`scan_closure` of the orbit integrated to max_time at
+    STEPS_PER_PERIOD steps per radial period."""
+    dt = model.radial_period / STEPS_PER_PERIOD
+    samples = [(0.0, start)]
     samples += trajectory(model, start, max_time, dt)
     return scan_closure(model, samples, dt, exclude)
 
@@ -277,8 +287,9 @@ def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
 
     Coarse pass: every sample after an initial window (half a radial period
     by default, so the trivial t=0 match is not reported).  Fine pass:
-    re-integration across the best coarse bracket at dt/64, followed by a
-    parabolic fit of the squared distance around the best fine sample.  All
+    re-integration across the best coarse bracket at dt/64, keeping only the
+    fine samples in (exclude, time of the last sample], followed by a
+    parabolic fit of the squared distance around the best of them.  All
     arithmetic is fixed-step and deterministic.  Raises StepSizeError when no
     sample falls after the window.
     """
@@ -297,16 +308,23 @@ def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
         raise StepSizeError(f"closure scan window ({exclude:.6g}, "
                             f"{samples[-1][0]:.6g}] holds no step")
 
-    # fine pass across [t_{best-1}, t_{best+1}]
+    # fine pass across [t_{best-1}, t_{best+1}], kept inside the window
     lo = max(best_i - 1, 0)
-    t_lo, st_lo = samples[lo]
-    span_steps = (min(best_i + 1, len(samples) - 1) - lo) * 64
+    t_lo, state = samples[lo]
+    t_last = samples[-1][0]
     micro = dt / 64
-    fine: list[tuple[float, float]] = [(t_lo, dist2(st_lo))]
-    state = st_lo
-    for j in range(span_steps):
+    fine: list[tuple[float, float]] = []
+    if t_lo > exclude:
+        fine.append((t_lo, dist2(state)))
+    for j in range((min(best_i + 1, len(samples) - 1) - lo) * 64):
+        t = t_lo + (j + 1) * micro
+        if t > t_last:          # past a shortened last step
+            break
         state = rk8_step(model, state, micro)
-        fine.append((t_lo + (j + 1) * micro, dist2(state)))
+        if t > exclude:
+            fine.append((t, dist2(state)))
+    if not fine:                # the window holds less than one fine step
+        fine.append((samples[best_i][0], dist2(samples[best_i][1])))
     fj = min(range(len(fine)), key=lambda j: fine[j][1])
     t_best, d_best = fine[fj]
     if 0 < fj < len(fine) - 1:
@@ -324,10 +342,7 @@ def _richardson_order(model: ClassicalModel, start: OrbitState,
     """log2 error ratio between runs at (dt, dt/2) and (dt/2, dt/4), or None
     once the finer pair is at the rounding floor and the ratio means
     nothing."""
-    outs = []
-    for f in (1, 2, 4):
-        st = integrate(model, start, t_span, dt / f)
-        outs.append(st.as_tuple())
+    outs = [integrate(model, start, t_span, dt / f) for f in (1, 2, 4)]
     e1 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[0], outs[1])))
     e2 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[1], outs[2])))
     scale = math.sqrt(sum(v * v for v in outs[2]))

@@ -33,12 +33,13 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .classical import (
+    STEPS_PER_PERIOD,
     ClassicalModel,
-    OrbitState,
     angular_invariant,
     classical_energy,
     closure_report,
     conservation_drift,
+    default_start,
     scan_closure,
     trajectory,
     worst_drift,
@@ -160,7 +161,7 @@ FLAGS = {
     "q": Flag(int, 1, "denominator of k = p/q"),
     "nmax": Flag(at_least(2), 6, "angular index range for sweeps"),
     "mmax": Flag(at_least(1), 6, "radial index range for sweeps"),
-    "tol": Flag(finite, 1e-9, "residual tolerance for verify"),
+    "tol": Flag(positive, 1e-9, "residual tolerance for verify"),
     "classical": Flag(parse_bool, False,
                       "include classical drift/closure checks"),
     "emax": Flag(finite, None, "energy cutoff for the spectrum"),
@@ -286,10 +287,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
           f"k = {params.p}/{params.q}, tol = {fmt_float(cfg.tol)}")
     failed = False
 
-    ok = _eigen_identity_ok(alpha, beta, cfg.nmax)
-    failed |= not ok
-    print(f"{'PASS' if ok else 'FAIL'} eigen-identity: operator reproduces "
-          f"A_n^2 on every family member, n = 1..{cfg.nmax} (exact)")
+    def gate(ok: bool, text: str) -> None:
+        nonlocal failed
+        failed |= not ok
+        print(f"{'PASS' if ok else 'FAIL'} {text}")
+
+    gate(_eigen_identity_ok(alpha, beta, cfg.nmax),
+         f"eigen-identity: operator reproduces A_n^2 on every family member, "
+         f"n = 1..{cfg.nmax} (exact)")
 
     report = verification_report(alpha, beta, p=params.p, q=params.q,
                                  nmax=cfg.nmax, mmax=cfg.mmax)
@@ -300,48 +305,37 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     gram = angular_gram(alpha, beta, min(cfg.nmax, 6))
     off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
                     for j in range(gram.shape[1]) if i != j))
-    ok = off < 1e-12
-    failed |= not ok
-    print(f"{'PASS' if ok else 'FAIL'} orthogonality: worst relative "
-          f"off-diagonal Gram entry {fmt_float(off)} (limit 1e-12)")
+    gate(off < 1e-12, f"orthogonality: worst relative off-diagonal Gram "
+         f"entry {fmt_float(off)} (limit 1e-12)")
 
     states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
-    residuals = [hamiltonian_residual(s, params, nr=cfg.grid, nphi=cfg.grid)
-                 for s in states]
-    worst = max(residuals)
-    ok = worst < cfg.tol
-    failed |= not ok
-    print(f"{'PASS' if ok else 'FAIL'} residual: worst relative Schrodinger "
-          f"residual {fmt_float(worst)} over {len(states)} states "
-          f"(limit {fmt_float(cfg.tol)})")
+    worst = max(hamiltonian_residual(s, params, nr=cfg.grid, nphi=cfg.grid)
+                for s in states)
+    gate(worst < cfg.tol, f"residual: worst relative Schrodinger residual "
+         f"{fmt_float(worst)} over {len(states)} states "
+         f"(limit {fmt_float(cfg.tol)})")
 
     up = ladder_numeric_check(QuantumState(params.p, 1), params, raising=True)
     down = ladder_numeric_check(QuantumState(0, 1 + params.q), params,
                                 raising=False)
-    ok = all(r.status == "OK" and r.deviation < 1e-8
-             and r.ratio_error < 1e-10 for r in (up, down))
-    failed |= not ok
-    print(f"{'PASS' if ok else 'FAIL'} ladder closure: numeric images track "
-          f"the exact coefficients (deviation "
-          f"{fmt_float(max(up.deviation, down.deviation))}, ratio error "
-          f"{fmt_float(max(up.ratio_error, down.ratio_error))})")
+    gate(all(r.status == "OK" and r.deviation < 1e-8
+             and r.ratio_error < 1e-10 for r in (up, down)),
+         f"ladder closure: numeric images track the exact coefficients "
+         f"(deviation {fmt_float(max(up.deviation, down.deviation))}, ratio "
+         f"error {fmt_float(max(up.ratio_error, down.ratio_error))})")
 
     if cfg.classical:
         model = ClassicalModel.from_model_params(params)
-        seed = OrbitState(1.7, min(0.4, 0.5 * model.wedge_span), 0.3, 1.1)
+        seed = default_start(model)
         drift = conservation_drift(model, seed, 20)
-        ok = max(drift.energy_drift, drift.invariant_drift) < 1e-8
-        failed |= not ok
-        print(f"{'PASS' if ok else 'FAIL'} classical conservation: drift "
-              f"{fmt_float(max(drift.energy_drift, drift.invariant_drift))} "
-              f"over 20 radial periods")
+        drifted = max(drift.energy_drift, drift.invariant_drift)
+        gate(drifted < 1e-8, f"classical conservation: drift "
+             f"{fmt_float(drifted)} over 20 radial periods")
         closure = closure_report(model, seed,
                                  2.5 * params.q * model.radial_period)
-        ok = closure.distance < 1e-6
-        failed |= not ok
-        print(f"{'PASS' if ok else 'FAIL'} classical closure: normalized "
-              f"return distance {fmt_float(closure.distance)} at "
-              f"t = {fmt_float(closure.time)}")
+        gate(closure.distance < 1e-6, f"classical closure: normalized return "
+             f"distance {fmt_float(closure.distance)} at "
+             f"t = {fmt_float(closure.time)}")
 
     return 1 if failed else 0
 
@@ -350,8 +344,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _write_output(out: str, basename: str, text: str) -> None:
-    """Write `text` to out/basename, creating the directory, and say so."""
+def _write_output(out: str, basename: str, text: str) -> str:
+    """Write `text` to out/basename, creating the directory; returns the
+    line that says so."""
     path = os.path.join(out, basename)
     try:
         os.makedirs(out, exist_ok=True)
@@ -359,7 +354,7 @@ def _write_output(out: str, basename: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise XSuperintError(f"cannot write {path}: {exc}")
-    print(f"wrote {path}")
+    return f"wrote {path}"
 
 
 def _spectrum_size(params: ModelParams, emax: float) -> float:
@@ -408,9 +403,10 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
                       "level": lv} for m, n, ratio, e, lv in rows],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    sys.stdout.write(text)
+    shown = text
     if cfg.out is not None:
-        _write_output(cfg.out, f"spectrum.{cfg.format}", text)
+        shown += _write_output(cfg.out, f"spectrum.{cfg.format}", text) + "\n"
+    sys.stdout.write(shown)
     return 0
 
 
@@ -450,8 +446,8 @@ def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
 
     out = cfg.out if cfg.out is not None else "."
     base = f"wavefunction_m{state.m}_n{state.n}"
-    _write_output(out, base + ".csv", grid_text)
-    _write_output(out, base + ".json", sidecar_text)
+    print(_write_output(out, base + ".csv", grid_text))
+    print(_write_output(out, base + ".json", sidecar_text))
     return 0
 
 
@@ -462,11 +458,9 @@ def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
 def cmd_orbit(cfg: argparse.Namespace) -> int:
     params = model_params(cfg)
     model = ClassicalModel.from_model_params(params)
-    if cfg.state is not None:
-        start = OrbitState(*cfg.state)
-    else:
-        start = OrbitState(1.7, min(0.4, 0.5 * model.wedge_span), 0.3, 1.1)
-    dt = cfg.dt if cfg.dt is not None else model.radial_period / 256
+    start = cfg.state if cfg.state is not None else default_start(model)
+    dt = (cfg.dt if cfg.dt is not None
+          else model.radial_period / STEPS_PER_PERIOD)
     t_end = (cfg.t_end if cfg.t_end is not None
              else 2.5 * params.q * model.radial_period)
     if t_end < model.radial_period:
@@ -478,7 +472,7 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
         raise UsageError(f"the orbit to t = {t_end} at dt = {dt} takes "
                          f"more than {MAX_ROWS} steps")
 
-    samples = [(0.0, start.as_tuple())]
+    samples = [(0.0, start)]
     samples += trajectory(model, start, t_end, dt)
     drift = worst_drift(model, start, (st for _, st in samples))
     closure = scan_closure(model, samples, dt)
@@ -486,11 +480,10 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
     if cfg.out is not None:
         lines = ["t,r,phi,p_r,p_phi,H,L1"]
         for t, st in samples:
-            obs = OrbitState(*st)
-            row = (t, *st, classical_energy(model, obs),
-                   angular_invariant(model, obs))
+            row = (t, *st, classical_energy(model, st),
+                   angular_invariant(model, st))
             lines.append(",".join(fmt_float(v) for v in row))
-        _write_output(cfg.out, "orbit.csv", "\n".join(lines) + "\n")
+        print(_write_output(cfg.out, "orbit.csv", "\n".join(lines) + "\n"))
     print(f"orbit: {len(samples)} samples over t = {fmt_float(t_end)}, "
           f"dt = {fmt_float(dt)}")
     print(f"energy drift {fmt_float(drift[0])}, invariant drift "

@@ -406,25 +406,6 @@ def claimed_deformed_raising_action(n, alpha, beta) -> Fraction:
     return -deformed_raising_action(n, alpha, beta)
 
 
-def deformed_lowering_action_monic(n, alpha, beta) -> Fraction:
-    """One-step lowering coefficient on the *monic* deformed family — the
-    normalization the spectral layer uses."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
-    if n == 1:
-        return Fraction(0)
-    a_root = angular_eigenroot(n, alpha, beta)
-    return (deformed_lowering_action(n, alpha, beta)
-            * 2 * (n - 1) * (n + alpha + beta - 1)
-            / ((a_root - 2) * (a_root - 1)))
-
-
-def deformed_raising_action_monic(n, alpha, beta) -> Fraction:
-    """One-step raising coefficient on the monic deformed family."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
-    a_root = angular_eigenroot(n, alpha, beta)
-    return (n + alpha) * (n + beta) * a_root * (a_root + 1) / 2
-
-
 @lru_cache(maxsize=None)
 def deformed_raising_chain(n: RationalLike, q: int, alpha: RationalLike,
                            beta: RationalLike) -> DiffOp:
@@ -649,6 +630,16 @@ class CompositeStep:
     radial: DiffOp
 
 
+def _monic_rescale(source: QuantumState, target: QuantumState,
+                   alpha: Fraction, beta: Fraction) -> Fraction:
+    """lambda_target / lambda_source, lambda_j the leading coefficient of the
+    closed-form member of degree j: it turns a product of closed-form action
+    table entries into the coefficient between the monic members."""
+    def lead(n: int) -> Fraction:
+        return exceptional_jacobi_closed_form(n, alpha, beta).coeffs[-1]
+    return lead(target.n) / lead(source.n)
+
+
 def composite_raising(state: QuantumState, params: ModelParams) -> CompositeStep:
     """Trade p radial quanta for q angular ones: (m, n) -> (m-p, n+q) at
     exactly the same energy.  Raises OutOfFamilyError when m < p."""
@@ -663,9 +654,9 @@ def composite_raising(state: QuantumState, params: ModelParams) -> CompositeStep
         raise VerificationError("composite failed to preserve energy")
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     eps = radial_eps(state.m, a)
-    coeff = Fraction((-1) ** p)
+    coeff = Fraction((-1) ** p) * _monic_rescale(state, target, alpha, beta)
     for i in range(q):
-        coeff *= deformed_raising_action_monic(state.n + i, alpha, beta)
+        coeff *= deformed_raising_action(state.n + i, alpha, beta)
     return CompositeStep(
         source=state, target=target, coefficient=coeff,
         energy=energy_ratio(state, params), eps=eps,
@@ -688,9 +679,10 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
         raise VerificationError("composite failed to preserve energy")
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     eps = radial_eps(state.m, a)
-    coeff = radial_raising_chain_action(state.m, a, p)
+    coeff = (radial_raising_chain_action(state.m, a, p)
+             * _monic_rescale(state, target, alpha, beta))
     for i in range(q):
-        coeff *= deformed_lowering_action_monic(state.n - i, alpha, beta)
+        coeff *= deformed_lowering_action(state.n - i, alpha, beta)
     return CompositeStep(
         source=state, target=target, coefficient=coeff,
         energy=energy_ratio(state, params), eps=eps,

@@ -53,36 +53,49 @@ def default_rmax(params: ModelParams) -> float:
     return 6.0 / math.sqrt(params.omega)
 
 
-def radial_values(m: int, a: Fraction, omega: float, r: np.ndarray,
-                  poly: Optional[Poly] = None) -> np.ndarray:
-    """Gauged radial factor y^(a/2) e^(-y/2) Q(y) at y = omega r^2, assembled
-    in log space so large gauge exponents cannot overflow silently.  Q
-    defaults to the Laguerre polynomial L_m^(a)."""
-    if poly is None:
-        poly = laguerre_polynomial(m, a)
-    y = omega * np.asarray(r, dtype=float) ** 2
+def _radial_gauge(a: Fraction, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial gauge factor G = y^(a/2) e^(-y/2) at y = omega r^2 >= 0, with
+    its log derivatives (log G)' = a/(2y) - 1/2 and (log G)'' = -a/(2y^2),
+    which are infinite at y = 0.  G is assembled in log space, so a large
+    gauge exponent raises NumericalOverflowError instead of overflowing
+    silently."""
     c = float(a) / 2.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.where(y > 0, c * np.log(np.where(y > 0, y, 1.0)) - y / 2,
                           -np.inf if c > 0 else 0.0)
+        dlog, dlog2 = c / y - 0.5, -c / y ** 2
     finite = logmag[np.isfinite(logmag)]
     if finite.size and float(finite.max()) > _EXP_LIMIT:
         raise NumericalOverflowError(
             f"radial gauge factor exceeds float range: exponent "
             f"{float(finite.max()):.1f} > {_EXP_LIMIT}; shrink the grid or "
             f"the quantum numbers")
-    return np.exp(logmag) * _polyval(poly, y)
+    return np.exp(logmag), dlog, dlog2
 
 
-def angular_gauge_values(alpha: Fraction, beta: Fraction,
-                         x: np.ndarray) -> np.ndarray:
-    """Positive angular gauge g(x) = (1-x)^(alpha/2+1/4) (1+x)^(beta/2+1/4)
-    divided by (b-x); strictly positive on the open interval."""
+def radial_values(m: int, a: Fraction, omega: float, r: np.ndarray,
+                  poly: Optional[Poly] = None) -> np.ndarray:
+    """Gauged radial factor y^(a/2) e^(-y/2) Q(y) at y = omega r^2.  Q
+    defaults to the Laguerre polynomial L_m^(a)."""
+    if poly is None:
+        poly = laguerre_polynomial(m, a)
+    y = omega * np.asarray(r, dtype=float) ** 2
+    return _radial_gauge(a, y)[0] * _polyval(poly, y)
+
+
+def _angular_gauge(alpha: Fraction, beta: Fraction, x: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive angular gauge g(x) = (1-x)^e1 (1+x)^e2 / (b-x), with
+    e1 = alpha/2 + 1/4 and e2 = beta/2 + 1/4, on the open interval, and its
+    log derivatives (log g)' and (log g)''."""
     b = float(weight_pole(alpha, beta))
     e1 = float(alpha) / 2 + 0.25
     e2 = float(beta) / 2 + 0.25
-    x = np.asarray(x, dtype=float)
-    return np.power(1 - x, e1) * np.power(1 + x, e2) / (b - x)
+    g = np.power(1 - x, e1) * np.power(1 + x, e2) / (b - x)
+    dlog = -e1 / (1 - x) + e2 / (1 + x) + 1 / (b - x)
+    dlog2 = -e1 / (1 - x) ** 2 - e2 / (1 + x) ** 2 + 1 / (b - x) ** 2
+    return g, dlog, dlog2
 
 
 def angular_values(n: int, params: ModelParams, phi: np.ndarray,
@@ -92,7 +105,7 @@ def angular_values(n: int, params: ModelParams, phi: np.ndarray,
     if poly is None:
         poly = exceptional_jacobi(n, params.alpha, params.beta)
     x = np.cos(2 * params.k_float * np.asarray(phi, dtype=float))
-    return angular_gauge_values(params.alpha, params.beta, x) * _polyval(poly, x)
+    return _angular_gauge(params.alpha, params.beta, x)[0] * _polyval(poly, x)
 
 
 def wavefunction_on_grid(state: QuantumState, params: ModelParams,
@@ -134,30 +147,21 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
 
     # radial factor and its first two r-derivatives via u(y), y = omega r^2
     y = omega * r ** 2
-    c = float(a) / 2.0
     lag = laguerre_polynomial(state.m, a)
     l0 = _polyval(lag, y)
     l1 = _polyval(lag.derivative(), y)
     l2 = _polyval(lag.derivative().derivative(), y)
-    pref = np.exp(c * np.log(y) - y / 2)
-    if not np.all(np.isfinite(pref)):
-        raise NumericalOverflowError("radial gauge factor overflow on grid")
-    gy = c / y - 0.5
+    pref, gy, gy_p = _radial_gauge(a, y)
     u0 = pref * l0
     u1 = pref * (l1 + gy * l0)
-    u2 = pref * (l2 + 2 * gy * l1 + (gy ** 2 - c / y ** 2) * l0)
+    u2 = pref * (l2 + 2 * gy * l1 + (gy ** 2 + gy_p) * l0)
     rad0 = u0
     rad1 = 2 * omega * r * u1
     rad2 = 2 * omega * u1 + 4 * omega ** 2 * r ** 2 * u2
 
     # angular factor and its second phi-derivative via W(x), x = cos(2k phi)
     x = np.cos(2 * kf * phi)
-    b = float(weight_pole(alpha, beta))
-    e1 = float(alpha) / 2 + 0.25
-    e2 = float(beta) / 2 + 0.25
-    g = angular_gauge_values(alpha, beta, x)
-    gamma = -e1 / (1 - x) + e2 / (1 + x) + 1 / (b - x)
-    gamma_p = -e1 / (1 - x) ** 2 - e2 / (1 + x) ** 2 + 1 / (b - x) ** 2
+    g, gamma, gamma_p = _angular_gauge(alpha, beta, x)
     pol = exceptional_jacobi(state.n, alpha, beta)
     p0 = _polyval(pol, x)
     p1 = _polyval(pol.derivative(), x)

@@ -29,8 +29,10 @@ from .angular import (
     angular_potential,
     angular_potential_candidate,
     angular_schrodinger_x,
-    reconcile_family,
+    exceptional_jacobi,
+    exceptional_jacobi_candidate_solve,
 )
+from .errors import NoSolutionError
 from .ladders import (
     Measurement,
     action_report,
@@ -189,24 +191,41 @@ def _product_scored(section: str, name: str, label: str,
 # ---------------------------------------------------------------------------
 
 def _family_lines(alpha: Fraction, beta: Fraction, nmax: int) -> list[CheckLine]:
-    rows = reconcile_family(nmax, alpha, beta)
-    lines = []
-    if all(r.closed_vs_eigen == "MATCH" for r in rows):
-        ratios = ", ".join(f"n={r.n}: {r.ratio}" for r in rows[:3])
-        lines.append(CheckLine(
+    """The closed-form family against the derived-operator eigenfamily, and
+    against the candidate operator's eigen-solve, degree by degree."""
+    closed = {n: exceptional_jacobi_closed_form(n, alpha, beta)
+              for n in range(1, nmax + 1)}
+    ratios = {n: member.proportionality(exceptional_jacobi(n, alpha, beta))
+              for n, member in closed.items()}
+    bad = [n for n, ratio in ratios.items() if ratio in (None, 0)]
+    if bad:
+        lines = [CheckLine(
+            "eigenfamily", "closed-form family vs derived-operator eigenfamily",
+            MISMATCH, f"not proportional at n = {bad}")]
+    else:
+        shown = ", ".join(f"n={n}: {ratios[n]}" for n in list(ratios)[:3])
+        lines = [CheckLine(
             "eigenfamily",
             f"closed-form family vs derived-operator eigenfamily (n = 1..{nmax})",
             MATCH,
-            f"proportional at every degree; closed/monic leading ratios {ratios}, ..."))
-    else:
-        bad = [r.n for r in rows if r.closed_vs_eigen != "MATCH"]
-        lines.append(CheckLine(
-            "eigenfamily", "closed-form family vs derived-operator eigenfamily",
-            MISMATCH, f"not proportional at n = {bad}"))
-    for r in rows:
-        lines.append(CheckLine(
-            "eigenfamily", f"candidate-operator eigen-solve at n = {r.n}",
-            r.candidate_verdict, r.candidate_detail))
+            f"proportional at every degree; closed/monic leading ratios {shown}, ...")]
+    for n, member in closed.items():
+        name = f"candidate-operator eigen-solve at n = {n}"
+        try:
+            cand = exceptional_jacobi_candidate_solve(n, alpha, beta)
+        except NoSolutionError as exc:
+            lines.append(CheckLine("eigenfamily", name, NO_SOLUTION,
+                                   f"candidate operator: {exc}"))
+            continue
+        if member.proportionality(cand) not in (None, 0):
+            lines.append(CheckLine(
+                "eigenfamily", name, MATCH,
+                "candidate eigen-solve proportional to closed form"))
+        else:
+            lines.append(CheckLine(
+                "eigenfamily", name, MISMATCH,
+                f"closed form {member.pretty()} vs candidate-operator eigen "
+                f"{cand.pretty()} — not proportional"))
     return lines
 
 

@@ -26,7 +26,6 @@ from xsuperint.ladders import (
     deformed_lowering,
     deformed_lowering_chain,
     deformed_raising,
-    deformed_raising_action_monic,
     deformed_raising_chain,
     l1_noncommutation,
     lowering_intertwiner,

@@ -14,13 +14,13 @@ from xsuperint.angular import (
     angular_schrodinger_x,
     exceptional_jacobi,
     exceptional_jacobi_candidate_solve,
-    reconcile_family,
     solve_eigenpolynomial,
 )
 from xsuperint.errors import NoSolutionError, NonUniqueSolutionError
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import angular_eigenroot
 from xsuperint.polynomials import Poly, exceptional_jacobi_closed_form
+from xsuperint.verify import verification_report
 
 A13 = (Fraction(1), Fraction(3))
 PAIRS = [A13, (Fraction(1, 2), Fraction(5, 2)), (Fraction(2), Fraction(7, 2))]
@@ -110,15 +110,17 @@ def test_exceptional_jacobi_rejects_degree_zero():
 
 
 def test_reconcile_family_verdicts():
-    rows = reconcile_family(4, *A13)
-    assert [r.closed_vs_eigen for r in rows] == ["MATCH"] * 4
-    assert rows[0].candidate_verdict == "MISMATCH"
-    assert "x + 2" in rows[0].candidate_detail
-    assert "-1/2*x + 3/2" in rows[0].candidate_detail
-    assert all(r.candidate_verdict == "NO-SOLUTION" for r in rows[1:])
+    lines = [line for line in verification_report(*A13, nmax=4).lines
+             if line.section == "eigenfamily"]
+    assert lines[0].verdict == "MATCH"
+    assert [line.verdict for line in lines[1:]] == \
+        ["MISMATCH"] + ["NO-SOLUTION"] * 3
+    assert "x + 2" in lines[1].detail
+    assert "-1/2*x + 3/2" in lines[1].detail
     # measured closed/monic ratios for the first degrees
-    assert [r.ratio for r in rows] == [Fraction(-1, 2), Fraction(-3, 2),
-                                       Fraction(-7, 2), Fraction(-15, 2)]
+    assert "ratios n=1: -1/2, n=2: -3/2, n=3: -7/2, ..." in lines[0].detail
+    assert exceptional_jacobi_closed_form(4, *A13).proportionality(
+        exceptional_jacobi(4, *A13)) == Fraction(-15, 2)
 
 
 def test_candidate_potential_breaks_the_identity():

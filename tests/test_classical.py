@@ -17,6 +17,7 @@ from xsuperint.classical import (
     conservation_drift,
     convergence_order,
     integrate,
+    scan_closure,
     trajectory,
     wedge_potential,
 )
@@ -145,7 +146,7 @@ def time_reversal_error(model: ClassicalModel, start: OrbitState,
     fwd = integrate(model, start, t_span, dt)
     back = integrate(model, OrbitState(fwd.r, fwd.phi, -fwd.pr, -fwd.pphi),
                      t_span, dt)
-    ref = start.as_tuple()
+    ref = start
     out = (back.r, back.phi, -back.pr, -back.pphi)
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(ref, out)))
 
@@ -231,6 +232,21 @@ def test_no_closure_at_irrational_k():
     assert rep.distance > 0.01
 
 
+def test_closure_stays_in_its_window():
+    # the fine pass keeps to (exclude, last sample]: it reports neither the
+    # edge of the window nor, past a step longer than the window, the
+    # trivial return at t = 0; a window shorter than one fine step leaves
+    # the best coarse sample
+    T = MODEL.radial_period
+    rep = closure_report(MODEL, START, max_time=T / 2 + 0.01)
+    assert T / 2 < rep.time <= T / 2 + 0.01
+    rep = closure_report(MODEL, START, max_time=T / 2 + 1e-6)
+    assert rep.time == T / 2 + 1e-6
+    samples = [(0.0, START)] + list(trajectory(MODEL, START, 2.5 * T, 10.0))
+    rep = scan_closure(MODEL, samples, 10.0)
+    assert T / 2 < rep.time <= 2.5 * T
+
+
 def test_convergence_order():
     order = convergence_order(MODEL, START)
     assert order >= 8.0
@@ -275,7 +291,7 @@ def test_step_count_must_be_finite():
 def test_trajectory_lands_on_t_end():
     steps = list(trajectory(MODEL, START, 1.0, 0.3))
     assert [t for t, _ in steps] == [0.3, 0.6, 3 * 0.3, 1.0]
-    assert integrate(MODEL, START, 1.0, 0.3).as_tuple() == steps[-1][1]
+    assert integrate(MODEL, START, 1.0, 0.3) == steps[-1][1]
 
 
 def test_invariant_value_at_start():

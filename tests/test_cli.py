@@ -199,7 +199,7 @@ def test_orbit_closure_scans_its_own_samples():
     model = ClassicalModel.from_model_params(ModelParams(1, 3))
     start = OrbitState(1.7, 0.4, 0.3, 1.1)
     t_end = 2.5 * model.radial_period
-    samples = [(0.0, start.as_tuple())]
+    samples = [(0.0, start)]
     samples += trajectory(model, start, t_end, 0.01)
     own = scan_closure(model, samples, 0.01)
     assert own.time != closure_report(model, start, t_end).time
@@ -279,6 +279,8 @@ def test_bad_rational_flag():
     ("spectrum", "--emax", "5", "--out", "file"),
     ("orbit", "--out", "file"),
     ("export-wavefunction", "--grid", "4", "--out", "file"),
+    ("verify", "--tol", "0"),
+    ("verify", "--tol", "-1"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so
@@ -314,16 +316,17 @@ def test_package_error_exits_1_with_one_error_line(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv,printed", [
-    (("spectrum", "--emax", "7"), "m,n,energy_ratio,energy,level\n"),
+    (("spectrum", "--emax", "7"), ""),
     (("orbit",), ""),
     (("export-wavefunction", "--grid", "4"), ""),
 ])
 def test_unwritable_out_exits_1_with_one_error_line(argv, printed, tmp_path):
-    # --out under a plain file cannot be created: the writer reports it
+    # --out under a plain file cannot be created: the writer reports it,
+    # and every command writes before it prints
     (tmp_path / "file").write_text("")
     code, out, err = run_cli(*argv, "--out", str(tmp_path / "file" / "sub"))
     assert code == 1
-    assert out.startswith(printed) and "wrote" not in out
+    assert out == printed
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 

@@ -22,7 +22,6 @@ from xsuperint.ladders import (
     deformed_lowering_chain,
     deformed_raising,
     deformed_raising_action,
-    deformed_raising_action_monic,
     deformed_raising_chain,
     derive_lowering_intertwiner,
     derive_raising_intertwiner,
@@ -55,7 +54,8 @@ from xsuperint.ladders import (
 from xsuperint.ladders import _chain_value_table, _solve_intertwiner
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
-from xsuperint.polynomials import (Poly, exceptional_jacobi_closed_form,
+from xsuperint.polynomials import (Poly, as_fraction,
+                                   exceptional_jacobi_closed_form,
                                    jacobi_polynomial, laguerre_polynomial)
 
 A13 = (Fraction(1), Fraction(3))
@@ -348,6 +348,26 @@ def test_radial_chains():
     assert img == RatFunc.of(want)
 
 
+def deformed_lowering_action_monic(n, alpha, beta) -> Fraction:
+    """One-step lowering coefficient on the *monic* deformed family, a
+    closed formula of its own: the oracle for the composite coefficients,
+    which the package takes from the closed-form table instead."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    if n == 1:
+        return Fraction(0)
+    a_root = angular_eigenroot(n, alpha, beta)
+    return (deformed_lowering_action(n, alpha, beta)
+            * 2 * (n - 1) * (n + alpha + beta - 1)
+            / ((a_root - 2) * (a_root - 1)))
+
+
+def deformed_raising_action_monic(n, alpha, beta) -> Fraction:
+    """One-step raising coefficient on the monic deformed family."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
+    a_root = angular_eigenroot(n, alpha, beta)
+    return (n + alpha) * (n + beta) * a_root * (a_root + 1) / 2
+
+
 def test_composite_steps_preserve_energy():
     params = ModelParams(*A13)       # p = q = 1, k = 1
     step = composite_raising(QuantumState(2, 1), params)
@@ -375,6 +395,19 @@ def test_composite_coefficient_is_stepwise_product():
     expect = Fraction(-1) * deformed_raising_action_monic(2, *A13) \
         * deformed_raising_action_monic(3, *A13)
     assert step.coefficient == expect
+    # the lowering composite at k = 3/2 and 2/3: the radial p-fold raising
+    # coefficient times the monic one-step lowering coefficients
+    for p, q in ((3, 2), (2, 3)):
+        params = ModelParams(*A13, p=p, q=q)
+        state = QuantumState(1, 5)
+        step = composite_lowering(state, params)
+        assert step.target == QuantumState(1 + p, 5 - q)
+        a = params.k * angular_eigenroot(5, *A13)
+        expect = radial_raising_chain_action(1, a, p)
+        for i in range(q):
+            expect *= deformed_lowering_action_monic(5 - i, *A13)
+        assert expect != 0
+        assert step.coefficient == expect
 
 
 def test_l1_noncommutation_reference_value():
