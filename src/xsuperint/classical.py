@@ -15,15 +15,15 @@ whose step `rk8_step` is one straight-line function generated at import from
 the tableau; one stream of its steps, `trajectory`, which the drift
 measurement, the orbit-closure scan (with sub-step refinement) and the CLI's
 orbit table all read; and a convergence-order probe for the integrator
-itself.  Fixed step, fixed arithmetic order, no adaptivity: repeated runs
-are bit-identical.
+itself, which integrates each step size once across its three spans.  Fixed
+step, fixed arithmetic order, no adaptivity: repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParameterDomainError, StepSizeError, WedgeExitError
@@ -209,11 +209,18 @@ def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
         t = (i + 1) * dt
         _check_inside(span, state, t)
         yield t, state
-    rest = t_end - nsteps * dt
+    last = _land(model, state, t_end, nsteps * dt)
+    if last is not None:
+        yield t_end, last
+
+
+def _land(model: ClassicalModel, state: tuple, t_end: float, t: float):
+    """The shortened step from t onto t_end; None if the rest is rounding."""
+    rest = t_end - t
     if rest > 1e-15 * max(1.0, t_end):
         state = rk8_step(model, state, rest)
-        _check_inside(span, state, t_end)
-        yield t_end, state
+        _check_inside(model.wedge_span, state, t_end)
+        return state
 
 
 def integrate(model: ClassicalModel, start: OrbitState, t_end: float,
@@ -252,12 +259,16 @@ def conservation_drift(model: ClassicalModel, start: OrbitState,
                        n_periods: float,
                        steps_per_period: int = STEPS_PER_PERIOD) -> DriftReport:
     """Integrate for n_periods radial periods and report `worst_drift` over
-    every 16th step."""
+    every 16th step.  Raises StepSizeError if the run has no 16th step."""
     duration = n_periods * model.radial_period
     dt = model.radial_period / steps_per_period
-    steps = trajectory(model, start, duration, dt)
+    samples = islice(trajectory(model, start, duration, dt), 15, None, 16)
+    first = next(samples, None)
+    if first is None:
+        raise StepSizeError(f"a drift run of {int(duration / dt)} steps "
+                            f"samples none: it checks every 16th step")
     drift = worst_drift(model, start,
-                        (state for _, state in islice(steps, 15, None, 16)))
+                        (state for _, state in chain([first], samples)))
     return DriftReport(*drift, duration, int(duration / dt))
 
 
@@ -337,12 +348,10 @@ def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
     return ClosureReport(math.sqrt(d_best), t_best)
 
 
-def _richardson_order(model: ClassicalModel, start: OrbitState,
-                      t_span: float, dt: float) -> Optional[float]:
-    """log2 error ratio between runs at (dt, dt/2) and (dt/2, dt/4), or None
-    once the finer pair is at the rounding floor and the ratio means
-    nothing."""
-    outs = [integrate(model, start, t_span, dt / f) for f in (1, 2, 4)]
+def _richardson_order(outs: Sequence[tuple]) -> Optional[float]:
+    """log2 error ratio between the end states of runs at (dt, dt/2) and
+    (dt/2, dt/4), or None once the finer pair is at the rounding floor and
+    the ratio means nothing."""
     e1 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[0], outs[1])))
     e2 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[1], outs[2])))
     scale = math.sqrt(sum(v * v for v in outs[2]))
@@ -364,13 +373,37 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
     the truncation terms partially cancel, which corrupts the measured ratio
     in either direction.  Coarse rungs whose numerical orbit blows through
     the wedge wall are skipped, as are rungs at the rounding floor.  Raises
-    StepSizeError if no rung anywhere can be certified."""
+    StepSizeError if no rung anywhere can be certified.  Each step size is
+    one forward run across the spans, as far as the rungs read need, landing
+    on each span as `trajectory` does (so bit for bit `integrate`'s end
+    state); a full step out of the wedge fails every later span at it."""
+    period = model.radial_period
+    spans = [f * period for f in (0.7, 1.7, 2.7)]
+    # per step T/div: [full steps taken, the state they reach, the run]
+    runs = {div: [0, start, trajectory(model, start, spans[-1], period / div)]
+            for div in (16, 32, 64, 128, 256, 512, 1024)}
+    ends: dict = {}     # (span, div) -> end state, None if it left the wedge
+
+    def end_state(span: float, div: int) -> tuple:
+        if (span, div) not in ends:
+            ends[span, div] = None          # until it lands inside
+            run, dt = runs[div], period / div
+            nsteps = int(span / dt)
+            for _, run[1] in islice(run[2], nsteps - run[0]):
+                run[0] += 1
+            if run[0] == nsteps:            # else the run left the wedge
+                ends[span, div] = (_land(model, run[1], span, nsteps * dt)
+                                   or run[1])
+        if ends[span, div] is None:
+            raise WedgeExitError(f"orbit left the wedge by t = {span:.6g}")
+        return ends[span, div]
+
     best: Optional[float] = None
-    for span in (f * model.radial_period for f in (0.7, 1.7, 2.7)):
+    for span in spans:
         for div in (16, 32, 64, 128, 256):
             try:
-                order = _richardson_order(model, start, span,
-                                          model.radial_period / div)
+                order = _richardson_order(
+                    [end_state(span, div * f) for f in (1, 2, 4)])
             except WedgeExitError:
                 continue
             if order is None:

@@ -12,6 +12,8 @@ TEST_ORACLES = {
     "wedge_minimum_exact",
     "equilibrium_state",
     "time_reversal_error",
+    "reference_richardson_order",
+    "reference_convergence_order",
     "deformed_raising_chain_action",
     "radial_lowering_chain_action",
     "lagrange_interpolate",

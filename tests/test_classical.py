@@ -16,6 +16,7 @@ from xsuperint.classical import (
     closure_report,
     conservation_drift,
     convergence_order,
+    default_start,
     integrate,
     scan_closure,
     trajectory,
@@ -139,6 +140,21 @@ def test_short_run_conserves():
     assert rep.invariant_drift < 1e-12
 
 
+def test_drift_run_without_a_sample():
+    # every 16th step is checked: fewer steps check nothing, which must not
+    # read as zero drift
+    start = default_start(MODEL)
+    with pytest.raises(StepSizeError, match="12 steps"):
+        conservation_drift(MODEL, start, n_periods=0.05)
+    # 15 full steps and a shortened 16th: that 16th is checked
+    period = MODEL.radial_period
+    rep = conservation_drift(MODEL, start, n_periods=15.5 / 256)
+    steps = list(trajectory(MODEL, start, 15.5 / 256 * period, period / 256))
+    assert rep.steps == 15 and len(steps) == 16
+    assert ((rep.energy_drift, rep.invariant_drift)
+            == cm.worst_drift(MODEL, start, [steps[-1][1]]))
+
+
 def time_reversal_error(model: ClassicalModel, start: OrbitState,
                         t_span: float, dt: float) -> float:
     """Integrate forward, flip the momenta, integrate forward again, flip
@@ -250,6 +266,152 @@ def test_closure_stays_in_its_window():
 def test_convergence_order():
     order = convergence_order(MODEL, START)
     assert order >= 8.0
+
+
+def reference_richardson_order(model: ClassicalModel, start: OrbitState,
+                               t_span: float, dt: float):
+    """log2 error ratio between runs at (dt, dt/2) and (dt/2, dt/4), each a
+    fresh `integrate` from t = 0, or None at the rounding floor."""
+    outs = [integrate(model, start, t_span, dt / f) for f in (1, 2, 4)]
+    e1 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[0], outs[1])))
+    e2 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[1], outs[2])))
+    scale = math.sqrt(sum(v * v for v in outs[2]))
+    if e2 <= 1e-13 * max(scale, 1.0):
+        return None
+    return math.log2(e1 / e2)
+
+
+def reference_convergence_order(model: ClassicalModel,
+                                start: OrbitState) -> float:
+    """The convergence probe rung by rung: three fresh integrations from
+    t = 0 for every rung of every span, with the same skips, floor breaks
+    and maximum as `convergence_order`, which must equal it bit for bit."""
+    best = None
+    for span in (f * model.radial_period for f in (0.7, 1.7, 2.7)):
+        for div in (16, 32, 64, 128, 256):
+            try:
+                order = reference_richardson_order(model, start, span,
+                                                   model.radial_period / div)
+            except WedgeExitError:
+                continue
+            if order is None:
+                break
+            if best is None or order > best:
+                best = order
+    if best is None:
+        raise StepSizeError("no rung certified")
+    return best
+
+
+def probe_outcome(probe, model, start):
+    """The probe's float, spelled exactly, or the type of what it raised."""
+    try:
+        return repr(probe(model, start))
+    except Exception as exc:     # the exception type is the outcome compared
+        return type(exc)
+
+
+def assert_probe_matches_reference(model, start):
+    assert (probe_outcome(convergence_order, model, start)
+            == probe_outcome(reference_convergence_order, model, start))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 0.5, 1.5])
+def test_convergence_order_matches_the_reference_at_acceptance_ratios(k):
+    model = ClassicalModel(1.0, k, 1.0, 3.0)
+    assert_probe_matches_reference(model, default_start(model))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.1, 10), st.floats(0.2, 5), st.floats(0.05, 5),
+       st.floats(0.05, 5), st.floats(0.3, 3), st.floats(0.05, 0.95),
+       st.floats(-2, 2), st.floats(-2, 2))
+def test_convergence_order_matches_the_reference_anywhere(omega, k, a, b, r,
+                                                         frac, pr, pphi):
+    model = ClassicalModel(omega, k, a, b)
+    assert_probe_matches_reference(
+        model, OrbitState(r, frac * model.wedge_span, pr, pphi))
+
+
+def test_convergence_order_outside_the_wedge():
+    # every rung leaves at t = 0, so none can be certified
+    for start in (OrbitState(1.0, -0.1, 0.0, 1.0),
+                  OrbitState(1.0, 0.4, math.nan, 1.0)):
+        with pytest.raises(StepSizeError):
+            convergence_order(MODEL, start)
+        assert_probe_matches_reference(MODEL, start)
+
+
+def wedge_exits_at_t16(model, start):
+    """Which of the probe's three spans `integrate` leaves the wedge on at
+    its coarsest step T/16."""
+    period = model.radial_period
+    exits = []
+    for f in (0.7, 1.7, 2.7):
+        try:
+            integrate(model, start, f * period, period / 16)
+            exits.append(False)
+        except WedgeExitError:
+            exits.append(True)
+    return exits
+
+
+K2 = ClassicalModel(1.0, 2.0, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("model, start, exits", [
+    # acceptance 7's k = 2 orbit: a full step at T/16 leaves the wedge
+    # after 0.7 T, so the two longer spans at that step are exits
+    (K2, default_start(K2), [False, True, True]),
+    # the k = 2 certification of the orbits benchmark's first seed-1 pass:
+    # these two T/16 exits are the 2 in 140 probe integrations (0.014) that
+    # its traced classical.integrate.wedge_exits read while each rung
+    # integrated from t = 0
+    (K2, default_start(K2)._replace(r=1.700795, pr=0.300862, pphi=1.098669),
+     [False, True, True]),
+    # only the shortened last step onto 0.7 T leaves: the run goes on, and
+    # 1.7 T at the same step is no exit
+    (ClassicalModel(1.0, 2.0, 0.25, 0.53), OrbitState(2.49, 0.3, 1.78, 1.85),
+     [True, False, True]),
+])
+def test_convergence_order_wedge_exits_on_longer_spans(model, start, exits):
+    assert wedge_exits_at_t16(model, start) == exits
+    assert_probe_matches_reference(model, start)
+
+
+@pytest.mark.parametrize("model, start", [
+    (MODEL, default_start(MODEL)),
+    # where a shortened step alone leaves the wedge (see above)
+    (ClassicalModel(1.0, 2.0, 0.25, 0.53), OrbitState(2.49, 0.3, 1.78, 1.85)),
+])
+def test_convergence_order_takes_each_step_once(monkeypatch, model, start):
+    # one forward run per step size T/div: at most int(2.7 T / dt) full
+    # steps, plus one shortened step onto each span the run lands on
+    real = cm.rk8_step
+    period = model.radial_period
+    divs = {period / div: div for div in (16, 32, 64, 128, 256, 512, 1024)}
+    level_of = {}           # a full step's result -> its div
+    full, landings = {}, {}
+
+    def recording(m, state, dt):
+        out = real(m, state, dt)
+        if dt in divs:
+            full[divs[dt]] = full.get(divs[dt], 0) + 1
+            level_of[out] = divs[dt]
+        else:
+            landings.setdefault(level_of.get(state, "start"), []).append(state)
+        return out
+
+    monkeypatch.setattr(cm, "rk8_step", recording)
+    convergence_order(model, start)
+    for div, count in full.items():
+        assert count <= int(2.7 * period / (period / div))
+    assert "start" not in landings
+    for states in landings.values():
+        assert len(states) == len(set(states)) <= 3
+    if model == MODEL:
+        # 7,924 steps when every rung integrated its spans from t = 0
+        assert sum(full.values()) + sum(map(len, landings.values())) < 2800
 
 
 def test_wedge_exit():
