@@ -241,12 +241,11 @@ class LadderNumericReport:
     status is "OK" when the image is a clean multiple of the predicted target
     state, or "ANNIHILATED" when the chain exactly kills the state (bottom of
     a tower).  deviation is the max-norm shape mismatch after fitting the best
-    constant; ratio_error compares that constant with the exact coefficient.
+    constant; ratio_error compares that constant with the exact coefficient
+    (None for an annihilated state, which has neither).
     """
     status: str
     deviation: float
-    coefficient_exact: Optional[Fraction]
-    coefficient_fit: Optional[float]
     ratio_error: Optional[float]
 
 
@@ -286,7 +285,7 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
         if not (ang_img.is_zero() or rad_img.is_zero()):
             raise VerificationError(
                 "composite ladder left the family without annihilating")
-        return LadderNumericReport("ANNIHILATED", 0.0, None, None, None)
+        return LadderNumericReport("ANNIHILATED", 0.0, None)
 
     if not rad_img.is_polynomial():
         raise VerificationError(
@@ -304,9 +303,8 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
     fit = float(flat_i @ flat_t) / float(flat_t @ flat_t)
     scale = float(np.max(np.abs(fit * tgt)))
     deviation = float(np.max(np.abs(img - fit * tgt))) / scale
-    exact = step.coefficient
-    ratio_error = abs(fit / float(exact) - 1.0)
-    return LadderNumericReport("OK", deviation, exact, fit, ratio_error)
+    ratio_error = abs(fit / float(step.coefficient) - 1.0)
+    return LadderNumericReport("OK", deviation, ratio_error)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +346,3 @@ def degeneracy_table(params: ModelParams, emax: float) -> list[SpectralLevel]:
         levels.append(SpectralLevel(ratio, params.omega * float(ratio), states))
     return levels
 
-
-def degeneracy_chain_ok(level: SpectralLevel, params: ModelParams) -> bool:
-    """Within one level, consecutive states (ordered by angular index) must
-    differ by exactly the composite-ladder step (-p, +q) in (m, n): the
-    degeneracy is generated by the composites, not accidental."""
-    for s, t in zip(level.states, level.states[1:]):
-        if t.m != s.m - params.p or t.n != s.n + params.q:
-            return False
-    return True

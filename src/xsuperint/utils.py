@@ -1,4 +1,5 @@
-"""Exact linear algebra shared by the solvers.
+"""Helpers shared across modules: exact linear algebra for the solvers, and
+the one format of every float the program prints.
 
 Every exact solve in the package is a linear ansatz: unknown rational
 scalars v_j, each with a known polynomial image, and one or more polynomial
@@ -14,6 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import Poly
+
+
+def fmt_float(x: float) -> str:
+    """17 significant digits: enough to round-trip any float64 exactly."""
+    return f"{x:.17g}"
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -16,23 +16,31 @@ The scorecard never reconciles silently: a candidate that fails is reported
 with a concrete witness (the offending polynomial, the surviving pole, the
 index-dependent ratio), and a claim that is merely a sign convention away
 from the measurement is labelled as such rather than rounded up to MATCH.
+
+The gates of `verify` are PASS or FAIL: the exact eigen-identity, the float
+orthogonality, residual and ladder closure, and on request the classical
+conservation and closure.  Only a FAIL fails a run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .angular import (
     angular_gauge_logderiv,
+    angular_operator,
     angular_potential,
     angular_potential_candidate,
     angular_schrodinger_x,
     exceptional_jacobi,
     exceptional_jacobi_candidate_solve,
 )
-from .errors import NoSolutionError
+from .classical import (ClassicalModel, closure_report, conservation_drift,
+                        default_start)
+from .errors import NoSolutionError, XSuperintError
 from .ladders import (
     Measurement,
     action_report,
@@ -92,12 +100,15 @@ from .polynomials import (
     jacobi_polynomial,
 )
 from .operators import DiffOp
-from .utils import fraction_nullspace
+from .spectral import angular_gram, hamiltonian_residual, ladder_numeric_check
+from .utils import fmt_float, fraction_nullspace
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
 NO_SOLUTION = "NO-SOLUTION"
 UNRESOLVABLE = "UNRESOLVABLE"
+PASS = "PASS"
+FAIL = "FAIL"
 
 
 def normalization(c: Fraction) -> str:
@@ -106,14 +117,21 @@ def normalization(c: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CheckLine:
-    """One scored formula: which section it belongs to, what was checked,
-    the verdict, and a witness for anything that is not a plain MATCH."""
+    """One scored formula or gate: which section it belongs to, what was
+    checked, the verdict, and a witness for anything that is not a plain
+    MATCH (a gate's is its measured value and limit)."""
     section: str
     name: str
     verdict: str
     detail: str = ""
 
+    @property
+    def is_gate(self) -> bool:
+        return self.verdict in (PASS, FAIL)
+
     def format(self) -> str:
+        if self.is_gate:
+            return f"{self.verdict} {self.name}: {self.detail}"
         text = f"[{self.verdict}] {self.name}"
         if self.detail:
             text += f" -- {self.detail}"
@@ -190,11 +208,25 @@ def _product_scored(section: str, name: str, label: str,
 # Section builders
 # ---------------------------------------------------------------------------
 
-def _family_lines(alpha: Fraction, beta: Fraction, nmax: int) -> list[CheckLine]:
-    """The closed-form family against the derived-operator eigenfamily, and
-    against the candidate operator's eigen-solve, degree by degree."""
-    closed = {n: exceptional_jacobi_closed_form(n, alpha, beta)
-              for n in range(1, nmax + 1)}
+def _eigen_identity_line(alpha: Fraction, beta: Fraction,
+                         closed: dict[int, Poly]) -> CheckLine:
+    """Gate: the derived operator maps each closed-form member to A_n^2
+    times itself, exactly."""
+    op = angular_operator(alpha, beta)
+    ok = all(action_report(op, member, member)[0]
+             == angular_eigenroot(n, alpha, beta) ** 2
+             for n, member in closed.items())
+    return CheckLine(
+        "eigenfamily", "eigen-identity", PASS if ok else FAIL,
+        f"operator reproduces A_n^2 on every family member, "
+        f"n = 1..{len(closed)} (exact)")
+
+
+def _family_lines(alpha: Fraction, beta: Fraction, closed: dict[int, Poly]
+                  ) -> list[CheckLine]:
+    """The closed-form family `closed` (degree -> member, n = 1..nmax)
+    against the derived-operator eigenfamily, and against the candidate
+    operator's eigen-solve, degree by degree."""
     ratios = {n: member.proportionality(exceptional_jacobi(n, alpha, beta))
               for n, member in closed.items()}
     bad = [n for n, ratio in ratios.items() if ratio in (None, 0)]
@@ -206,7 +238,8 @@ def _family_lines(alpha: Fraction, beta: Fraction, nmax: int) -> list[CheckLine]
         shown = ", ".join(f"n={n}: {ratios[n]}" for n in list(ratios)[:3])
         lines = [CheckLine(
             "eigenfamily",
-            f"closed-form family vs derived-operator eigenfamily (n = 1..{nmax})",
+            f"closed-form family vs derived-operator eigenfamily "
+            f"(n = 1..{len(closed)})",
             MATCH,
             f"proportional at every degree; closed/monic leading ratios {shown}, ...")]
     for n, member in closed.items():
@@ -545,63 +578,146 @@ def _composite_lines(params: ModelParams, nmax: int) -> list[CheckLine]:
     return lines
 
 
+def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
+                classical: bool) -> Iterator[CheckLine]:
+    """The float gates, then with `classical` the classical ones, each
+    yielded as soon as it is measured."""
+    alpha, beta = params.alpha, params.beta
+    gram = angular_gram(alpha, beta, min(nmax, 6))
+    off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
+                    for j in range(gram.shape[1]) if i != j))
+    yield CheckLine(
+        "spectral", "orthogonality", PASS if off < 1e-12 else FAIL,
+        f"worst relative off-diagonal Gram entry {fmt_float(off)} "
+        f"(limit 1e-12)")
+
+    states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
+    worst = max(hamiltonian_residual(s, params, nr=grid, nphi=grid)
+                for s in states)
+    yield CheckLine(
+        "spectral", "residual", PASS if worst < tol else FAIL,
+        f"worst relative Schrodinger residual {fmt_float(worst)} over "
+        f"{len(states)} states (limit {fmt_float(tol)})")
+
+    up = ladder_numeric_check(QuantumState(params.p, 1), params, raising=True)
+    down = ladder_numeric_check(QuantumState(0, 1 + params.q), params,
+                                raising=False)
+    ok = all(r.status == "OK" and r.deviation < 1e-8 and r.ratio_error < 1e-10
+             for r in (up, down))
+    yield CheckLine(
+        "spectral", "ladder closure", PASS if ok else FAIL,
+        f"numeric images track the exact coefficients (deviation "
+        f"{fmt_float(max(up.deviation, down.deviation))}, ratio error "
+        f"{fmt_float(max(up.ratio_error, down.ratio_error))})")
+
+    if classical:
+        model = ClassicalModel.from_model_params(params)
+        seed = default_start(model)
+        drift = conservation_drift(model, seed, 20)
+        drifted = max(drift.energy_drift, drift.invariant_drift)
+        yield CheckLine(
+            "classical", "classical conservation",
+            PASS if drifted < 1e-8 else FAIL,
+            f"drift {fmt_float(drifted)} over 20 radial periods")
+        closure = closure_report(model, seed,
+                                 2.5 * params.q * model.radial_period)
+        yield CheckLine(
+            "classical", "classical closure",
+            PASS if closure.distance < 1e-6 else FAIL,
+            f"normalized return distance {fmt_float(closure.distance)} at "
+            f"t = {fmt_float(closure.time)}")
+
+
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VerificationReport:
-    alpha: Fraction
-    beta: Fraction
-    p: int
-    q: int
+    """Every line of one `verify` run in order: the eigen-identity gate, the
+    scored formulas, then the other gates.  `error` is the package error
+    that ended the run early, if any; the scored formulas are all or none."""
+    params: ModelParams
+    tol: float
     lines: tuple[CheckLine, ...]
+    error: Optional[XSuperintError] = None
 
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for line in self.lines:
-            head = line.verdict.split("(")[0]
-            out[head] = out.get(head, 0) + 1
-        return out
+    def counts(self) -> Counter[str]:
+        """Scored formulas per verdict, NORMALIZATION(c) counted as one."""
+        return Counter(line.verdict.split("(")[0] for line in self.lines
+                       if not line.is_gate)
 
-    def mismatches(self) -> list[CheckLine]:
-        return [l for l in self.lines
-                if l.verdict in (MISMATCH, NO_SOLUTION, UNRESOLVABLE)]
+    @property
+    def exit_code(self) -> int:
+        """1 when a gate failed or a check raised, else 0."""
+        return int(self.error is not None
+                   or any(line.verdict == FAIL for line in self.lines))
 
     def render(self) -> str:
-        out = [f"formula scorecard at alpha = {self.alpha}, "
-               f"beta = {self.beta}, p = {self.p}, q = {self.q}"]
-        section = None
-        for line in self.lines:
-            if line.section != section:
-                section = line.section
-                out.append(f"-- {section}")
-            out.append("  " + line.format())
-        counts = self.counts()
-        out.append("summary: " + ", ".join(
-            f"{counts[k]} {k}" for k in sorted(counts)))
+        """`verify`'s stdout: a header, the gates measured before the scored
+        formulas, the scored formulas by section with their summary, then
+        the remaining gates."""
+        params = self.params
+        out = [f"verify: alpha = {params.alpha}, beta = {params.beta}, "
+               f"omega = {params.omega}, k = {params.p}/{params.q}, "
+               f"tol = {fmt_float(self.tol)}"]
+        scored = [line for line in self.lines if not line.is_gate]
+        head = next((i for i, line in enumerate(self.lines)
+                     if not line.is_gate), len(self.lines))
+        out += [line.format() for line in self.lines[:head]]
+        if scored:
+            out.append(f"formula scorecard at alpha = {params.alpha}, "
+                       f"beta = {params.beta}, p = {params.p}, "
+                       f"q = {params.q}")
+            section = None
+            for line in scored:
+                if line.section != section:
+                    section = line.section
+                    out.append(f"-- {section}")
+                out.append("  " + line.format())
+            counts = self.counts()
+            out.append("summary: " + ", ".join(
+                f"{counts[k]} {k}" for k in sorted(counts)))
+            findings = sum(line.verdict in (MISMATCH, NO_SOLUTION,
+                                            UNRESOLVABLE) for line in scored)
+            out.append(f"note: {findings} reconciliation findings are "
+                       f"informational and do not affect the exit code")
+        out += [line.format() for line in self.lines[head + len(scored):]]
         return "\n".join(out)
 
 
 def verification_report(alpha: RationalLike, beta: RationalLike,
                         p: int = 1, q: int = 1,
-                        nmax: int = 6, mmax: int = 6) -> VerificationReport:
-    """Run the full scorecard at one parameter point.
+                        nmax: int = 6, mmax: int = 6, *, omega: float = 1.0,
+                        tol: float = 1e-9, grid: int = 40,
+                        classical: bool = False) -> VerificationReport:
+    """Run the whole `verify` scorecard at one parameter point.
 
-    Every check is exact rational arithmetic; nothing here touches floats.
-    MISMATCH lines are informational — they document where the transcribed
-    formulas disagree with what the operators actually do — so producing a
-    report with mismatches is a successful verification run, not a failure.
+    The eigen-identity gate and the scored formulas are exact rational
+    arithmetic.  MISMATCH lines are informational — they document where the
+    transcribed formulas disagree with what the operators actually do — so
+    they never fail a run.  The other gates evaluate floats; `tol` bounds
+    the residual on a grid x grid mesh.  Invalid parameters raise; a package
+    error in a check ends the report there and is kept as its `error`.
     """
-    params = ModelParams(alpha=alpha, beta=beta, p=p, q=q)
+    params = ModelParams(alpha=alpha, beta=beta, omega=omega, p=p, q=q)
     alpha_f, beta_f = params.alpha, params.beta
     lines: list[CheckLine] = []
-    lines += _family_lines(alpha_f, beta_f, nmax)
-    lines += _potential_lines(alpha_f, beta_f)
-    lines += _jacobi_ladder_lines(alpha_f, beta_f, nmax)
-    lines += _intertwiner_lines(alpha_f, beta_f, nmax)
-    lines += _deformed_ladder_lines(alpha_f, beta_f, params.q, nmax)
-    lines += _radial_ladder_lines(alpha_f, beta_f, params.k, params.p, mmax)
-    lines += _composite_lines(params, nmax)
-    return VerificationReport(alpha_f, beta_f, params.p, params.q,
-                              tuple(lines))
+    error = None
+    try:
+        closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
+                  for n in range(1, nmax + 1)}
+        lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
+        lines += [
+            *_family_lines(alpha_f, beta_f, closed),
+            *_potential_lines(alpha_f, beta_f),
+            *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
+            *_intertwiner_lines(alpha_f, beta_f, nmax),
+            *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
+            *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p, mmax),
+            *_composite_lines(params, nmax)]
+        for line in _gate_lines(params, nmax, tol, grid, classical):
+            lines.append(line)
+    except XSuperintError as exc:
+        error = exc
+    return VerificationReport(params, tol, tuple(lines), error)

@@ -110,8 +110,9 @@ def test_exceptional_jacobi_rejects_degree_zero():
 
 
 def test_reconcile_family_verdicts():
-    lines = [line for line in verification_report(*A13, nmax=4).lines
-             if line.section == "eigenfamily"]
+    gate, *lines = [line for line in verification_report(*A13, nmax=4).lines
+                    if line.section == "eigenfamily"]
+    assert (gate.name, gate.verdict) == ("eigen-identity", "PASS")
     assert lines[0].verdict == "MATCH"
     assert [line.verdict for line in lines[1:]] == \
         ["MISMATCH"] + ["NO-SOLUTION"] * 3

@@ -10,11 +10,13 @@ import sys
 import pytest
 
 import xsuperint
-from xsuperint import classical
+from xsuperint import classical, verify
 from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
                                  scan_closure, trajectory)
 from xsuperint.cli import build_parser, fmt_float, main
+from xsuperint.errors import QuadratureError
 from xsuperint.params import ModelParams
+from xsuperint.verify import verification_report
 
 
 def run_cli(*argv):
@@ -43,6 +45,32 @@ def test_verify_impossible_tolerance_fails():
                            "--mmax", "3")
     assert code == 1
     assert "FAIL residual" in out
+
+
+@pytest.mark.parametrize("argv,options,code", [
+    ((), {}, 0),
+    (("--classical",), {"classical": True}, 0),
+    (("--tol", "1e-16"), {"tol": 1e-16}, 1),
+])
+def test_verify_prints_the_report_and_exits_with_its_code(argv, options,
+                                                          code):
+    report = verification_report(1, 3, **options)
+    assert report.exit_code == code
+    assert run_cli("verify", *argv) == (code, report.render() + "\n", "")
+
+
+def test_verify_check_that_raises_ends_the_report(monkeypatch):
+    # the lines measured before the check are printed, then its error
+    def unconverged(*args):
+        raise QuadratureError("no convergence")
+    monkeypatch.setattr(verify, "angular_gram", unconverged)
+    report = verification_report(1, 3, nmax=3, mmax=2)
+    assert isinstance(report.error, QuadratureError)
+    assert report.exit_code == 1
+    code, out, err = run_cli("verify", "--nmax", "3", "--mmax", "2")
+    assert (code, out, err) == (1, report.render() + "\n",
+                                "error: no convergence\n")
+    assert out.splitlines()[-1].startswith("note: ")
 
 
 def test_equal_parameters_rejected():

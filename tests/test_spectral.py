@@ -15,7 +15,6 @@ from xsuperint.spectral import (
     angular_gram,
     angular_values,
     default_rmax,
-    degeneracy_chain_ok,
     degeneracy_table,
     hamiltonian_residual,
     ladder_numeric_check,
@@ -192,7 +191,6 @@ def test_degeneracy_chain_step():
     fat = [lv for lv in levels if len(lv.states) >= 2]
     assert fat, "expected at least one degenerate level below the cutoff"
     for lv in fat:
-        assert degeneracy_chain_ok(lv, params)
         for s, t in zip(lv.states, lv.states[1:]):
             assert (t.m - s.m, t.n - s.n) == (-3, 2)
 
