@@ -41,7 +41,6 @@ from .ladders import (
     composite_raising,
     deformed_lowering,
     deformed_raising,
-    l1_noncommutation,
     lowering_intertwiner,
     parity_report,
     radial_lowering,
@@ -106,7 +105,6 @@ __all__ = [
     "hamiltonian_residual",
     "integrate",
     "jacobi_polynomial",
-    "l1_noncommutation",
     "ladder_numeric_check",
     "laguerre_polynomial",
     "lowering_intertwiner",

@@ -15,7 +15,8 @@ Layers, bottom to top:
   * radial (Laguerre-index) ladders in y = omega r^2 at fixed energy, and
     their p-fold chains;
   * energy-preserving composites that trade p radial quanta against q angular
-    quanta, with exact rational coefficients;
+    quanta: a `CompositeStep` with an exact rational coefficient, whose two
+    images (`composite_images`) every composite check measures;
   * an index-reflection report: the raising and lowering chains exchange under
     the sign flip of the angular eigenroot, verified three independent ways.
 
@@ -690,20 +691,34 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
         radial=radial_raising_chain(a, eps, p))
 
 
-def _composite_report(step: CompositeStep, params: ModelParams,
-                      angular_image: RatFunc) -> Measurement:
-    """Product of two measurements: `angular_image` against the target's
-    monic deformed member, and the radial chain on the source's Laguerre
-    factor against the target's."""
+def composite_images(step: CompositeStep, params: ModelParams
+                     ) -> tuple[RatFunc, RatFunc]:
+    """The step's two exact images: its angular chain on the source's monic
+    deformed member, and its radial chain on the source's Laguerre factor
+    over the target's gauge (`radial_family_image`).  Every composite check
+    measures these."""
     alpha, beta, k = params.alpha, params.beta, params.k
+    source = exceptional_jacobi(step.source.n, alpha, beta)
+    return (step.angular.apply_poly(source),
+            radial_family_image(
+                step.radial, step.source.m,
+                k * angular_eigenroot(step.source.n, alpha, beta),
+                k * angular_eigenroot(step.target.n, alpha, beta)))
+
+
+def _composite_report(step: CompositeStep, params: ModelParams,
+                      angular_image: RatFunc, radial_image: RatFunc
+                      ) -> Measurement:
+    """Product of two measurements: `angular_image` against the target's
+    monic deformed member, and `radial_image` against the target's Laguerre
+    factor."""
+    alpha, beta, target = params.alpha, params.beta, step.target
     ang, witness = _line_report(
-        angular_image, exceptional_jacobi(step.target.n, alpha, beta))
+        angular_image, exceptional_jacobi(target.n, alpha, beta))
     if ang is None:
         return None, witness
-    rad, witness = radial_action_report(
-        step.radial,
-        step.source.m, k * angular_eigenroot(step.source.n, alpha, beta),
-        step.target.m, k * angular_eigenroot(step.target.n, alpha, beta))
+    rad, witness = _line_report(radial_image, laguerre_polynomial(
+        target.m, params.k * angular_eigenroot(target.n, alpha, beta)))
     return (None if rad is None else ang * rad), witness
 
 
@@ -711,8 +726,7 @@ def composite_action_report(step: CompositeStep, params: ModelParams
                             ) -> Measurement:
     """Measured scalar the composite multiplies its source state by on the
     way to its target, to be compared with `step.coefficient`."""
-    source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
-    return _composite_report(step, params, step.angular.apply_poly(source))
+    return _composite_report(step, params, *composite_images(step, params))
 
 
 def l1_commutator_report(step: CompositeStep, params: ModelParams
@@ -720,27 +734,14 @@ def l1_commutator_report(step: CompositeStep, params: ModelParams
     """Measured eigen-coefficient of [angular invariant, composite] on the
     step's source state: L(chain P_n) - chain(L P_n) with
     L = `angular_operator`, times the radial chain's coefficient.  The
-    operators are applied, never composed into a commutator operator."""
+    operators are applied, never composed into a commutator operator.  It is
+    (A_target^2 - A_source^2) * coefficient, nonzero on interior states."""
     lop = angular_operator(params.alpha, params.beta)
     source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
-    image = (lop.apply_ratfunc(step.angular.apply_poly(source))
+    angular_image, radial_image = composite_images(step, params)
+    image = (lop.apply_ratfunc(angular_image)
              - step.angular.apply_ratfunc(lop.apply_poly(source)))
-    return _composite_report(step, params, image)
-
-
-def l1_noncommutation(state: QuantumState, params: ModelParams,
-                      raising: bool = True) -> Fraction:
-    """`l1_commutator_report` of the raising (or lowering) composite on the
-    given state, raising VerificationError when the image leaves the family.
-    Equals (A_target^2 - A_source^2) * coefficient, and is nonzero on
-    interior states: the composites move along degenerate levels rather
-    than commuting with everything."""
-    step = composite_raising(state, params) if raising \
-        else composite_lowering(state, params)
-    gap, witness = l1_commutator_report(step, params)
-    if gap is None:
-        raise VerificationError(witness)
-    return gap
+    return _composite_report(step, params, image, radial_image)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Numerical spectral layer: bound-state wavefunctions on the plane wedge,
-an independent Hamiltonian-residual oracle, orthogonality quadrature, numeric
-cross-checks of the composite ladders, and exact degeneracy bookkeeping.
+an independent Hamiltonian-residual oracle, orthogonality quadrature, a numeric
+cross-check of a composite ladder step it is handed, and exact degeneracy
+bookkeeping.
 
 Everything structural (polynomials, operators, coefficients) is taken from
 the exact layer; floating point enters only at evaluation time.  The bound
@@ -23,12 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .angular import angular_potential, exceptional_jacobi
-from .errors import (NumericalOverflowError, OutOfFamilyError, QuadratureError,
-                     VerificationError)
-from .ladders import (composite_lowering, composite_raising,
-                      deformed_lowering_chain, deformed_raising_chain,
-                      radial_eps, radial_family_image, radial_lowering_chain,
-                      radial_raising_chain)
+from .errors import NumericalOverflowError, QuadratureError, VerificationError
+from .ladders import CompositeStep, composite_images
 from .operators import RatFunc
 from .params import (ModelParams, QuantumState, angular_eigenroot, energy,
                      energy_ratio)
@@ -234,67 +231,32 @@ def angular_gram(alpha: Fraction, beta: Fraction, nmax: int) -> np.ndarray:
 # Numeric cross-check of the composite ladders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LadderNumericReport:
-    """Outcome of applying a composite ladder to a state numerically.
+def ladder_numeric_check(step: CompositeStep, params: ModelParams
+                         ) -> tuple[float, float]:
+    """(deviation, ratio_error) of the step's exact images
+    (`composite_images`) against (exact coefficient) * (target state) on a
+    48 x 48 float grid: the max-norm shape mismatch after fitting the best
+    constant, and that constant against `step.coefficient`.
 
-    status is "OK" when the image is a clean multiple of the predicted target
-    state, or "ANNIHILATED" when the chain exactly kills the state (bottom of
-    a tower).  deviation is the max-norm shape mismatch after fitting the best
-    constant; ratio_error compares that constant with the exact coefficient
-    (None for an annihilated state, which has neither).
-    """
-    status: str
-    deviation: float
-    ratio_error: Optional[float]
-
-
-def ladder_numeric_check(state: QuantumState, params: ModelParams,
-                         raising: bool = True) -> LadderNumericReport:
-    """Apply the full composite ladder to the factored wavefunction and
-    compare, on a 48 x 48 float grid, against (exact coefficient) * (target
-    state).
-
-    The chains are applied exactly (rational operator algebra); only the final
-    evaluation is floating point, so any deviation beyond rounding reveals an
-    inconsistency between the ladder algebra and the wavefunctions themselves.
+    Only the final evaluation is floating point, so any deviation beyond
+    rounding reveals an inconsistency between the ladder algebra and the
+    wavefunctions themselves.  Raises VerificationError when an image is
+    zero or keeps a pole.
     """
     alpha, beta = params.alpha, params.beta
-    p, q = params.p, params.q
-    n, m = state.n, state.m
-    a = params.k * angular_eigenroot(n, alpha, beta)
-    eps = radial_eps(m, a)
-    if raising:
-        ang_chain = deformed_raising_chain(n, q, alpha, beta)
-        rad_chain, target_a = radial_lowering_chain(a, eps, p), a + 2 * p
-    else:
-        ang_chain = deformed_lowering_chain(n, q, alpha, beta)
-        rad_chain, target_a = radial_raising_chain(a, eps, p), a - 2 * p
-
-    ang_img = ang_chain.apply_poly(
-        exceptional_jacobi(n, alpha, beta)).as_poly()
-    rad_img = radial_family_image(rad_chain, m, a, target_a)
-
-    r, phi = _interior_grid(params, 48, 48, 1e-2)
-    try:
-        step = composite_raising(state, params) if raising \
-            else composite_lowering(state, params)
-    except OutOfFamilyError:
-        # the composites refuse the bottom of a tower, where the chains
-        # must annihilate the state exactly
-        if not (ang_img.is_zero() or rad_img.is_zero()):
+    ang_img, rad_img = composite_images(step, params)
+    for name, img in (("angular", ang_img), ("radial", rad_img)):
+        if img.is_zero() or not img.is_polynomial():
             raise VerificationError(
-                "composite ladder left the family without annihilating")
-        return LadderNumericReport("ANNIHILATED", 0.0, None)
-
-    if not rad_img.is_polynomial():
-        raise VerificationError(
-            f"radial chain image has a surviving pole: {rad_img.pretty()}")
+                f"{name} chain image {img.pretty()} is not a nonzero "
+                f"polynomial")
     target = step.target
+    target_a = params.k * angular_eigenroot(target.n, alpha, beta)
+    r, phi = _interior_grid(params, 48, 48, 1e-2)
     img = np.outer(
         radial_values(target.m, target_a, params.omega, r,
                       poly=rad_img.as_poly()),
-        angular_values(target.n, params, phi, poly=ang_img))
+        angular_values(target.n, params, phi, poly=ang_img.as_poly()))
     tgt = np.outer(
         radial_values(target.m, target_a, params.omega, r),
         angular_values(target.n, params, phi))
@@ -303,8 +265,7 @@ def ladder_numeric_check(state: QuantumState, params: ModelParams,
     fit = float(flat_i @ flat_t) / float(flat_t @ flat_t)
     scale = float(np.max(np.abs(fit * tgt)))
     deviation = float(np.max(np.abs(img - fit * tgt))) / scale
-    ratio_error = abs(fit / float(step.coefficient) - 1.0)
-    return LadderNumericReport("OK", deviation, ratio_error)
+    return deviation, abs(fit / float(step.coefficient) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ from the measurement is labelled as such rather than rounded up to MATCH.
 The gates of `verify` are PASS or FAIL: the exact eigen-identity, the float
 orthogonality, residual and ladder closure, and on request the classical
 conservation and closure.  Only a FAIL fails a run.
+
+Each run builds one raising and one lowering `CompositeStep`; the exact
+composite lines and the float ladder-closure gate all measure those two.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from .angular import (
 )
 from .classical import (ClassicalModel, closure_report, conservation_drift,
                         default_start)
-from .errors import NoSolutionError, XSuperintError
+from .errors import NoSolutionError, ParameterDomainError, XSuperintError
 from .ladders import (
+    CompositeStep,
     Measurement,
     action_report,
     claimed_deformed_lowering_action,
@@ -530,11 +534,10 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
     return lines
 
 
-def _composite_lines(params: ModelParams, nmax: int) -> list[CheckLine]:
+def _composite_lines(params: ModelParams, nmax: int, up: CompositeStep,
+                     down: CompositeStep) -> list[CheckLine]:
     alpha, beta = params.alpha, params.beta
     p, q = params.p, params.q
-    up = composite_raising(QuantumState(p, 1), params)
-    down = composite_lowering(QuantumState(0, 1 + q), params)
     lines = []
     for name, step in (
             (f"energy-preserving raising composite (m, n) -> "
@@ -579,9 +582,11 @@ def _composite_lines(params: ModelParams, nmax: int) -> list[CheckLine]:
 
 
 def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
-                classical: bool) -> Iterator[CheckLine]:
-    """The float gates, then with `classical` the classical ones, each
-    yielded as soon as it is measured."""
+                classical: bool, steps: tuple[CompositeStep, CompositeStep]
+                ) -> Iterator[CheckLine]:
+    """The float gates, the ladder closure measuring the composite `steps`,
+    then with `classical` the classical ones, each yielded as soon as it is
+    measured."""
     alpha, beta = params.alpha, params.beta
     gram = angular_gram(alpha, beta, min(nmax, 6))
     off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
@@ -599,16 +604,13 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"worst relative Schrodinger residual {fmt_float(worst)} over "
         f"{len(states)} states (limit {fmt_float(tol)})")
 
-    up = ladder_numeric_check(QuantumState(params.p, 1), params, raising=True)
-    down = ladder_numeric_check(QuantumState(0, 1 + params.q), params,
-                                raising=False)
-    ok = all(r.status == "OK" and r.deviation < 1e-8 and r.ratio_error < 1e-10
-             for r in (up, down))
+    checks = [ladder_numeric_check(step, params) for step in steps]
+    ok = all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
+    deviation, ratio_error = (max(column) for column in zip(*checks))
     yield CheckLine(
         "spectral", "ladder closure", PASS if ok else FAIL,
         f"numeric images track the exact coefficients (deviation "
-        f"{fmt_float(max(up.deviation, down.deviation))}, ratio error "
-        f"{fmt_float(max(up.ratio_error, down.ratio_error))})")
+        f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
     if classical:
         model = ClassicalModel.from_model_params(params)
@@ -697,9 +699,13 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     arithmetic.  MISMATCH lines are informational — they document where the
     transcribed formulas disagree with what the operators actually do — so
     they never fail a run.  The other gates evaluate floats; `tol` bounds
-    the residual on a grid x grid mesh.  Invalid parameters raise; a package
-    error in a check ends the report there and is kept as its `error`.
+    the residual on a grid x grid mesh.  Invalid parameters, nmax < 2 and
+    mmax < 1 included, raise before any check runs; a package error in a
+    check ends the report there and is kept as its `error`.
     """
+    if nmax < 2 or mmax < 1:
+        raise ParameterDomainError(f"verify needs nmax >= 2 and mmax >= 1, "
+                                   f"got nmax = {nmax}, mmax = {mmax}")
     params = ModelParams(alpha=alpha, beta=beta, omega=omega, p=p, q=q)
     alpha_f, beta_f = params.alpha, params.beta
     lines: list[CheckLine] = []
@@ -708,6 +714,8 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
         closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
                   for n in range(1, nmax + 1)}
         lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
+        steps = (composite_raising(QuantumState(params.p, 1), params),
+                 composite_lowering(QuantumState(0, 1 + params.q), params))
         lines += [
             *_family_lines(alpha_f, beta_f, closed),
             *_potential_lines(alpha_f, beta_f),
@@ -715,8 +723,8 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
             *_intertwiner_lines(alpha_f, beta_f, nmax),
             *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
             *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p, mmax),
-            *_composite_lines(params, nmax)]
-        for line in _gate_lines(params, nmax, tol, grid, classical):
+            *_composite_lines(params, nmax, *steps)]
+        for line in _gate_lines(params, nmax, tol, grid, classical, steps):
             lines.append(line)
     except XSuperintError as exc:
         error = exc

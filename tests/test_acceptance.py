@@ -27,7 +27,7 @@ from xsuperint.ladders import (
     deformed_lowering_chain,
     deformed_raising,
     deformed_raising_chain,
-    l1_noncommutation,
+    l1_commutator_report,
     lowering_intertwiner,
     parity_report,
     radial_eps,
@@ -264,17 +264,17 @@ def test_acceptance_5_index_reflection_and_noncommutation():
         problems.append("chain reflection fails at the half-integer pair")
     for p, q in EXACT_RATIOS:
         params = ModelParams(F(1), F(3), p=p, q=q)
-        for m in range(p, p + 3):
-            for n in range(1, 4):
-                if l1_noncommutation(QuantumState(m, n), params) == 0:
-                    problems.append(f"raising commutes at ({m},{n}), "
-                                    f"k={p}/{q}")
-        for m in range(0, 3):
-            for n in range(q + 1, q + 4):
-                if l1_noncommutation(QuantumState(m, n), params,
-                                     raising=False) == 0:
-                    problems.append(f"lowering commutes at ({m},{n}), "
-                                    f"k={p}/{q}")
+        for name, make, ms, ns in (
+                ("raising", composite_raising, range(p, p + 3), range(1, 4)),
+                ("lowering", composite_lowering, range(0, 3),
+                 range(q + 1, q + 4))):
+            for m in ms:
+                for n in ns:
+                    step = make(QuantumState(m, n), params)
+                    gap, witness = l1_commutator_report(step, params)
+                    if gap in (None, 0):
+                        problems.append(f"{name} commutes at ({m},{n}), "
+                                        f"k={p}/{q}: {witness}")
     report(5, not problems,
            "interpolated chain coefficients swap exactly under the "
            "eigenroot reflection (n = 1..8, 1..11 at k = 3/4) and the "
@@ -303,16 +303,13 @@ def test_acceptance_6_numerical_spectral_suite():
             problems.append(f"Gram off-diagonal {off:.2e} at ({alpha},{beta})")
     for p, q in FOUR_RATIOS:
         params = ModelParams(F(1), F(3), p=p, q=q)
-        for state, raising in ((QuantumState(p, 1), True),
-                               (QuantumState(0, q + 1), False)):
-            r = ladder_numeric_check(state, params, raising=raising)
-            if r.status != "OK":
-                problems.append(f"unexpected {r.status} at k={p}/{q}")
-                continue
-            if r.deviation >= 1e-8:
-                problems.append(f"shape deviation {r.deviation:.2e} at "
+        for step in (composite_raising(QuantumState(p, 1), params),
+                     composite_lowering(QuantumState(0, q + 1), params)):
+            deviation, ratio_error = ladder_numeric_check(step, params)
+            if deviation >= 1e-8:
+                problems.append(f"shape deviation {deviation:.2e} at "
                                 f"k={p}/{q}")
-            if r.ratio_error is None or r.ratio_error >= 1e-10:
+            if ratio_error >= 1e-10:
                 problems.append(f"coefficient ratio off at k={p}/{q}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:

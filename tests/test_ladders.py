@@ -31,7 +31,7 @@ from xsuperint.ladders import (
     jacobi_raising,
     jacobi_raising_action,
     jacobi_raising_candidate,
-    l1_noncommutation,
+    l1_commutator_report,
     lowering_intertwiner,
     lowering_intertwiner_action,
     lowering_intertwiner_candidate,
@@ -410,9 +410,16 @@ def test_composite_coefficient_is_stepwise_product():
         assert step.coefficient == expect
 
 
+def commutator_gap(make, state, params):
+    """Measured commutator coefficient of the composite `make` builds on
+    `state` (None when its image leaves the family)."""
+    return l1_commutator_report(make(state, params), params)[0]
+
+
 def test_l1_noncommutation_reference_value():
     params = ModelParams(*A13)
-    assert l1_noncommutation(QuantumState(1, 1), params) == -2880
+    assert commutator_gap(composite_raising, QuantumState(1, 1),
+                          params) == -2880
 
 
 def test_l1_noncommutation_interior_sweep():
@@ -420,11 +427,29 @@ def test_l1_noncommutation_interior_sweep():
     # interior: raising needs m >= p, lowering needs n > q
     for m in (2, 3, 4):
         for n in (1, 2, 3):
-            assert l1_noncommutation(QuantumState(m, n), params) != 0
+            assert commutator_gap(composite_raising, QuantumState(m, n),
+                                  params) not in (None, 0)
     for m in (0, 1, 2):
         for n in (2, 3, 4):
-            assert l1_noncommutation(QuantumState(m, n), params,
-                                     raising=False) != 0
+            assert commutator_gap(composite_lowering, QuantumState(m, n),
+                                  params) not in (None, 0)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
+def test_chains_annihilate_the_bottom_of_each_tower(p, q):
+    # the composites refuse these states; their chains map them to zero
+    alpha, beta = A13
+    a = Fraction(p, q) * angular_eigenroot(1, alpha, beta)
+    radial = radial_lowering_chain(a, radial_eps(0, a), p)
+    assert radial_family_image(radial, 0, a, a + 2 * p).is_zero()
+    angular = deformed_lowering_chain(1, q, alpha, beta)
+    assert angular.apply_poly(
+        exceptional_jacobi_closed_form(1, alpha, beta)).is_zero()
+    params = ModelParams(alpha, beta, p=p, q=q)
+    with pytest.raises(OutOfFamilyError):
+        composite_raising(QuantumState(0, 1), params)
+    with pytest.raises(OutOfFamilyError):
+        composite_lowering(QuantumState(0, q), params)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)

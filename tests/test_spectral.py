@@ -1,6 +1,7 @@
 """Floating-point oracles: residuals on grids, Gram matrices under the true
 weight, numeric ladder application, and the exact-rational degeneracy table."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 
 from xsuperint import spectral
 from xsuperint.angular import angular_potential, angular_potential_candidate
-from xsuperint.errors import NumericalOverflowError, QuadratureError
+from xsuperint.errors import (NumericalOverflowError, QuadratureError,
+                              VerificationError)
+from xsuperint.ladders import (composite_lowering, composite_raising,
+                               lowering_intertwiner_candidate, radial_eps,
+                               radial_lowering)
 from xsuperint.params import (ModelParams, QuantumState, angular_eigenroot,
                               energy, energy_ratio)
 from xsuperint.spectral import (
@@ -147,28 +152,44 @@ def test_angular_gram_impossible_tolerance(monkeypatch):
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_ladder_numeric_ok(p, q):
     params = kparams(p, q)
-    up = ladder_numeric_check(QuantumState(p, 1), params, raising=True)
-    assert up.status == "OK"
-    assert up.deviation < 1e-8
-    assert up.ratio_error is not None and up.ratio_error < 1e-10
-    down = ladder_numeric_check(QuantumState(0, 1 + q), params, raising=False)
-    assert down.status == "OK"
-    assert down.deviation < 1e-8
+    deviation, ratio_error = ladder_numeric_check(
+        composite_raising(QuantumState(p, 1), params), params)
+    assert deviation < 1e-8
+    assert ratio_error < 1e-10
+    deviation, _ = ladder_numeric_check(
+        composite_lowering(QuantumState(0, 1 + q), params), params)
+    assert deviation < 1e-8
 
 
 def test_ladder_numeric_check_builds_the_angular_chain_once(
         deformed_compositions):
-    # the composite step it scores takes the chain the check already built
-    rep = ladder_numeric_check(QuantumState(1, 1), kparams(1, 2), raising=True)
-    assert rep.status == "OK"
+    # the check measures the chain of the step it is handed and builds none
+    params = kparams(1, 2)
+    ladder_numeric_check(composite_raising(QuantumState(1, 1), params), params)
     assert len(deformed_compositions) == 1
 
 
-def test_ladder_numeric_annihilated():
-    up = ladder_numeric_check(QuantumState(0, 1), P13, raising=True)
-    assert up.status == "ANNIHILATED"
-    down = ladder_numeric_check(QuantumState(2, 1), P13, raising=False)
-    assert down.status == "ANNIHILATED"
+def test_ladder_numeric_check_fails_an_image_that_keeps_a_pole():
+    # the candidate backward intertwiner leaves its pole at x = -b in the
+    # image of a deformed member: a VerificationError with that image
+    step = dataclasses.replace(
+        composite_raising(QuantumState(1, 1), P13),
+        angular=lowering_intertwiner_candidate(P13.alpha, P13.beta))
+    with pytest.raises(VerificationError,
+                       match="angular chain image .* is not a nonzero"):
+        ladder_numeric_check(step, P13)
+
+
+def test_ladder_numeric_check_fails_an_image_that_vanishes():
+    # a radial lowering ladder annihilates the bottom state m = 0, so this
+    # step has no coefficient to fit
+    a = angular_eigenroot(1, P13.alpha, P13.beta)
+    step = dataclasses.replace(composite_raising(QuantumState(1, 1), P13),
+                               source=QuantumState(0, 1),
+                               radial=radial_lowering(a, radial_eps(0, a)))
+    with pytest.raises(VerificationError,
+                       match="radial chain image 0 is not a nonzero"):
+        ladder_numeric_check(step, P13)
 
 
 def test_degeneracy_table_structure():

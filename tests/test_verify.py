@@ -1,15 +1,18 @@
 """Reconciliation scorecard: the ratio classifier and the assembled report."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from xsuperint import ladders, spectral, verify
 from xsuperint.angular import angular_operator
+from xsuperint.errors import ParameterDomainError, VerificationError
 from xsuperint.ladders import (composite_lowering, composite_raising,
                                deformed_lowering_chain, deformed_raising,
                                jacobi_lowering, lowering_intertwiner,
+                               lowering_intertwiner_candidate,
                                radial_lowering, radial_raising,
                                radial_raising_candidate, radial_raising_chain,
                                raising_intertwiner)
@@ -153,6 +156,50 @@ def test_chain_commuting_with_the_invariant_is_mismatch(monkeypatch):
                     "composite structure",
                     "composites do not commute with the angular invariant"
                     ) == "MISMATCH"
+
+
+def test_chain_image_with_a_pole_fails_the_run(monkeypatch):
+    # the ladder-closure gate measures the step the scorecard built: an
+    # image that keeps a pole ends the report with its error, not a crash
+    def broken(state, params):
+        return dataclasses.replace(
+            composite_raising(state, params),
+            angular=lowering_intertwiner_candidate(params.alpha, params.beta))
+    monkeypatch.setattr(verify, "composite_raising", broken)
+    rep = verification_report(F(1), F(3), nmax=3, mmax=2)
+    assert isinstance(rep.error, VerificationError)
+    assert rep.exit_code == 1
+
+
+def test_report_builds_each_composite_step_once(monkeypatch):
+    # the exact composite lines and the ladder-closure gate measure the
+    # same two steps
+    calls = Counter()
+
+    def counting(name, real):
+        def build(state, params):
+            calls[name] += 1
+            return real(state, params)
+        return build
+
+    for name in ("composite_raising", "composite_lowering"):
+        wrapper = counting(name, getattr(ladders, name))
+        for module in (ladders, spectral, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    verification_report(F(1), F(3), p=2, q=1, nmax=3, mmax=2)
+    assert calls == {"composite_raising": 1, "composite_lowering": 1}
+
+
+@pytest.mark.parametrize("nmax,mmax", [(1, 6), (0, 6), (6, 0)])
+def test_report_refuses_a_small_span_before_any_check(monkeypatch, nmax,
+                                                      mmax):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(verify, "exceptional_jacobi_closed_form", no_check)
+    with pytest.raises(ParameterDomainError,
+                       match="needs nmax >= 2 and mmax >= 1"):
+        verification_report(F(1), F(3), nmax=nmax, mmax=mmax)
 
 
 def test_candidate_that_annihilates_the_bottom_state_is_match(monkeypatch):
