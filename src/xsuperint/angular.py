@@ -33,15 +33,13 @@ from .params import angular_eigenroot
 from .utils import fraction_nullspace
 
 
-def angular_gauge_logderiv(alpha: RationalLike, beta: RationalLike) -> RatFunc:
+def angular_gauge_logderiv(alpha: Fraction, beta: Fraction) -> RatFunc:
     """(log G)' for the angular gauge factor
     G = (1-x)^(alpha/2 + 1/4) (1+x)^(beta/2 + 1/4) / (x - b).
 
     G itself involves irrational powers; its log derivative is rational, which
     is all the algebra ever needs.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
     e1 = alpha / 2 + Fraction(1, 4)
     e2 = beta / 2 + Fraction(1, 4)
@@ -57,21 +55,18 @@ def angular_potential(alpha: RationalLike, beta: RationalLike) -> RatFunc:
     double pole at x = b to cancel after gauge conjugation, which is what makes
     a complete polynomial eigenfamily possible.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = weight_pole(alpha, beta)
     return (RatFunc(-2 * (alpha * alpha - Fraction(1, 4)), {1: 1})
             + RatFunc(2 * (beta * beta - Fraction(1, 4)), {-1: 1})
             + RatFunc(Poly((8, -8 * b)), {b: 2}))
 
 
-def angular_potential_candidate(alpha: RationalLike, beta: RationalLike) -> RatFunc:
+def angular_potential_candidate(alpha: Fraction, beta: Fraction) -> RatFunc:
     """Verbatim candidate potential whose deformation term reads
     4(1 + b x)/(b + x)^2 instead.  Kept for reconciliation; with this term the
     gauge-conjugated operator has no polynomial eigenfamily past degree 1.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
     return (RatFunc(-2 * (alpha * alpha - Fraction(1, 4)), {1: 1})
             + RatFunc(2 * (beta * beta - Fraction(1, 4)), {-1: 1})
@@ -87,6 +82,7 @@ def angular_schrodinger_x(alpha: RationalLike, beta: RationalLike,
     i.e. -(1/k^2) d^2/dphi^2 + V(cos 2 k phi) after the change of variables.
     Its eigenvalues on the bound family are A_n^2.
     """
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     v = angular_potential_candidate(alpha, beta) if candidate_potential \
         else angular_potential(alpha, beta)
     return DiffOp((v, RatFunc(Poly((0, 4))), RatFunc(Poly((-4, 0, 4)))))
@@ -100,20 +96,19 @@ def angular_operator(alpha: RationalLike, beta: RationalLike) -> DiffOp:
     polynomials are polynomials plus a simple (x-b) pole that cancels on the
     eigenfamily.
     """
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     h = angular_schrodinger_x(alpha, beta)
     g = angular_gauge_logderiv(alpha, beta)
     return h.gauge_conjugate(-g)
 
 
-def angular_operator_candidate(alpha: RationalLike, beta: RationalLike) -> DiffOp:
+def angular_operator_candidate(alpha: Fraction, beta: Fraction) -> DiffOp:
     """Verbatim candidate closed form for the polynomial-picture operator:
 
         4(x^2-1) d^2 + [4(beta-alpha)(1-bx)/(b-x)] ((x+b) d - 1) + (alpha+beta+1)^2.
 
     Transcribed as printed and scored against the derived operator.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
     b = weight_pole(alpha, beta)
     rat = RatFunc(Poly((-4 * (beta - alpha), 4 * b * (beta - alpha))), {b: 1})
     first = rat * RatFunc(Poly((b, 1)))
@@ -125,7 +120,8 @@ def angular_operator_candidate(alpha: RationalLike, beta: RationalLike) -> DiffO
 # Exact eigenpolynomial solver
 # ---------------------------------------------------------------------------
 
-def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: Fraction) -> Poly:
+def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: RationalLike
+                          ) -> Poly:
     """The unique-up-to-scale polynomial u of exactly the given degree with
 
         D(x) * (op u - eigenvalue * u) == 0   identically,
@@ -136,7 +132,7 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: Fraction) -> Poly
     place — that is the oracle that flags a wrong eigenvalue or a defective
     operator, rather than silently returning garbage.
     """
-    shifted = op - DiffOp.identity().premultiply(Fraction(eigenvalue))
+    shifted = op - DiffOp.identity().premultiply(eigenvalue)
     _, cleared = shifted.cleared()
 
     def image(i: int) -> Poly:          # the cleared operator applied to x^i
@@ -181,8 +177,8 @@ def exceptional_jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     return _exceptional_jacobi_cached(n, as_fraction(alpha), as_fraction(beta))
 
 
-def exceptional_jacobi_candidate_solve(n: int, alpha: RationalLike,
-                                       beta: RationalLike) -> Poly:
+def exceptional_jacobi_candidate_solve(n: int, alpha: Fraction,
+                                       beta: Fraction) -> Poly:
     """Eigen-solve of the *candidate* operator at the same eigenvalue.
 
     Succeeds only at n = 1 (yielding x + b, which is NOT proportional to the

@@ -323,8 +323,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     rows = []
     for idx, level in enumerate(levels, 1):
         for state in sorted(level.states, key=lambda s: s.m):
-            rows.append((state.m, state.n, str(level.ratio),
-                         params.omega * float(level.ratio), idx))
+            rows.append((state.m, state.n, str(level.ratio), level.energy,
+                         idx))
     if cfg.format == "csv":
         lines = ["m,n,energy_ratio,energy,level"]
         lines += [f"{m},{n},{ratio},{fmt_float(e)},{lv}"

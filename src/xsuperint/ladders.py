@@ -22,11 +22,14 @@ Layers, bottom to top:
 
 Functions named `*_candidate` or `claimed_*` are verbatim transcriptions of a
 circulating closed form kept for reconciliation — they are scored against the
-derived operators and measured actions, never silently corrected.  Index
-arguments accept `Fraction`s so formal substitutions (such as the reflection
-n -> 1 - n - alpha - beta) can reuse the same builders.  The four chain
-builders are memoised for the life of the process, so a chain that several
-checks apply, one-step ladders included, is composed once.
+derived operators and measured actions, never silently corrected.  Only
+the exported builders (`raising_intertwiner`, `deformed_raising`,
+`radial_lowering`, `parity_report` and their twins) coerce ints and "a/b"
+strings; every other function here takes `Fraction` parameters and `int`
+indices, or `Fraction` indices so formal substitutions (such as the
+reflection n -> 1 - n - alpha - beta) can reuse the same builders.  The four
+chain builders are memoised for the life of the process, so a chain that
+several checks apply, one-step ladders included, is composed once.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from .polynomials import (Poly, RationalLike, as_fraction,
 from .utils import fraction_nullspace
 
 
-def shifted_jacobi(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
+def shifted_jacobi(n: int, alpha: Fraction, beta: Fraction) -> Poly:
     """Classical Jacobi polynomial at the shifted parameters (alpha+1, beta-1)
     that pair with the deformed family under the intertwiners."""
-    return jacobi_polynomial(n, as_fraction(alpha) + 1, as_fraction(beta) - 1)
+    return jacobi_polynomial(n, alpha + 1, beta - 1)
 
 
 #: A measured action: (c, witness) with image == c * target, or (None, witness)
@@ -93,8 +96,7 @@ def action_coefficient(op: DiffOp, source: Poly, target: Poly) -> Fraction:
 # Classical Jacobi one-step ladders (shifted or not: parameters are explicit)
 # ---------------------------------------------------------------------------
 
-def jacobi_lowering(n: RationalLike, alpha: RationalLike,
-                    beta: RationalLike) -> DiffOp:
+def jacobi_lowering(n: Fraction, alpha: Fraction, beta: Fraction) -> DiffOp:
     """First-order operator sending the degree-n classical Jacobi polynomial
     (parameters alpha, beta) to a multiple of the degree n-1 one:
 
@@ -102,15 +104,13 @@ def jacobi_lowering(n: RationalLike, alpha: RationalLike,
 
     Action coefficient: (n+alpha)(n+beta), see `jacobi_lowering_action`.
     """
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s = 2 * n + alpha + beta
     zeroth = Poly((-n * (alpha - beta) / 2, n * s / 2))
     first = Poly((s / 2, 0, -s / 2))
     return DiffOp((zeroth, first))
 
 
-def jacobi_raising(n: RationalLike, alpha: RationalLike,
-                   beta: RationalLike) -> DiffOp:
+def jacobi_raising(n: Fraction, alpha: Fraction, beta: Fraction) -> DiffOp:
     """First-order operator sending the degree-n classical Jacobi polynomial
     to a multiple of the degree n+1 one:
 
@@ -119,7 +119,6 @@ def jacobi_raising(n: RationalLike, alpha: RationalLike,
 
     Action coefficient: (n+1)(n+alpha+beta+1), see `jacobi_raising_action`.
     """
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s2 = 2 * n + alpha + beta + 2
     zeroth = Poly(((n + alpha + beta + 1) * (alpha - beta) / 2,
                    (n + alpha + beta + 1) * s2 / 2))
@@ -128,12 +127,10 @@ def jacobi_raising(n: RationalLike, alpha: RationalLike,
 
 
 def jacobi_lowering_action(n, alpha, beta) -> Fraction:
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return (n + alpha) * (n + beta)
 
 
 def jacobi_raising_action(n, alpha, beta) -> Fraction:
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return (n + 1) * (n + alpha + beta + 1)
 
 
@@ -145,7 +142,6 @@ def jacobi_lowering_candidate(n, alpha, beta) -> DiffOp:
     Differs from the derived operator in the sign of the x-term and by a
     spurious +2; kept for scoring.
     """
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s = 2 * n + alpha + beta
     zeroth = Poly((-n * (alpha - beta + 2) / 2, -n * s / 2))
     first = Poly((s / 2, 0, -s / 2))
@@ -161,7 +157,6 @@ def jacobi_raising_candidate(n, alpha, beta) -> DiffOp:
     Note the first-order coefficient is linear (1-x), not (1-x^2), and the
     zeroth order uses 2n+alpha+beta where the derived operator needs +2 more.
     """
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     s = 2 * n + alpha + beta
     zeroth = Poly(((n + alpha + beta + 1) * (alpha - beta + 2) / 2,
                    (n + alpha + beta + 1) * s / 2))
@@ -209,14 +204,12 @@ def raising_intertwiner_action(n, alpha, beta) -> Fraction:
     """Coefficient of the forward intertwiner on the closed-form-normalized
     deformed family: image of the degree-n shifted classical polynomial is
     -2(n+alpha) times the degree n+1 deformed one."""
-    n, alpha = as_fraction(n), as_fraction(alpha)
     return -2 * (n + alpha)
 
 
 def lowering_intertwiner_action(n, alpha, beta) -> Fraction:
     """Image of the degree-n deformed polynomial (closed-form normalization)
     is -(n+beta)/2 times the degree n-1 shifted classical one."""
-    n, beta = as_fraction(n), as_fraction(beta)
     return -(n + beta) / 2
 
 
@@ -224,7 +217,6 @@ def claimed_raising_intertwiner_action(n, alpha, beta) -> Fraction:
     """Transcribed claim for the forward intertwiner coefficient: 2n-2+2alpha.
     Scored against the measured -2(n+alpha); the ratio is n-dependent, so the
     claim is not a normalization convention."""
-    n, alpha = as_fraction(n), as_fraction(alpha)
     return 2 * n - 2 + 2 * alpha
 
 
@@ -241,12 +233,11 @@ def raising_intertwiner_candidate(alpha, beta, free_scalar) -> DiffOp:
     zeroth term into alpha*(x-c), i.e. the derived intertwiner; the factor
     (alpha-1) in the candidate cannot be a normalization convention.
     """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    t = as_fraction(free_scalar)
     b = weight_pole(alpha, beta)
     c = secondary_root(alpha, beta)
     first = Poly((-1, 1)) * Poly((-b, 1))
-    zeroth = Poly((-(alpha - 1) * t * c, (alpha - 1) * t))
+    lead = (alpha - 1) * free_scalar
+    zeroth = Poly((-lead * c, lead))
     return DiffOp((zeroth, first))
 
 
@@ -255,7 +246,6 @@ def lowering_intertwiner_candidate(alpha, beta) -> DiffOp:
     divided by (x + b) — pole on the wrong side of the interval.  With this
     denominator the image of a deformed polynomial keeps a pole at x = -b,
     so the candidate does not even map into polynomials."""
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     poles = {-weight_pole(alpha, beta): 1}
     return DiffOp((RatFunc(beta, poles), RatFunc(Poly((1, 1)), poles)))
 
@@ -290,8 +280,7 @@ def _solve_intertwiner(direction: str, fit: Sequence[tuple[Poly, Poly]],
     return op
 
 
-def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
-                               ) -> DiffOp:
+def derive_raising_intertwiner(alpha: Fraction, beta: Fraction) -> DiffOp:
     """Derive the forward intertwiner from scratch.
 
     Ansatz: a(x) d + c(x) with deg a <= 2, deg c <= 1 — forced by requiring
@@ -301,15 +290,13 @@ def derive_raising_intertwiner(alpha: RationalLike, beta: RationalLike
     line, and the leading coefficient of a is normalized to 1.  The result is
     then validated on degrees 3..6 before being returned.
     """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     pairs = [(shifted_jacobi(n, alpha, beta),
               exceptional_jacobi_closed_form(n + 1, alpha, beta))
              for n in range(7)]
     return _solve_intertwiner("forward", pairs[:3], pairs[3:], 2, 1, {})
 
 
-def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
-                                ) -> DiffOp:
+def derive_lowering_intertwiner(alpha: Fraction, beta: Fraction) -> DiffOp:
     """Derive the backward intertwiner from scratch.
 
     Ansatz: [ e(x) d + f(x) ] / (x-b) with deg e, deg f <= 1.  Clearing the
@@ -318,7 +305,6 @@ def derive_lowering_intertwiner(alpha: RationalLike, beta: RationalLike
     must be a line, e is normalized monic, and the result is validated on
     degrees 4..7.
     """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
     pairs = [(exceptional_jacobi_closed_form(n, alpha, beta),
               shifted_jacobi(n - 1, alpha, beta))
              for n in range(1, 8)]
@@ -360,6 +346,7 @@ def deformed_lowering(n: RationalLike, alpha: RationalLike,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
     the degree n-1 one.  Annihilates the degree-1 member.  It is the q = 1
     lowering chain, and the same cached object."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return deformed_lowering_chain(n, 1, alpha, beta)
 
 
@@ -369,6 +356,7 @@ def deformed_raising(n: RationalLike, alpha: RationalLike,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
     the degree n+1 one.  It is the q = 1 raising chain, and the same cached
     object."""
+    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return deformed_raising_chain(n, 1, alpha, beta)
 
 
@@ -379,7 +367,6 @@ def deformed_lowering_action(n, alpha, beta) -> Fraction:
     At n = 1 the image is identically zero — the family has no degree-0
     member to land on — so the coefficient is 0 there, not the formula's
     value."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     if n == 1:
         return Fraction(0)
     return ((n + alpha) * (n + alpha - 2) * (n + beta) * (n + beta - 2))
@@ -388,7 +375,6 @@ def deformed_lowering_action(n, alpha, beta) -> Fraction:
 def deformed_raising_action(n, alpha, beta) -> Fraction:
     """Measured one-step raising coefficient in the closed-form
     normalization: n(n+alpha)(n+beta)(n+alpha+beta)."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return n * (n + alpha) * (n + beta) * (n + alpha + beta)
 
 
@@ -397,7 +383,6 @@ def claimed_deformed_lowering_action(n, alpha, beta) -> Fraction:
     the measured coefficient by a constant factor -1 at every n >= 2 (the
     generic formula is kept verbatim here, without the bottom-row guard the
     measured table carries)."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return -((n + alpha) * (n + alpha - 2) * (n + beta) * (n + beta - 2))
 
 
@@ -408,24 +393,22 @@ def claimed_deformed_raising_action(n, alpha, beta) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def deformed_raising_chain(n: RationalLike, q: int, alpha: RationalLike,
-                           beta: RationalLike) -> DiffOp:
+def deformed_raising_chain(n: Fraction, q: int, alpha: Fraction,
+                           beta: Fraction) -> DiffOp:
     """q-fold raising chain: the one-step ladders at indices n, n+1, ...,
     n+q-1 (rightmost acts first), built as F o (classical raising chain
     joined by B o F) o B."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return _deformed_chain(
         [jacobi_raising(n - 1 + i, alpha + 1, beta - 1) for i in range(q)],
         alpha, beta)
 
 
 @lru_cache(maxsize=None)
-def deformed_lowering_chain(n: RationalLike, q: int, alpha: RationalLike,
-                            beta: RationalLike) -> DiffOp:
+def deformed_lowering_chain(n: Fraction, q: int, alpha: Fraction,
+                            beta: Fraction) -> DiffOp:
     """q-fold lowering chain: the one-step ladders at indices n, n-1, ...,
     n-q+1 (rightmost acts first), built as F o (classical lowering chain
     joined by B o F) o B."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return _deformed_chain(
         [jacobi_lowering(n - 1 - i, alpha + 1, beta - 1) for i in range(q)],
         alpha, beta)
@@ -434,7 +417,6 @@ def deformed_lowering_chain(n: RationalLike, q: int, alpha: RationalLike,
 def claimed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
     """Transcribed q-fold raising coefficient:
     (-1)^q (n)_q (n+beta)_q (n+alpha)_q (n+alpha+beta)_q."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return (Fraction((-1) ** q) * pochhammer(n, q) * pochhammer(n + beta, q)
             * pochhammer(n + alpha, q) * pochhammer(n + alpha + beta, q))
 
@@ -442,7 +424,6 @@ def claimed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
 def claimed_lowering_chain_action(n, q: int, alpha, beta) -> Fraction:
     """Transcribed q-fold lowering coefficient:
     (-1)^q (-n-alpha)_q (-n-alpha+2)_q (-n-beta)_q (-n-beta+2)_q."""
-    n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return (Fraction((-1) ** q)
             * pochhammer(-n - alpha, q) * pochhammer(-n - alpha + 2, q)
             * pochhammer(-n - beta, q) * pochhammer(-n - beta + 2, q))
@@ -486,7 +467,7 @@ def radial_raising(a: RationalLike, eps: RationalLike) -> DiffOp:
     return _radial_ladder(1 - a, eps, a * (1 - a) / 2)
 
 
-def radial_lowering_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
+def radial_lowering_candidate(a: Fraction, eps: Fraction) -> DiffOp:
     """Verbatim candidate for the radial lowering ladder:
 
         (1+a) d_y - eps - (a/2y)(1+a)
@@ -494,36 +475,33 @@ def radial_lowering_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
     — the energy term enters with the opposite sign.  On the bottom state
     m = 0 it returns -(1+a) times the state instead of annihilating it, which
     is the cleanest witness that the sign is wrong."""
-    a, eps = as_fraction(a), as_fraction(eps)
     return _radial_ladder(1 + a, -eps, -a * (1 + a) / 2)
 
 
-def radial_raising_candidate(a: RationalLike, eps: RationalLike) -> DiffOp:
+def radial_raising_candidate(a: Fraction, eps: Fraction) -> DiffOp:
     """Verbatim candidate for the radial raising ladder:
 
         (1-a) d_y - eps + (a/2y)(1+a)
 
     — opposite-sign energy term, and the pole strength says (1+a) where the
     derived ladder needs (1-a)."""
-    a, eps = as_fraction(a), as_fraction(eps)
     return _radial_ladder(1 - a, -eps, a * (1 + a) / 2)
 
 
-def radial_eps(m: int, a: RationalLike) -> Fraction:
+def radial_eps(m: int, a: Fraction) -> Fraction:
     """Energy parameter eps = (2m + a + 1)/2 = E/(2 omega) of the bound state
     with Laguerre data (m, a); constant along any fixed-energy chain."""
-    return (2 * m + as_fraction(a) + 1) / 2
+    return (2 * m + a + 1) / 2
 
 
-def radial_gauge_logderiv(a: RationalLike) -> RatFunc:
+def radial_gauge_logderiv(a: Fraction) -> RatFunc:
     """(log G)' for the radial gauge factor G = y^(a/2) e^(-y/2):
     a/(2y) - 1/2."""
-    a = as_fraction(a)
     return RatFunc(a / 2, {0: 1}) - Fraction(1, 2)
 
 
-def radial_family_image(op: DiffOp, m: int, a: RationalLike,
-                        target_a: RationalLike) -> RatFunc:
+def radial_family_image(op: DiffOp, m: int, a: Fraction,
+                        target_a: Fraction) -> RatFunc:
     """Image of the gauged bound radial factor with Laguerre data (m, a) under
     op, re-expressed over the gauge of target_a.
 
@@ -531,8 +509,6 @@ def radial_family_image(op: DiffOp, m: int, a: RationalLike,
     R is a polynomial exactly when the image lies in the target family's span.
     Requires a - target_a to be an even integer (gauge shifts come in 2s).
     """
-    a = as_fraction(a)
-    target_a = as_fraction(target_a)
     shift = (a - target_a) / 2
     if shift.denominator != 1:
         raise ValueError("gauge parameters must differ by an even integer")
@@ -542,8 +518,8 @@ def radial_family_image(op: DiffOp, m: int, a: RationalLike,
     return img * (RatFunc(Poly.x() ** s) if s >= 0 else RatFunc(1, {0: -s}))
 
 
-def radial_action_report(op: DiffOp, m: int, a: RationalLike, target_m: int,
-                         target_a: RationalLike) -> Measurement:
+def radial_action_report(op: DiffOp, m: int, a: Fraction, target_m: int,
+                         target_a: Fraction) -> Measurement:
     """Radial twin of `action_report`: (c, witness) with op sending the
     gauged radial factor (m, a) to c times the one with (target_m,
     target_a), or (None, witness) when the image leaves that line."""
@@ -559,7 +535,6 @@ def radial_lowering_action(m: int, a) -> Fraction:
 
 def radial_raising_action(m: int, a) -> Fraction:
     """Measured coefficient of the derived raising ladder: -(m+1)(m+a)."""
-    a = as_fraction(a)
     return -(m + 1) * (m + a)
 
 
@@ -570,29 +545,25 @@ def claimed_radial_lowering_action(m: int, a) -> Fraction:
 
 def claimed_radial_raising_action(m: int, a) -> Fraction:
     """Transcribed one-step claim for the raising coefficient: -(m+1)(m+a)."""
-    a = as_fraction(a)
     return -(m + 1) * (m + a)
 
 
 @lru_cache(maxsize=None)
-def radial_lowering_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
+def radial_lowering_chain(a: Fraction, eps: Fraction, p: int) -> DiffOp:
     """p-fold lowering chain at fixed eps: factors at gauges a, a+2, ...,
     a+2(p-1), rightmost first."""
-    a = as_fraction(a)
     return _composed([radial_lowering(a + 2 * i, eps) for i in range(p)])
 
 
 @lru_cache(maxsize=None)
-def radial_raising_chain(a: RationalLike, eps: RationalLike, p: int) -> DiffOp:
+def radial_raising_chain(a: Fraction, eps: Fraction, p: int) -> DiffOp:
     """p-fold raising chain at fixed eps: factors at gauges a, a-2, ...,
     a-2(p-1), rightmost first."""
-    a = as_fraction(a)
     return _composed([radial_raising(a - 2 * i, eps) for i in range(p)])
 
 
 def radial_raising_chain_action(m: int, a, p: int) -> Fraction:
     """(-1)^p (m+1)_p (m+a-p+1)_p."""
-    a = as_fraction(a)
     return (Fraction((-1) ** p) * pochhammer(Fraction(m + 1), p)
             * pochhammer(m + a - p + 1, p))
 
@@ -604,7 +575,6 @@ def claimed_radial_lowering_chain_action(m: int, a, p: int) -> Fraction:
 
 def claimed_radial_raising_chain_action(m: int, a, p: int) -> Fraction:
     """Transcribed p-fold raising claim: (-1)^p (m+1)_p (a+m-p+1)_p."""
-    a = as_fraction(a)
     return (Fraction((-1) ** p) * pochhammer(Fraction(m + 1), p)
             * pochhammer(a + m - p + 1, p))
 
@@ -626,7 +596,6 @@ class CompositeStep:
     target: QuantumState
     coefficient: Fraction
     energy: Fraction           # E / omega, equal for source and target
-    eps: Fraction              # E / (2 omega), the radial chain's parameter
     angular: DiffOp
     radial: DiffOp
 
@@ -651,8 +620,6 @@ def composite_raising(state: QuantumState, params: ModelParams) -> CompositeStep
             f"has m = {state.m}")
     alpha, beta = params.alpha, params.beta
     target = QuantumState(state.m - p, state.n + q)
-    if energy_ratio(target, params) != energy_ratio(state, params):
-        raise VerificationError("composite failed to preserve energy")
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     eps = radial_eps(state.m, a)
     coeff = Fraction((-1) ** p) * _monic_rescale(state, target, alpha, beta)
@@ -660,7 +627,7 @@ def composite_raising(state: QuantumState, params: ModelParams) -> CompositeStep
         coeff *= deformed_raising_action(state.n + i, alpha, beta)
     return CompositeStep(
         source=state, target=target, coefficient=coeff,
-        energy=energy_ratio(state, params), eps=eps,
+        energy=energy_ratio(state, params),
         angular=deformed_raising_chain(state.n, q, alpha, beta),
         radial=radial_lowering_chain(a, eps, p))
 
@@ -676,8 +643,6 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
             f"state has n = {state.n}")
     alpha, beta = params.alpha, params.beta
     target = QuantumState(state.m + p, state.n - q)
-    if energy_ratio(target, params) != energy_ratio(state, params):
-        raise VerificationError("composite failed to preserve energy")
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     eps = radial_eps(state.m, a)
     coeff = (radial_raising_chain_action(state.m, a, p)
@@ -686,7 +651,7 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
         coeff *= deformed_lowering_action(state.n - i, alpha, beta)
     return CompositeStep(
         source=state, target=target, coefficient=coeff,
-        energy=energy_ratio(state, params), eps=eps,
+        energy=energy_ratio(state, params),
         angular=deformed_lowering_chain(state.n, q, alpha, beta),
         radial=radial_raising_chain(a, eps, p))
 

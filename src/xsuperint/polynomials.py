@@ -5,6 +5,12 @@ A `Poly` keeps integer numerators over one common denominator, so products,
 sums and exact division by x - r run on Python ints; coefficients and values
 come back as `fractions.Fraction`.  Nothing here touches floating point
 except `float_coeffs`.
+
+Rationals are coerced (`as_fraction`, which refuses floats) only at the
+package boundary: the `Poly` constructors, scalar product and `evaluate`,
+and each exported family builder, whose cache is typed so that a float equal
+to a cached rational is refused too.  Internal helpers such as `weight_pole`
+and `pochhammer` take `Fraction` parameters.
 """
 
 from __future__ import annotations
@@ -30,22 +36,20 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def pochhammer(z: RationalLike, j: int) -> Fraction:
+def pochhammer(z: Fraction, j: int) -> Fraction:
     """Rising factorial (z)_j = z (z+1) ... (z+j-1), with (z)_0 = 1."""
     if j < 0:
         raise ValueError("pochhammer needs j >= 0")
-    z = as_fraction(z)
     out = Fraction(1)
     for i in range(j):
         out *= z + i
     return out
 
 
-def binomial_rational(z: RationalLike, j: int) -> Fraction:
+def binomial_rational(z: Fraction, j: int) -> Fraction:
     """Generalized binomial C(z, j) = z (z-1) ... (z-j+1) / j! for rational z."""
     if j < 0:
         raise ValueError("binomial needs j >= 0")
-    z = as_fraction(z)
     return pochhammer(z - j + 1, j) / math.factorial(j)
 
 
@@ -90,7 +94,7 @@ class Poly:
 
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
-        return cls((as_fraction(c),))
+        return cls((c,))
 
     # -- basic queries -------------------------------------------------
     @property
@@ -326,16 +330,15 @@ def lagrange_fit(basis: Sequence[tuple[Poly, Fraction]],
 # Classical orthogonal families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def jacobi_polynomial(n: int, alpha: Fraction, beta: Fraction) -> Poly:
+@lru_cache(maxsize=None, typed=True)
+def jacobi_polynomial(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     """Jacobi polynomial P_n in the standard normalization P_n(1) = (alpha+1)_n / n!.
 
     Built from the three-term recurrence, so every coefficient is exact.
     """
     if n < 0:
         raise ValueError("jacobi_polynomial needs n >= 0")
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     if n == 0:
         return Poly.one()
     p_prev = Poly.one()
@@ -351,8 +354,8 @@ def jacobi_polynomial(n: int, alpha: Fraction, beta: Fraction) -> Poly:
     return p_cur
 
 
-@lru_cache(maxsize=None)
-def laguerre_polynomial(m: int, a: Fraction) -> Poly:
+@lru_cache(maxsize=None, typed=True)
+def laguerre_polynomial(m: int, a: RationalLike) -> Poly:
     """Laguerre polynomial L_m^(a) from the terminating series.
 
     The parameter may be any rational (it is generically non-integer here),
@@ -368,15 +371,13 @@ def laguerre_polynomial(m: int, a: Fraction) -> Poly:
     return Poly(coeffs)
 
 
-def weight_pole(alpha: RationalLike, beta: RationalLike) -> Fraction:
+def weight_pole(alpha: Fraction, beta: Fraction) -> Fraction:
     """Location b = (beta + alpha) / (beta - alpha) of the algebraic pole of the
     deformed weight (1-x)^alpha (1+x)^beta / (x-b)^2.
 
     For beta > alpha > 0 this sits strictly to the right of the orthogonality
     interval [-1, 1].
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
     if alpha == beta:
         raise ParameterDomainError(
             "alpha == beta leaves the weight-pole location b = "
@@ -384,19 +385,18 @@ def weight_pole(alpha: RationalLike, beta: RationalLike) -> Fraction:
     return (beta + alpha) / (beta - alpha)
 
 
-def secondary_root(alpha: RationalLike, beta: RationalLike) -> Fraction:
+def secondary_root(alpha: Fraction, beta: Fraction) -> Fraction:
     """The point c = b + 2/(beta - alpha) = (alpha + beta + 2)/(beta - alpha).
 
     This is the root of the degree-1 member of the deformed family, and the
     zero of the derived forward intertwiner's order-0 coefficient.
     """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
     return weight_pole(alpha, beta) + Fraction(2) / (beta - alpha)
 
 
-@lru_cache(maxsize=None)
-def exceptional_jacobi_closed_form(n: int, alpha: Fraction, beta: Fraction) -> Poly:
+@lru_cache(maxsize=None, typed=True)
+def exceptional_jacobi_closed_form(n: int, alpha: RationalLike,
+                                   beta: RationalLike) -> Poly:
     """Closed-form combination defining the degree-n member of the deformed
     family from two classical Jacobi polynomials:
 
@@ -407,8 +407,7 @@ def exceptional_jacobi_closed_form(n: int, alpha: Fraction, beta: Fraction) -> P
     """
     if n < 1:
         raise ValueError("the deformed family starts at degree 1")
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = weight_pole(alpha, beta)
     p1 = jacobi_polynomial(n - 1, alpha, beta)
     p2 = jacobi_polynomial(n - 2, alpha, beta) if n >= 2 else Poly.zero()

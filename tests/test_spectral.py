@@ -11,7 +11,8 @@ from xsuperint import spectral
 from xsuperint.angular import angular_potential, angular_potential_candidate
 from xsuperint.errors import (NumericalOverflowError, QuadratureError,
                               VerificationError)
-from xsuperint.ladders import (composite_lowering, composite_raising,
+from xsuperint.ladders import (composite_action_report, composite_lowering,
+                               composite_raising,
                                lowering_intertwiner_candidate, radial_eps,
                                radial_lowering)
 from xsuperint.params import (ModelParams, QuantumState, angular_eigenroot,
@@ -207,13 +208,17 @@ def test_degeneracy_table_structure():
 
 
 def test_degeneracy_chain_step():
-    params = kparams(3, 2)       # k = 3/2; within-level step (-3, +2)
+    """The raising composite, applied, carries each state of a level onto
+    the next one with its tabulated, nonzero coefficient."""
+    params = kparams(3, 2)       # k = 3/2
     levels = degeneracy_table(params, emax=40.0)
-    fat = [lv for lv in levels if len(lv.states) >= 2]
-    assert fat, "expected at least one degenerate level below the cutoff"
-    for lv in fat:
-        for s, t in zip(lv.states, lv.states[1:]):
-            assert (t.m - s.m, t.n - s.n) == (-3, 2)
+    pairs = [pair for lv in levels for pair in zip(lv.states, lv.states[1:])]
+    assert pairs, "expected at least one degenerate level below the cutoff"
+    for s, t in pairs:
+        step = composite_raising(s, params)
+        assert step.target == t
+        measured, witness = composite_action_report(step, params)
+        assert measured == step.coefficient != 0, (s, witness)
 
 
 def test_degeneracy_energies_are_exact():
