@@ -95,10 +95,10 @@ def at_least(low: int) -> Callable[[str], int]:
 MAX_ROWS = 10 ** 6
 
 
-#: Largest p and q `verify` accepts.  It builds exact p- and q-fold ladder
-#: chains, and their cost grows with p + q: on a 2-core machine the whole
-#: `verify` at the default (alpha, beta) = (1, 3) takes 0.48 s at k = 6/1,
-#: 1.05 s at 5/6, 1.93 s at 1/8 and 2.05 s at 7/8, the slowest point admitted.
+#: Largest p and q `verify` accepts.  On a 2-core machine the whole `verify`
+#: at the default (alpha, beta) = (1, 3) takes 0.72 s at k = 6/1, 0.73 s at
+#: 5/6, 0.70 s at 1/8 and 0.72 s at 7/8.  The cap is set by the float
+#: ladder-closure gate, which fails at k = 15/16, not by cost.
 MAX_VERIFY_PQ = 8
 
 

@@ -55,4 +55,4 @@ class StepSizeError(XSuperintError):
 
 class InsufficientSpanError(XSuperintError):
     """Too few index nodes for an exact interpolation with a held-out check
-    (raised by `parity_report` when nmax is too small for p and q)."""
+    (raised by `parity_report` when nmax < 5, for every p and q)."""

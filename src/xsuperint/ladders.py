@@ -8,17 +8,17 @@ Layers, bottom to top:
     family to the deformed family, derived here from scratch by one exact
     linear-ansatz nullspace solve that both `derive_*` call (the backward
     map with an (x - b) pole) and also frozen in closed form;
-  * deformed-family q-fold chains built as F o (classical steps joined by
-    M = B o F) o B, where M is polynomial (the shifted Jacobi operator plus
-    a constant); the one-step ladders F o (classical ladder) o B are the
-    q = 1 chains;
+  * ladder chains as their factor sequences (`LadderChain`), applied factor
+    by factor and never composed: a q-fold deformed chain is the one-step
+    ladders F o c_i o B over the classical steps c_i, 3q first-order
+    factors, and the one-step ladders are the q = 1 chains;
   * radial (Laguerre-index) ladders in y = omega r^2 at fixed energy, and
-    their p-fold chains;
+    their p-fold chains, one factor per step;
   * energy-preserving composites that trade p radial quanta against q angular
     quanta: a `CompositeStep` with an exact rational coefficient, whose two
     images (`composite_images`) every composite check measures;
   * an index-reflection report: the raising and lowering chains exchange under
-    the sign flip of the angular eigenroot, verified three independent ways.
+    the sign flip of the angular eigenroot, verified three ways on one step.
 
 Functions named `*_candidate` or `claimed_*` are verbatim transcriptions of a
 circulating closed form kept for reconciliation — they are scored against the
@@ -27,22 +27,20 @@ the exported builders (`raising_intertwiner`, `deformed_raising`,
 `radial_lowering`, `parity_report` and their twins) coerce ints and "a/b"
 strings; every other function here takes `Fraction` parameters and `int`
 indices, or `Fraction` indices so formal substitutions (such as the
-reflection n -> 1 - n - alpha - beta) can reuse the same builders.  The four
-chain builders are memoised for the life of the process, so a chain that
-several checks apply, one-step ladders included, is composed once.
+reflection n -> 1 - n - alpha - beta) can reuse the same builders.  Chains
+are cheap to build and apply, so no builder is memoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .angular import angular_operator, exceptional_jacobi
 from .errors import (InsufficientSpanError, OutOfFamilyError,
                      VerificationError)
-from .operators import DiffOp, Poles, RatFunc
+from .operators import Coefficientable, DiffOp, Poles, RatFunc
 from .params import ModelParams, QuantumState, angular_eigenroot, energy_ratio
 from .polynomials import (Poly, RationalLike, as_fraction,
                           exceptional_jacobi_closed_form, jacobi_polynomial,
@@ -75,14 +73,16 @@ def _line_report(image: RatFunc, target: Poly) -> Measurement:
     return c, "proportional"
 
 
-def action_report(op: DiffOp, source: Poly, target: Poly) -> Measurement:
+def action_report(op: DiffOp | LadderChain, source: Poly, target: Poly
+                  ) -> Measurement:
     """Measure op on a polynomial family member: (c, witness) with
     op(source) == c * target, or (None, witness) when the image leaves the
     target's line.  Every polynomial-family action is measured here."""
     return _line_report(op.apply_poly(source), target)
 
 
-def action_coefficient(op: DiffOp, source: Poly, target: Poly) -> Fraction:
+def action_coefficient(op: DiffOp | LadderChain, source: Poly, target: Poly
+                       ) -> Fraction:
     """`action_report` that raises VerificationError with the witness when
     the image leaves the target's line, so a wrong ladder can never be
     scored as a right one."""
@@ -316,46 +316,49 @@ def derive_lowering_intertwiner(alpha: Fraction, beta: Fraction) -> DiffOp:
 # Ladders inside the deformed family (third-order), and their chains
 # ---------------------------------------------------------------------------
 
-def _composed(factors: Sequence[DiffOp]) -> DiffOp:
-    """factors[-1] o ... o factors[0]: the first factor acts first."""
-    out = factors[0]
-    for factor in factors[1:]:
-        out = factor.compose(out)
-    return out
+@dataclass(frozen=True)
+class LadderChain:
+    """A ladder chain as its first-order factors, the first acting first
+    (B, c_1, F, B, c_2, F, ... over classical steps c_i, or one radial
+    ladder per step), applied in turn and never composed."""
+    factors: tuple[DiffOp, ...]
+
+    def apply_ratfunc(self, f: Coefficientable) -> RatFunc:
+        for factor in self.factors:
+            f = factor.apply_ratfunc(f)
+        return RatFunc.of(f)
+
+    apply_poly = apply_ratfunc
+
+    def gauge_conjugate(self, logderiv: RatFunc) -> "LadderChain":
+        """`DiffOp.gauge_conjugate` factor by factor (a homomorphism)."""
+        return LadderChain(tuple(f.gauge_conjugate(logderiv)
+                                 for f in self.factors))
 
 
-def _deformed_chain(classical_steps: Sequence[DiffOp], alpha: Fraction,
-                    beta: Fraction) -> DiffOp:
-    """F o (c_q o M o ... o M o c_1) o B, M = B o F: the one-step ladders
-    F o c_i o B over the classical steps c_1..c_q (shifted parameters, c_1
-    acting first) regrouped so that the middle is polynomial and the (x - b)
-    pole of B is met once, at the right end."""
-    f = raising_intertwiner(alpha, beta)
-    b = lowering_intertwiner(alpha, beta)
-    middle = [classical_steps[0]]
-    if len(classical_steps) > 1:
-        m = b.compose(f)
-        for step in classical_steps[1:]:
-            middle += [m, step]
-    return f.compose(_composed(middle)).compose(b)
+def _one_step_factors(classical_steps: Sequence[DiffOp], alpha: Fraction,
+                      beta: Fraction) -> LadderChain:
+    """The one-step ladders F o c_i o B over the classical steps c_1..c_q
+    (shifted parameters, c_1 acting first), as one factor sequence."""
+    f, b = raising_intertwiner(alpha, beta), lowering_intertwiner(alpha, beta)
+    return LadderChain(tuple(op for c in classical_steps for op in (b, c, f)))
 
 
 def deformed_lowering(n: RationalLike, alpha: RationalLike,
-                      beta: RationalLike) -> DiffOp:
+                      beta: RationalLike) -> LadderChain:
     """Third-order ladder F o (classical lowering at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
     the degree n-1 one.  Annihilates the degree-1 member.  It is the q = 1
-    lowering chain, and the same cached object."""
+    lowering chain."""
     n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return deformed_lowering_chain(n, 1, alpha, beta)
 
 
 def deformed_raising(n: RationalLike, alpha: RationalLike,
-                     beta: RationalLike) -> DiffOp:
+                     beta: RationalLike) -> LadderChain:
     """Third-order ladder F o (classical raising at shifted parameters,
     index n-1) o B sending the degree-n deformed polynomial to a multiple of
-    the degree n+1 one.  It is the q = 1 raising chain, and the same cached
-    object."""
+    the degree n+1 one.  It is the q = 1 raising chain."""
     n, alpha, beta = as_fraction(n), as_fraction(alpha), as_fraction(beta)
     return deformed_raising_chain(n, 1, alpha, beta)
 
@@ -392,24 +395,20 @@ def claimed_deformed_raising_action(n, alpha, beta) -> Fraction:
     return -deformed_raising_action(n, alpha, beta)
 
 
-@lru_cache(maxsize=None)
 def deformed_raising_chain(n: Fraction, q: int, alpha: Fraction,
-                           beta: Fraction) -> DiffOp:
+                           beta: Fraction) -> LadderChain:
     """q-fold raising chain: the one-step ladders at indices n, n+1, ...,
-    n+q-1 (rightmost acts first), built as F o (classical raising chain
-    joined by B o F) o B."""
-    return _deformed_chain(
+    n+q-1, the one at n acting first."""
+    return _one_step_factors(
         [jacobi_raising(n - 1 + i, alpha + 1, beta - 1) for i in range(q)],
         alpha, beta)
 
 
-@lru_cache(maxsize=None)
 def deformed_lowering_chain(n: Fraction, q: int, alpha: Fraction,
-                            beta: Fraction) -> DiffOp:
+                            beta: Fraction) -> LadderChain:
     """q-fold lowering chain: the one-step ladders at indices n, n-1, ...,
-    n-q+1 (rightmost acts first), built as F o (classical lowering chain
-    joined by B o F) o B."""
-    return _deformed_chain(
+    n-q+1, the one at n acting first."""
+    return _one_step_factors(
         [jacobi_lowering(n - 1 - i, alpha + 1, beta - 1) for i in range(q)],
         alpha, beta)
 
@@ -500,7 +499,7 @@ def radial_gauge_logderiv(a: Fraction) -> RatFunc:
     return RatFunc(a / 2, {0: 1}) - Fraction(1, 2)
 
 
-def radial_family_image(op: DiffOp, m: int, a: Fraction,
+def radial_family_image(op: DiffOp | LadderChain, m: int, a: Fraction,
                         target_a: Fraction) -> RatFunc:
     """Image of the gauged bound radial factor with Laguerre data (m, a) under
     op, re-expressed over the gauge of target_a.
@@ -518,8 +517,8 @@ def radial_family_image(op: DiffOp, m: int, a: Fraction,
     return img * (RatFunc(Poly.x() ** s) if s >= 0 else RatFunc(1, {0: -s}))
 
 
-def radial_action_report(op: DiffOp, m: int, a: Fraction, target_m: int,
-                         target_a: Fraction) -> Measurement:
+def radial_action_report(op: DiffOp | LadderChain, m: int, a: Fraction,
+                         target_m: int, target_a: Fraction) -> Measurement:
     """Radial twin of `action_report`: (c, witness) with op sending the
     gauged radial factor (m, a) to c times the one with (target_m,
     target_a), or (None, witness) when the image leaves that line."""
@@ -548,18 +547,18 @@ def claimed_radial_raising_action(m: int, a) -> Fraction:
     return -(m + 1) * (m + a)
 
 
-@lru_cache(maxsize=None)
-def radial_lowering_chain(a: Fraction, eps: Fraction, p: int) -> DiffOp:
+def radial_lowering_chain(a: Fraction, eps: Fraction, p: int) -> LadderChain:
     """p-fold lowering chain at fixed eps: factors at gauges a, a+2, ...,
-    a+2(p-1), rightmost first."""
-    return _composed([radial_lowering(a + 2 * i, eps) for i in range(p)])
+    a+2(p-1), the one at a acting first."""
+    return LadderChain(tuple(radial_lowering(a + 2 * i, eps)
+                             for i in range(p)))
 
 
-@lru_cache(maxsize=None)
-def radial_raising_chain(a: Fraction, eps: Fraction, p: int) -> DiffOp:
+def radial_raising_chain(a: Fraction, eps: Fraction, p: int) -> LadderChain:
     """p-fold raising chain at fixed eps: factors at gauges a, a-2, ...,
-    a-2(p-1), rightmost first."""
-    return _composed([radial_raising(a - 2 * i, eps) for i in range(p)])
+    a-2(p-1), the one at a acting first."""
+    return LadderChain(tuple(radial_raising(a - 2 * i, eps)
+                             for i in range(p)))
 
 
 def radial_raising_chain_action(m: int, a, p: int) -> Fraction:
@@ -596,8 +595,8 @@ class CompositeStep:
     target: QuantumState
     coefficient: Fraction
     energy: Fraction           # E / omega, equal for source and target
-    angular: DiffOp
-    radial: DiffOp
+    angular: LadderChain
+    radial: LadderChain
 
 
 def _monic_rescale(source: QuantumState, target: QuantumState,
@@ -745,23 +744,25 @@ class ParityReport:
         return out
 
 
-def _chain_value_table(chains: Sequence[DiffOp], root: Fraction
-                       ) -> list[dict[tuple[int, int], Fraction]]:
-    """Clear all chains by a common power of the pole x - root and tabulate
-    the x-coefficients of every cleared operator coefficient: one
-    {(derivative order, x power): value} map per chain.  Raises
-    VerificationError when a chain's denominator is not a power of the
-    pole."""
+def _chain_value_table(chains: Sequence[LadderChain], root: Fraction
+                       ) -> list[dict[tuple, Fraction]]:
+    """Clear every factor of all chains by a common power of the pole
+    x - root and tabulate the x-coefficients of every cleared operator
+    coefficient: one {(factor, derivative order, x power): value} map per
+    chain.  Raises VerificationError when a factor's denominator is not a
+    power of the pole."""
     pole = Poly((-root, 1))
-    for chain in chains:
-        if any(c.poles.keys() - {root} for c in chain.coeffs):
+    ops = [op for chain in chains for op in chain.factors]
+    for op in ops:
+        if any(c.poles.keys() - {root} for c in op.coeffs):
             raise VerificationError(
-                f"chain has unexpected denominator {chain.cleared()[0].pretty()}; "
+                f"chain has unexpected denominator {op.cleared()[0].pretty()}; "
                 f"expected a power of {pole.pretty()}")
-    common = max((c.poles.get(root, 0) for chain in chains for c in chain.coeffs),
+    common = max((c.poles.get(root, 0) for op in ops for c in op.coeffs),
                  default=0)
-    return [{(j, i): coef
-             for j, c in enumerate(chain.coeffs)
+    return [{(f, j, i): coef
+             for f, op in enumerate(chain.factors)
+             for j, c in enumerate(op.coeffs)
              for i, coef in enumerate(
                  (c.num * pole ** (common - c.poles.get(root, 0))).coeffs)
              if coef}
@@ -769,14 +770,14 @@ def _chain_value_table(chains: Sequence[DiffOp], root: Fraction
 
 
 def _interpolate_tables(nodes: Sequence[Fraction],
-                        tables: Sequence[dict[tuple[int, int], Fraction]],
-                        fit_count: int) -> dict[tuple[int, int], Poly]:
+                        tables: Sequence[dict[tuple, Fraction]],
+                        fit_count: int) -> dict[tuple, Poly]:
     """Entry-wise exact interpolation of the tabulated chain coefficients as
     polynomials in the node variable, fitted on the first fit_count nodes and
     validated on the rest."""
     keys = sorted({k for t in tables for k in t})
     basis = lagrange_basis(nodes[:fit_count])
-    out: dict[tuple[int, int], Poly] = {}
+    out: dict[tuple, Poly] = {}
     for key in keys:
         values = [t.get(key, Fraction(0)) for t in tables]
         poly = lagrange_fit(basis, values[:fit_count])
@@ -790,29 +791,26 @@ def _interpolate_tables(nodes: Sequence[Fraction],
     return out
 
 
-def _swap_mismatches(plus: dict[tuple[int, int], Poly],
-                     minus: dict[tuple[int, int], Poly]
-                     ) -> list[tuple[int, int]]:
-    """Entries whose `plus` interpolant at -A differs from `minus` at A."""
-    zero = Poly.zero()
-    return [key for key in sorted(set(plus) | set(minus))
-            if plus.get(key, zero).reflect() != minus.get(key, zero)]
-
-
 def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
                   nmax: int = 8) -> ParityReport:
     """Verify, three independent ways, that the raising and lowering chains
     are a single object read at opposite signs of the angular eigenroot.
 
-    1. Tabulate both q-fold deformed chains at indices n = 1..nmax, clear the
-       common pole power, interpolate every coefficient exactly as a
-       polynomial in A (validating on held-out nodes), and check the raising
-       interpolants at -A equal the lowering interpolants at A.
-    2. Same for the p-fold radial chains in the gauge parameter a = k A,
+    One step proves every chain: jacobi_raising(-N - a - b - 1, a, b) ==
+    jacobi_lowering(N, a, b) and radial_raising(-a - 2i) ==
+    radial_lowering(a + 2i), so a reflected raising chain is its lowering
+    twin factor by factor when its one-step factors are.
+
+    1. Tabulate the factors of both one-step deformed chains at indices
+       n = 1..nmax, clear the common pole power, interpolate every
+       coefficient exactly as a polynomial in A (fitted on 4 nodes, as the
+       coefficients are at most quadratic, and validated on the rest), and
+       check the raising interpolants at -A equal the lowering ones at A.
+    2. Same for the one-step radial ladders in the gauge parameter a = k A,
        k = p/q, with the energy parameter held fixed at an arbitrary
-       rational (7/2).
+       rational (7/2); they are also compared at -a and a factor by factor.
     3. Substitute n -> 1 - n - alpha - beta directly into the raising chain
-       builder and compare operators structurally against the lowering chain.
+       builder and compare its factor sequence with the lowering chain's.
 
     A negative control confirms the raising interpolants alone are not even
     in A, so the swap is a genuine pairing.  Raises InsufficientSpanError when
@@ -821,45 +819,45 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     k = Fraction(p, q)
     eps = Fraction(7, 2)
-    fit_ang = 2 * q + 2
-    fit_rad = 2 * p + 1
-    if nmax < max(fit_ang, fit_rad) + 1:
-        raise InsufficientSpanError(
-            f"parity interpolation needs at least {max(fit_ang, fit_rad) + 1} "
-            f"index nodes for p={p}, q={q}; got nmax={nmax}")
+    fit = 4
+    if nmax <= fit:
+        raise InsufficientSpanError(f"parity interpolation needs at least "
+                                    f"{fit + 1} index nodes; got nmax={nmax}")
     details: list[str] = []
     ns = [Fraction(n) for n in range(1, nmax + 1)]
     roots = [angular_eigenroot(n, alpha, beta) for n in ns]
 
-    raising_chains = [deformed_raising_chain(n, q, alpha, beta) for n in ns]
-    lowering_chains = [deformed_lowering_chain(n, q, alpha, beta) for n in ns]
-    tables = _chain_value_table(raising_chains + lowering_chains,
-                                weight_pole(alpha, beta))
-    plus = _interpolate_tables(roots, tables[:nmax], fit_ang)
-    minus = _interpolate_tables(roots, tables[nmax:], fit_ang)
-    bad = _swap_mismatches(plus, minus)
+    def swap(chains: list[LadderChain], twins: list[LadderChain],
+             root: Fraction) -> tuple[dict[tuple, Poly], list[tuple]]:
+        """The interpolants of `chains`, and the entries whose interpolant
+        at -A differs from that of `twins` at A."""
+        tables = _chain_value_table(chains + twins, root)
+        plus = _interpolate_tables(roots, tables[:nmax], fit)
+        minus = _interpolate_tables(roots, tables[nmax:], fit)
+        zero = Poly.zero()
+        return plus, [key for key in sorted(set(plus) | set(minus))
+                      if plus.get(key, zero).reflect() != minus.get(key, zero)]
+
+    lowering = [deformed_lowering_chain(n, 1, alpha, beta) for n in ns]
+    plus, bad = swap([deformed_raising_chain(n, 1, alpha, beta) for n in ns],
+                     lowering, weight_pole(alpha, beta))
     if bad:
         details.append(f"angular swap fails at entries {bad[:4]}")
 
-    negative_control_ok = any(
-        plus[key].reflect() != plus[key] for key in plus)
+    negative_control_ok = any(poly.reflect() != poly for poly in plus.values())
 
-    rlow = [radial_lowering_chain(k * r, eps, p) for r in roots]
-    rraise = [radial_raising_chain(k * r, eps, p) for r in roots]
-    rtables = _chain_value_table(rlow + rraise, Fraction(0))
-    rplus = _interpolate_tables(roots, rtables[:nmax], fit_rad)
-    rminus = _interpolate_tables(roots, rtables[nmax:], fit_rad)
-    radial_ok = not _swap_mismatches(rplus, rminus)
-    # the radial swap is also an exact operator identity factor by factor
-    for r in roots[:3]:
-        radial_ok = radial_ok and (
-            radial_raising_chain(-k * r, eps, p)
-            == radial_lowering_chain(k * r, eps, p))
+    rlow = [radial_lowering_chain(k * r, eps, 1) for r in roots]
+    _, rbad = swap(rlow, [radial_raising_chain(k * r, eps, 1) for r in roots],
+                   Fraction(0))
+    radial_ok = not rbad and all(
+        radial_raising_chain(-k * r, eps, 1) == chain
+        for r, chain in zip(roots[:3], rlow))
 
+    half = Fraction(7, 2)
     direct_ok = all(
-        deformed_raising_chain(1 - n - alpha - beta, q, alpha, beta)
-        == deformed_lowering_chain(n, q, alpha, beta)
-        for n in (ns[1], ns[2], Fraction(7, 2)))
+        deformed_raising_chain(1 - n - alpha - beta, 1, alpha, beta) == chain
+        for n, chain in ((ns[1], lowering[1]), (ns[2], lowering[2]),
+                         (half, deformed_lowering_chain(half, 1, alpha, beta))))
     if not direct_ok:
         details.append("direct substitution n -> 1-n-alpha-beta failed to "
                        "map the raising chain onto the lowering chain")

@@ -534,7 +534,7 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
     return lines
 
 
-def _composite_lines(params: ModelParams, nmax: int, up: CompositeStep,
+def _composite_lines(params: ModelParams, up: CompositeStep,
                      down: CompositeStep) -> list[CheckLine]:
     alpha, beta = params.alpha, params.beta
     p, q = params.p, params.q
@@ -569,8 +569,7 @@ def _composite_lines(params: ModelParams, nmax: int, up: CompositeStep,
         "composites do not commute with the angular invariant",
         MATCH if gap else MISMATCH, detail))
 
-    par_nmax = max(nmax, 2 * q + 3, 2 * p + 2, 8)
-    par = parity_report(alpha, beta, p, q, nmax=par_nmax)
+    par = parity_report(alpha, beta, p, q)
     lines.append(CheckLine(
         "composite structure",
         "raising and lowering chains swap under eigenroot reflection A -> -A",
@@ -723,7 +722,7 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
             *_intertwiner_lines(alpha_f, beta_f, nmax),
             *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
             *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p, mmax),
-            *_composite_lines(params, nmax, *steps)]
+            *_composite_lines(params, *steps)]
         for line in _gate_lines(params, nmax, tol, grid, classical, steps):
             lines.append(line)
     except XSuperintError as exc:

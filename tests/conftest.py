@@ -1,29 +1,36 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from xsuperint import ladders
-
-CHAIN_BUILDERS = (ladders.deformed_raising_chain,
-                  ladders.deformed_lowering_chain,
-                  ladders.radial_raising_chain,
-                  ladders.radial_lowering_chain)
+from xsuperint.operators import DiffOp
 
 
 @pytest.fixture
-def deformed_compositions(monkeypatch):
-    """List of the arguments of every deformed-chain composition
-    (`ladders._deformed_chain`) made while the test runs.  The memoised chain
-    builders are emptied first: their caches live for the whole process, so
-    a chain an earlier test built would otherwise not be composed again."""
-    for builder in CHAIN_BUILDERS:
-        builder.cache_clear()
-    compositions = []
-    real = ladders._deformed_chain
+def compositions(monkeypatch):
+    """List of the (left, right) operators of every `DiffOp.compose` call
+    made while the test runs."""
+    calls = []
+    real = DiffOp.compose
 
-    def composing(*args):
-        compositions.append(args)
-        return real(*args)
+    def compose(self, other):
+        calls.append((self, other))
+        return real(self, other)
 
-    monkeypatch.setattr(ladders, "_deformed_chain", composing)
-    return compositions
+    monkeypatch.setattr(DiffOp, "compose", compose)
+    return calls
+
+
+@pytest.fixture
+def skewed_raising(monkeypatch):
+    """Add 1/7 to the zeroth-order term of every classical raising step the
+    chain builders make."""
+    real = ladders.jacobi_raising
+
+    def skewed(n, alpha, beta):
+        op = real(n, alpha, beta)
+        return DiffOp((op.coeffs[0] + Fraction(1, 7),) + op.coeffs[1:])
+
+    monkeypatch.setattr(ladders, "jacobi_raising", skewed)

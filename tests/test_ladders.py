@@ -5,7 +5,10 @@ pairing of the chains."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xsuperint import ladders
 from xsuperint.errors import (InsufficientSpanError, OutOfFamilyError,
                               VerificationError)
 from xsuperint.ladders import (
@@ -51,7 +54,8 @@ from xsuperint.ladders import (
     raising_intertwiner_candidate,
     shifted_jacobi,
 )
-from xsuperint.ladders import _chain_value_table, _solve_intertwiner
+from xsuperint.ladders import (LadderChain, _chain_value_table,
+                               _solve_intertwiner)
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
 from xsuperint.polynomials import (Poly, as_fraction,
@@ -184,9 +188,9 @@ def test_deformed_one_step_actions(alpha, beta):
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 def test_one_step_ladders_are_the_q1_chains(alpha, beta):
     for n in range(1, 4):
-        assert deformed_raising(n, alpha, beta) is \
+        assert deformed_raising(n, alpha, beta) == \
             deformed_raising_chain(n, 1, alpha, beta)
-        assert deformed_lowering(n, alpha, beta) is \
+        assert deformed_lowering(n, alpha, beta) == \
             deformed_lowering_chain(n, 1, alpha, beta)
 
 
@@ -219,16 +223,40 @@ def _one_step_product(classical_steps, alpha, beta):
     return out
 
 
+def _assert_chains_equal_one_step_products(n, q, alpha, beta):
+    """Both q-fold chains at index n against their composed products.  An
+    order-3q operator is fixed by its images of 1, x, ..., x^(3q), so the
+    chain and the product must agree on every x^j, j <= 3q + 1."""
+    a1, b1 = alpha + 1, beta - 1
+    for chain, product in (
+            (deformed_raising_chain(n, q, alpha, beta), _one_step_product(
+                [jacobi_raising(n - 1 + i, a1, b1) for i in range(q)],
+                alpha, beta)),
+            (deformed_lowering_chain(n, q, alpha, beta), _one_step_product(
+                [jacobi_lowering(n - 1 - i, a1, b1) for i in range(q)],
+                alpha, beta))):
+        for j in range(3 * q + 2):
+            assert chain.apply_poly(Poly.x() ** j) == \
+                product.apply_poly(Poly.x() ** j), j
+
+
 @pytest.mark.parametrize("alpha,beta", PAIRS + [(Fraction(1, 3),
                                                  Fraction(7, 4))])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_factorised_chains_equal_one_step_products(alpha, beta, q):
     # the formal index n = 7/2 that the parity report substitutes
-    n, a1, b1 = Fraction(7, 2), alpha + 1, beta - 1
-    assert deformed_raising_chain(n, q, alpha, beta) == _one_step_product(
-        [jacobi_raising(n - 1 + i, a1, b1) for i in range(q)], alpha, beta)
-    assert deformed_lowering_chain(n, q, alpha, beta) == _one_step_product(
-        [jacobi_lowering(n - 1 - i, a1, b1) for i in range(q)], alpha, beta)
+    _assert_chains_equal_one_step_products(Fraction(7, 2), q, alpha, beta)
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(5),
+                          max_denominator=20),
+       gap=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(20),
+                        max_denominator=20),
+       q=st.integers(min_value=1, max_value=4))
+def test_chains_equal_one_step_products_across_the_domain(alpha, gap, q):
+    _assert_chains_equal_one_step_products(Fraction(7, 2), q, alpha,
+                                           alpha + gap)
 
 
 @pytest.mark.parametrize("alpha,beta", [
@@ -250,7 +278,7 @@ def test_backward_after_forward_intertwiner_is_polynomial(alpha, beta):
 def test_chain_table_rejects_a_foreign_denominator():
     stray = DiffOp((RatFunc(1, {-1: 1}),))                 # 1/(x+1)
     with pytest.raises(VerificationError):
-        _chain_value_table([stray], Fraction(2))
+        _chain_value_table([LadderChain((stray,))], Fraction(2))
 
 
 def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
@@ -272,6 +300,7 @@ def test_deformed_chains_compose():
         assert coeff == deformed_raising_chain_action(n, q, alpha, beta)
         assert coeff == (deformed_raising_action(n, alpha, beta)
                          * deformed_raising_action(n + 1, alpha, beta))
+        _assert_chains_equal_one_step_products(Fraction(n), q, alpha, beta)
     coeff = action_coefficient(
         deformed_lowering_chain(4, q, alpha, beta),
         exceptional_jacobi_closed_form(4, alpha, beta),
@@ -459,12 +488,32 @@ def test_parity_report_ok(alpha, beta, p, q):
     assert rep.negative_control_ok
 
 
-def test_parity_report_builds_each_deformed_chain_once(deformed_compositions):
-    # 2 * nmax tabulated chains, the lowering chain at n = 7/2 and 3
-    # reflected raising chains; the lowering chains at n = 2 and 3 that the
-    # direct-substitution check compares with come from the cache
-    assert parity_report(*A13, 1, 1, nmax=8).ok
-    assert len(deformed_compositions) == 20
+def test_parity_report_builds_each_deformed_chain_once(monkeypatch,
+                                                     compositions):
+    # 2 * nmax tabulated one-step chains, the lowering chain at n = 7/2 and
+    # 3 reflected raising chains; the direct-substitution check reuses the
+    # tabulated lowering chains at n = 2 and 3, and nothing is composed
+    calls = []
+    for name in ("deformed_raising_chain", "deformed_lowering_chain"):
+        def build(*args, _real=getattr(ladders, name), _name=name):
+            calls.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(ladders, name, build)
+    assert parity_report(*A13, 1, 2, nmax=8).ok
+    assert len(calls) == len(set(calls)) == 20
+    assert {args[1] for _, args in calls} == {1}
+    assert compositions == []
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 2)])
+def test_parity_report_fails_on_a_skewed_raising_step(skewed_raising, p, q):
+    # negative control: the one-step check still sees a raising step that
+    # is not the reflected lowering one
+    rep = parity_report(*A13, p, q)
+    assert not rep.direct_substitution_ok
+    assert not rep.angular_swap_ok
+    assert rep.radial_swap_ok
+    assert not rep.ok
 
 
 def test_parity_report_needs_enough_nodes():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xsuperint import spectral
+from xsuperint import ladders, spectral
 from xsuperint.angular import angular_potential, angular_potential_candidate
 from xsuperint.errors import (NumericalOverflowError, QuadratureError,
                               VerificationError)
@@ -162,12 +162,19 @@ def test_ladder_numeric_ok(p, q):
     assert deviation < 1e-8
 
 
-def test_ladder_numeric_check_builds_the_angular_chain_once(
-        deformed_compositions):
+def test_ladder_numeric_check_builds_the_angular_chain_once(monkeypatch):
     # the check measures the chain of the step it is handed and builds none
+    builds = []
+    real = ladders.deformed_raising_chain
+
+    def build(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ladders, "deformed_raising_chain", build)
     params = kparams(1, 2)
     ladder_numeric_check(composite_raising(QuantumState(1, 1), params), params)
-    assert len(deformed_compositions) == 1
+    assert len(builds) == 1
 
 
 def test_ladder_numeric_check_fails_an_image_that_keeps_a_pole():

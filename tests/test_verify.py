@@ -9,8 +9,9 @@ import pytest
 from xsuperint import ladders, spectral, verify
 from xsuperint.angular import angular_operator
 from xsuperint.errors import ParameterDomainError, VerificationError
-from xsuperint.ladders import (composite_lowering, composite_raising,
-                               deformed_lowering_chain, deformed_raising,
+from xsuperint.ladders import (LadderChain, composite_lowering,
+                               composite_raising, deformed_lowering_chain,
+                               deformed_raising,
                                jacobi_lowering, lowering_intertwiner,
                                lowering_intertwiner_candidate,
                                radial_lowering, radial_raising,
@@ -226,6 +227,13 @@ def test_candidates_are_scored_against_the_derived_tables(
                     ) == "NORMALIZATION(1/2)"
 
 
+def _doubled(op):
+    """2 * op, for an operator or for a chain (its last factor doubled)."""
+    if isinstance(op, LadderChain):
+        return LadderChain(op.factors[:-1] + (op.factors[-1].premultiply(2),))
+    return op.premultiply(2)
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return {(ln.section, ln.name): ln
@@ -246,7 +254,7 @@ def test_claim_tables_are_scored_against_the_measured_operator(
         monkeypatch, small_report, name, real, section, line):
     # a claim compared with a formula cannot see a doubled operator; one
     # compared with that operator's measured action must
-    monkeypatch.setattr(verify, name, lambda *args: real(*args).premultiply(2))
+    monkeypatch.setattr(verify, name, lambda *args: _doubled(real(*args)))
     rep = verification_report(F(1), F(3), nmax=3, mmax=2)
     doubled = next(ln for ln in rep.lines if (ln.section, ln.name)
                    == (section, line))
@@ -272,7 +280,7 @@ def test_chain_products_multiply_measured_steps(monkeypatch, small_report,
     # doubles it while the applied chain stays as it was
     line = PRODUCT_LINES[name]
     assert small_report[line].verdict == "MATCH"
-    monkeypatch.setattr(verify, name, lambda *args: real(*args).premultiply(2))
+    monkeypatch.setattr(verify, name, lambda *args: _doubled(real(*args)))
     rep = verification_report(F(1), F(3), nmax=3, mmax=2)
     doubled = next(ln for ln in rep.lines if (ln.section, ln.name) == line)
     assert doubled.verdict == "NORMALIZATION(2)"
@@ -310,31 +318,34 @@ def _record_builder_calls(monkeypatch):
     return calls
 
 
-def _assert_one_composition_per_chain(calls, compositions):
-    # each distinct chain request is composed once, and every one-step
-    # ladder is served by the q = 1 chain at the same index
+def test_scorecard_composes_no_deformed_chain(compositions):
+    # chains are applied factor by factor, so the scorecard's compositions,
+    # all inside gauge conjugations, do not grow with the angular chain
+    # length
+    counts = []
+    for q in (2, 8, 2, 8):
+        compositions.clear()
+        verification_report(F(1), F(3), p=1, q=q)
+        counts.append(len(compositions))
+    # the first two runs also fill the deformed family's cache
+    assert counts[2] == counts[3]
+
+
+def test_one_step_ladders_reuse_the_q1_chains(monkeypatch):
+    # every one-step ladder the scorecard asks for is the 1-fold chain at
+    # the same index
+    calls = _record_builder_calls(monkeypatch)
+    verification_report(F(1), F(3), nmax=3, mmax=2)
     chains = {call for call in calls if call[0].endswith("_chain")}
-    assert len(compositions) == len(chains)
-    for name, (n, alpha, beta) in (call for call in calls
-                                   if not call[0].endswith("_chain")):
+    steps = [call for call in calls if not call[0].endswith("_chain")]
+    assert steps
+    for name, (n, alpha, beta) in steps:
         assert (f"{name}_chain", (n, 1, alpha, beta)) in chains
 
 
-def test_scorecard_composes_each_deformed_chain_once(monkeypatch,
-                                                     deformed_compositions):
-    # the checks ask for some chains several times; the memoised builders
-    # compose each distinct (builder, arguments) chain once
-    calls = _record_builder_calls(monkeypatch)
-    verification_report(F(1), F(3), p=1, q=2, nmax=3, mmax=2)
-    assert len(calls) > len(set(calls))
-    _assert_one_composition_per_chain(calls, deformed_compositions)
-
-
-def test_one_step_ladders_reuse_the_q1_chains(monkeypatch,
-                                              deformed_compositions):
-    # at q = 1 the one-step tables and the 1-fold chain tables ask for the
-    # same operators, so they are composed once between them
-    calls = _record_builder_calls(monkeypatch)
-    verification_report(F(1), F(3), nmax=3, mmax=2)
-    _assert_one_composition_per_chain(calls, deformed_compositions)
-    assert len(deformed_compositions) == 20
+def test_skewed_raising_step_fails_the_reflection_line(skewed_raising):
+    # the parity line's negative control: a classical raising step that is
+    # not the reflected lowering one is printed as a mismatch
+    rep = verification_report(F(1), F(3), p=3, q=2)
+    assert ("  [MISMATCH] raising and lowering chains swap under eigenroot "
+            "reflection A -> -A -- " in rep.render())
