@@ -10,11 +10,15 @@ the angular invariant
     L1 = p_phi^2 / k^2 + A^2 / sin^2(k phi) + B^2 / cos^2(k phi),
 
 and for rational k = p/q every bounded orbit closes.  The module provides a
-fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme),
-whose step `rk8_step` is one straight-line function generated at import from
-the tableau; one stream of its steps, `trajectory`, which the drift
-measurement, the orbit-closure scan (with sub-step refinement) and the CLI's
-orbit table all read; and a convergence-order probe for the integrator
+fixed-step 8th-order Runge-Kutta integrator (11-stage Cooper-Verner scheme)
+as one generator, `_rk8_stream`, generated at import from the tableau: it
+loads the model and every a_ij * dt once per run, then yields the state
+after each step, checking inline that it is still inside the wedge.  A
+single step, `rk8_step`, is the first state of an unchecked stream.  Every
+multi-step reader takes its states from a stream: `trajectory` (the CLI's
+orbit table and the closure scan), the drift measurement (every 16th state),
+the closure scan's sub-step refinement, `verify`'s drift and closure (one
+integration for both), and a convergence-order probe for the integrator
 itself, which integrates each step size once across its three spans.  Fixed
 step, fixed arithmetic order, no adaptivity: repeated runs are bit-identical.
 """
@@ -22,8 +26,9 @@ step, fixed arithmetic order, no adaptivity: repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice, takewhile, tee
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParameterDomainError, StepSizeError, WedgeExitError
@@ -132,52 +137,6 @@ def _cooper_verner_tableau() -> tuple[list[list[float]], list[float]]:
     return a, b
 
 
-_HEAD = """\
-def rk8_step(model, state, dt):
-    \"""One fixed step of the 11-stage 8th-order Cooper-Verner scheme.\"""
-    k, om2 = model.k, model.omega ** 2
-    a2, b2 = model.alpha_strength ** 2, model.beta_strength ** 2
-    kk, nkk, twok = k * k, -k * k, 2 * k
-    x0, x1, x2, x3 = state"""
-# the Hamiltonian flow field in (r, phi, p_r, p_phi) at stage point y0..y3
-_FLOW = """\
-    s = sin(k * y1)
-    c = cos(k * y1)
-    w = a2 / (s * s) + b2 / (c * c)
-    wp = twok * (b2 * s / (c * c * c) - a2 * c / (s * s * s))
-    r2 = y0 * y0
-    r3 = r2 * y0
-    k{j}_0 = y2
-    k{j}_1 = y3 / r2
-    k{j}_2 = y3 * y3 / r3 - om2 * y0 + kk * w / r3
-    k{j}_3 = nkk * wp / (2 * r2)"""
-
-
-def _straight_line_step():
-    """`rk8_step` compiled from the tableau's stages written out in full.
-    Each nonzero a_ij * dt is computed once, and every stage sum is
-    x_i + (a_ij dt) k_j[i] taken left to right over ascending j, so a step
-    is the same float as an index loop over the tableau gives."""
-    a, b = _cooper_verner_tableau()
-    src = [_HEAD]
-    for j, row in enumerate(a + [b]):
-        nonzero = [i for i, aij in enumerate(row) if aij != 0.0]
-        src += [f"    h{j}_{i} = {row[i]!r} * dt" for i in nonzero]
-        sums = [f"x{c}" + "".join(f" + h{j}_{i} * k{i}_{c}" for i in nonzero)
-                for c in range(4)]
-        if j == len(a):
-            src.append(f"    return ({', '.join(sums)})")
-        else:
-            src += [f"    y{c} = {sums[c]}" for c in range(4)]
-            src.append(_FLOW.format(j=j))
-    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos}
-    exec(compile("\n".join(src), "<rk8_step>", "exec"), namespace)
-    return namespace["rk8_step"]
-
-
-rk8_step = _straight_line_step()
-
-
 def _check_inside(span: float, state: tuple, t: float) -> None:
     # written so that NaN fails both tests: a state gone NaN has left too
     r, phi = state[0], state[1]
@@ -188,38 +147,127 @@ def _check_inside(span: float, state: tuple, t: float) -> None:
             f"orbit left the wedge (phi = {phi:.6g}) at t = {t:.6g}")
 
 
-def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
-               dt: float) -> Iterator[tuple[float, tuple]]:
-    """Integrate the flow from `start` for time t_end with fixed step dt
-    (the final partial step is shortened to land exactly on t_end), yielding
-    (t, state) after every step.  Raises WedgeExitError if the orbit leaves
-    the open wedge."""
+_HEAD = """\
+def _rk8_stream(model, state, dt, span):
+    \"""The states after each of an unending run of fixed steps dt of the
+    11-stage 8th-order Cooper-Verner scheme from `state`.  With a wedge
+    `span` each state is checked as `_check_inside` checks it, at t = n dt
+    after n steps; with None nothing is checked.\"""
+    k, om2 = model.k, model.omega ** 2
+    a2, b2 = model.alpha_strength ** 2, model.beta_strength ** 2
+    kk, nkk, twok = k * k, -k * k, 2 * k
+    x0, x1, x2, x3 = state
+    if span is not None:
+        _check_inside(span, state, 0.0)"""
+# the Hamiltonian flow field in (r, phi, p_r, p_phi) at stage point y0..y3;
+# s * s * s is (s * s) * s in Python, so reusing ss and cc keeps every bit
+_FLOW = """\
+        u = k * y1
+        s = sin(u)
+        c = cos(u)
+        ss = s * s
+        cc = c * c
+        w = a2 / ss + b2 / cc
+        wp = twok * (b2 * s / (cc * c) - a2 * c / (ss * s))
+        r2 = y0 * y0
+        r3 = r2 * y0
+        k{j}_0 = y2
+        k{j}_1 = y3 / r2
+        k{j}_2 = y3 * y3 / r3 - om2 * y0 + kk * w / r3
+        k{j}_3 = nkk * wp / (2 * r2)"""
+# written so that NaN fails the test: a state gone NaN has left too
+_YIELD = """\
+        if span is not None and not (x0 > 0.0 and 0.0 < x1 < span):
+            _check_inside(span, (x0, x1), n * dt)
+        yield x0, x1, x2, x3"""
+
+
+def _generated_stream():
+    """`_rk8_stream` compiled from the tableau's stages written out in full.
+    Its prologue computes each nonzero a_ij * dt once per run; in its loop
+    every stage sum is x_i + (a_ij dt) k_j[i] taken left to right over
+    ascending j, so each step is the same float as an index loop over the
+    tableau gives."""
+    a, b = _cooper_verner_tableau()
+    head, loop = [_HEAD], ["    for n in count(1):"]
+    for j, row in enumerate(a + [b]):
+        nonzero = [i for i, aij in enumerate(row) if aij != 0.0]
+        head += [f"    h{j}_{i} = {row[i]!r} * dt" for i in nonzero]
+        sums = [f"x{c}" + "".join(f" + h{j}_{i} * k{i}_{c}" for i in nonzero)
+                for c in range(4)]
+        if j == len(a):
+            loop.append(f"        x0, x1, x2, x3 = {', '.join(sums)}")
+        else:
+            loop += [f"        y{c} = {sums[c]}" for c in range(4)]
+            loop.append(_FLOW.format(j=j))
+    namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
+                 "count": count, "_check_inside": _check_inside}
+    exec(compile("\n".join(head + loop + [_YIELD]), "<_rk8_stream>", "exec"),
+         namespace)
+    return namespace["_rk8_stream"]
+
+
+_rk8_stream = _generated_stream()
+
+
+def rk8_step(model: ClassicalModel, state: tuple, dt: float) -> tuple:
+    """One fixed step of the 11-stage 8th-order Cooper-Verner scheme: the
+    first state of an unchecked `_rk8_stream`."""
+    return next(_rk8_stream(model, state, dt, None))
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """int(t_end / dt), the full steps of a run, once both are valid."""
     if dt <= 0 or not math.isfinite(dt):
         raise StepSizeError(f"step size must be positive and finite, got {dt}")
     if not 0 <= t_end / dt < math.inf:
         raise StepSizeError(f"integration time must be nonnegative and give "
                             f"a finite step count (got t_end = {t_end}, "
                             f"dt = {dt})")
-    state = start
-    span = model.wedge_span
-    _check_inside(span, state, 0.0)
+    return int(t_end / dt)
+
+
+def _states(model: ClassicalModel, start: OrbitState, t_end: float,
+            dt: float, steps: Optional[Iterator[tuple]] = None
+            ) -> Iterator[tuple]:
+    """The states `trajectory` yields, without their times: its full steps,
+    read from `steps` (the run's checked stream; a new one if None), then
+    the shortened step onto t_end."""
     nsteps = int(t_end / dt)
-    for i in range(nsteps):
-        state = rk8_step(model, state, dt)
-        t = (i + 1) * dt
-        _check_inside(span, state, t)
-        yield t, state
+    if steps is None:
+        steps = _rk8_stream(model, start, dt, model.wedge_span)
+    state = start
+    for state in islice(steps, nsteps):
+        yield state
     last = _land(model, state, t_end, nsteps * dt)
     if last is not None:
-        yield t_end, last
+        yield last
+
+
+def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
+               dt: float, steps: Optional[Iterator[tuple]] = None
+               ) -> Iterator[tuple[float, tuple]]:
+    """Integrate the flow from `start` for time t_end with fixed step dt
+    (the final partial step is shortened to land exactly on t_end), yielding
+    (t, state) after every step.  Raises WedgeExitError if the orbit leaves
+    the open wedge.  `steps`, if given, stands in for the run's checked
+    stream: its states from the first step on, for a run another reader
+    shares."""
+    nsteps = _step_count(t_end, dt)
+    times = chain((n * dt for n in range(1, nsteps + 1)), [t_end])
+    return zip(times, _states(model, start, t_end, dt, steps))
 
 
 def _land(model: ClassicalModel, state: tuple, t_end: float, t: float):
-    """The shortened step from t onto t_end; None if the rest is rounding."""
+    """The shortened step from `state` at t onto t_end, both ends checked
+    (a run without a full step checks its start here); None if the rest is
+    rounding."""
+    span = model.wedge_span
+    _check_inside(span, state, t)
     rest = t_end - t
     if rest > 1e-15 * max(1.0, t_end):
         state = rk8_step(model, state, rest)
-        _check_inside(model.wedge_span, state, t_end)
+        _check_inside(span, state, t_end)
         return state
 
 
@@ -260,16 +308,23 @@ def conservation_drift(model: ClassicalModel, start: OrbitState,
                        steps_per_period: int = STEPS_PER_PERIOD) -> DriftReport:
     """Integrate for n_periods radial periods and report `worst_drift` over
     every 16th step.  Raises StepSizeError if the run has no 16th step."""
+    return _drift(model, start, n_periods,
+                  model.radial_period / steps_per_period)
+
+
+def _drift(model: ClassicalModel, start: OrbitState, n_periods: float,
+           dt: float, steps: Optional[Iterator[tuple]] = None) -> DriftReport:
+    """`conservation_drift` at step dt, its full steps read from `steps` as
+    `trajectory` reads them."""
     duration = n_periods * model.radial_period
-    dt = model.radial_period / steps_per_period
-    samples = islice(trajectory(model, start, duration, dt), 15, None, 16)
+    nsteps = _step_count(duration, dt)
+    samples = islice(_states(model, start, duration, dt, steps), 15, None, 16)
     first = next(samples, None)
     if first is None:
-        raise StepSizeError(f"a drift run of {int(duration / dt)} steps "
-                            f"samples none: it checks every 16th step")
-    drift = worst_drift(model, start,
-                        (state for _, state in chain([first], samples)))
-    return DriftReport(*drift, duration, int(duration / dt))
+        raise StepSizeError(f"a drift run of {nsteps} steps samples none: "
+                            f"it checks every 16th step")
+    drift = worst_drift(model, start, chain([first], samples))
+    return DriftReport(*drift, duration, nsteps)
 
 
 @dataclass(frozen=True)
@@ -289,6 +344,24 @@ def closure_report(model: ClassicalModel, start: OrbitState,
     samples = [(0.0, start)]
     samples += trajectory(model, start, max_time, dt)
     return scan_closure(model, samples, dt, exclude)
+
+
+def drift_and_closure(model: ClassicalModel, start: OrbitState,
+                      n_periods: float, max_time: float
+                      ) -> Iterator[DriftReport | ClosureReport]:
+    """`conservation_drift(model, start, n_periods)` and then
+    `closure_report(model, start, max_time)`, yielded in turn and read from
+    one integration: the closure scans the drift run's first
+    int(max_time / dt) states and lands from the last of them onto
+    max_time, as `trajectory` does."""
+    dt = model.radial_period / STEPS_PER_PERIOD
+    stream = _rk8_stream(model, start, dt, model.wedge_span)
+    # the drift reads on; `kept` holds the closure's states until it scans
+    head, kept = tee(islice(stream, _step_count(max_time, dt)))
+    yield _drift(model, start, n_periods, dt, chain(head, stream))
+    samples = [(0.0, start)]
+    samples += trajectory(model, start, max_time, dt, kept)
+    yield scan_closure(model, samples, dt)
 
 
 def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
@@ -327,11 +400,11 @@ def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],
     fine: list[tuple[float, float]] = []
     if t_lo > exclude:
         fine.append((t_lo, dist2(state)))
-    for j in range((min(best_i + 1, len(samples) - 1) - lo) * 64):
-        t = t_lo + (j + 1) * micro
-        if t > t_last:          # past a shortened last step
-            break
-        state = rk8_step(model, state, micro)
+    n_fine = (min(best_i + 1, len(samples) - 1) - lo) * 64
+    # the fine steps stop at the last sample, after a shortened last step too
+    times = takewhile(lambda t: t <= t_last,
+                      (t_lo + j * micro for j in range(1, n_fine + 1)))
+    for t, state in zip(times, _rk8_stream(model, state, micro, None)):
         if t > exclude:
             fine.append((t, dist2(state)))
     if not fine:                # the window holds less than one fine step
@@ -380,7 +453,8 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
     period = model.radial_period
     spans = [f * period for f in (0.7, 1.7, 2.7)]
     # per step T/div: [full steps taken, the state they reach, the run]
-    runs = {div: [0, start, trajectory(model, start, spans[-1], period / div)]
+    runs = {div: [0, start, _rk8_stream(model, start, period / div,
+                                        model.wedge_span)]
             for div in (16, 32, 64, 128, 256, 512, 1024)}
     ends: dict = {}     # (span, div) -> end state, None if it left the wedge
 
@@ -389,8 +463,9 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
             ends[span, div] = None          # until it lands inside
             run, dt = runs[div], period / div
             nsteps = int(span / dt)
-            for _, run[1] in islice(run[2], nsteps - run[0]):
-                run[0] += 1
+            reached = deque(islice(run[2], nsteps - run[0]), maxlen=1)
+            if reached:
+                run[0], run[1] = nsteps, reached[0]
             if run[0] == nsteps:            # else the run left the wedge
                 ends[span, div] = (_land(model, run[1], span, nsteps * dt)
                                    or run[1])

@@ -41,8 +41,7 @@ from .angular import (
     exceptional_jacobi,
     exceptional_jacobi_candidate_solve,
 )
-from .classical import (ClassicalModel, closure_report, conservation_drift,
-                        default_start)
+from .classical import ClassicalModel, default_start, drift_and_closure
 from .errors import NoSolutionError, ParameterDomainError, XSuperintError
 from .ladders import (
     CompositeStep,
@@ -614,14 +613,15 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
     if classical:
         model = ClassicalModel.from_model_params(params)
         seed = default_start(model)
-        drift = conservation_drift(model, seed, 20)
+        reports = drift_and_closure(model, seed, 20,
+                                    2.5 * params.q * model.radial_period)
+        drift = next(reports)
         drifted = max(drift.energy_drift, drift.invariant_drift)
         yield CheckLine(
             "classical", "classical conservation",
             PASS if drifted < 1e-8 else FAIL,
             f"drift {fmt_float(drifted)} over 20 radial periods")
-        closure = closure_report(model, seed,
-                                 2.5 * params.q * model.radial_period)
+        closure = next(reports)
         yield CheckLine(
             "classical", "classical closure",
             PASS if closure.distance < 1e-6 else FAIL,

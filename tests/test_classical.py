@@ -2,6 +2,7 @@
 and the analytic fixed point."""
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,117 @@ def test_step_matches_the_tableau_loop_anywhere(omega, k, a, b, r, frac, pr,
     state = (r, frac * model.wedge_span, pr, pphi)
     dt = dt_frac * model.radial_period
     assert cm.rk8_step(model, state, dt) == reference_step(model, state, dt)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 0.5, 1.5, 2 / 3])
+@pytest.mark.parametrize("steps_per_period", [256, 16384])
+def test_stream_matches_successive_steps(k, steps_per_period):
+    # the stream loads the model and every a_ij * dt once per run; each of
+    # its states is still the float one more `rk8_step` call gives
+    model = ClassicalModel(1.0, k, 1.0, 3.0)
+    dt = model.radial_period / steps_per_period
+    start = (1.7, min(0.4, 0.5 * model.wedge_span), 0.3, 1.1)
+    for span in (model.wedge_span, None):
+        state = start
+        for out in islice(cm._rk8_stream(model, start, dt, span), 500):
+            state = cm.rk8_step(model, state, dt)
+            assert out == state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 10), st.floats(0.2, 5), st.floats(0.05, 5),
+       st.floats(0.05, 5), st.floats(0.3, 3), st.floats(0.05, 0.95),
+       st.floats(-2, 2), st.floats(-2, 2), st.floats(1e-4, 0.1))
+def test_stream_matches_successive_steps_anywhere(omega, k, a, b, r, frac,
+                                                  pr, pphi, dt_frac):
+    # unchecked, so the run may leave the wedge: the same floats (NaN too,
+    # hence repr) regardless
+    model = ClassicalModel(omega, k, a, b)
+    state = (r, frac * model.wedge_span, pr, pphi)
+    dt = dt_frac * model.radial_period
+    for out in islice(cm._rk8_stream(model, state, dt, None), 20):
+        state = cm.rk8_step(model, state, dt)
+        assert repr(out) == repr(state)
+
+
+def reference_exit(model, start, t_end, dt):
+    """The wedge exit of a run as a per-step loop reports it: `rk8_step`,
+    then the two wedge tests with their messages at t = n dt (t = 0 for the
+    start), and the landing onto t_end tested at t_end; None if the run
+    stays inside."""
+    span = model.wedge_span
+    nsteps = int(t_end / dt)
+    times = [n * dt for n in range(nsteps + 1)] + [t_end]
+    state = start
+    for n, t in enumerate(times):
+        if n:
+            state = cm.rk8_step(model, state,
+                                dt if n <= nsteps else t_end - nsteps * dt)
+        r, phi = state[0], state[1]
+        if not r > 0.0:
+            return f"orbit left r > 0 (r = {r:.6g}) at t = {t:.6g}"
+        if not 0.0 < phi < span:
+            return f"orbit left the wedge (phi = {phi:.6g}) at t = {t:.6g}"
+    return None
+
+
+LOW_BARRIER = ClassicalModel(1.0, 1.0, 1e-6, 1e-6)
+
+
+@pytest.mark.parametrize("model, start", [
+    # aimed at the wall: leaves through phi = 0 after three steps
+    (LOW_BARRIER, OrbitState(1.0, 0.05, 0.0, -2.0)),
+    # aimed at the origin: leaves through r = 0 mid-run
+    (LOW_BARRIER, OrbitState(1.0, 0.4, -3.0, 0.0)),
+    (LOW_BARRIER, OrbitState(0.3, 0.4, -2.0, 0.001)),
+    # NaN compares false with everything: the first step is an exit
+    (MODEL, OrbitState(1.0, 0.4, math.nan, 1.0)),
+    # outside at the start: an exit at t = 0
+    (MODEL, OrbitState(1.0, -0.1, 0.0, 1.0)),
+])
+def test_wedge_exit_message_and_time(model, start):
+    # every reader of the stream reports the exit a per-step loop reports
+    period = model.radial_period
+    runs = [(lambda: integrate(model, start, 5.0, 0.01), 5.0, 0.01),
+            (lambda: conservation_drift(model, start, 5), 5 * period,
+             period / 256),
+            (lambda: list(cm.drift_and_closure(model, start, 5, 2.5 * period)),
+             5 * period, period / 256)]
+    for run, t_end, dt in runs:
+        expect = reference_exit(model, start, t_end, dt)
+        assert expect is not None
+        with pytest.raises(WedgeExitError) as exc:
+            run()
+        assert str(exc.value) == expect
+
+
+def test_drift_and_closure_read_one_integration(monkeypatch):
+    # verify's drift and closure: the same reports as two separate runs, at
+    # q = 3 and 6 with a shortened landing step onto 2.5 q T, and in windows
+    # that end at the return (T) or just past it (1.0037 T), so the scan
+    # turns on the run's last states; from one integration of 20 T plus the
+    # closure's fine pass
+    for q, periods in [(1, 2.5), (1, 1.0), (1, 1.0037), (3, 7.5), (6, 15)]:
+        model = ClassicalModel(1.0, 1 / q, 1.0, 3.0)
+        start = default_start(model)
+        max_time = periods * model.radial_period
+        separate = (conservation_drift(model, start, 20),
+                    closure_report(model, start, max_time))
+        assert tuple(cm.drift_and_closure(model, start, 20,
+                                          max_time)) == separate
+    real = cm._rk8_stream
+    steps = []
+
+    def counting(*args):
+        for out in real(*args):
+            steps.append(args[2])
+            yield out
+
+    monkeypatch.setattr(cm, "_rk8_stream", counting)
+    list(cm.drift_and_closure(model, start, 20, max_time))
+    dt = model.radial_period / 256
+    assert steps.count(dt) == int(20 * model.radial_period / dt)
+    assert len(steps) <= steps.count(dt) + 2 * 64 + 2
 
 
 def test_model_domain_checks():
@@ -387,22 +499,23 @@ def test_convergence_order_wedge_exits_on_longer_spans(model, start, exits):
 def test_convergence_order_takes_each_step_once(monkeypatch, model, start):
     # one forward run per step size T/div: at most int(2.7 T / dt) full
     # steps, plus one shortened step onto each span the run lands on
-    real = cm.rk8_step
+    real = cm._rk8_stream
     period = model.radial_period
     divs = {period / div: div for div in (16, 32, 64, 128, 256, 512, 1024)}
     level_of = {}           # a full step's result -> its div
     full, landings = {}, {}
 
-    def recording(m, state, dt):
-        out = real(m, state, dt)
-        if dt in divs:
-            full[divs[dt]] = full.get(divs[dt], 0) + 1
-            level_of[out] = divs[dt]
-        else:
-            landings.setdefault(level_of.get(state, "start"), []).append(state)
-        return out
+    def counting(m, state, dt, span):
+        for out in real(m, state, dt, span):
+            if dt in divs:
+                full[divs[dt]] = full.get(divs[dt], 0) + 1
+                level_of[out] = divs[dt]
+            else:
+                landings.setdefault(level_of.get(state, "start"),
+                                    []).append(state)
+            yield out
 
-    monkeypatch.setattr(cm, "rk8_step", recording)
+    monkeypatch.setattr(cm, "_rk8_stream", counting)
     convergence_order(model, start)
     for div, count in full.items():
         assert count <= int(2.7 * period / (period / div))

@@ -191,14 +191,15 @@ def test_orbit_wedge_exit_is_reported(tmp_path):
 def test_orbit_integrates_once(monkeypatch, tmp_path):
     # the table, the drift and the closure scan read one integration; only
     # the closure's fine pass (two coarse steps at 64 sub-steps) steps again
-    real = classical.rk8_step
+    real = classical._rk8_stream
     calls = []
 
     def counting(*args):
-        calls.append(args)
-        return real(*args)
+        for out in real(*args):
+            calls.append(args)
+            yield out
 
-    monkeypatch.setattr(classical, "rk8_step", counting)
+    monkeypatch.setattr(classical, "_rk8_stream", counting)
     code, _, err = run_cli("orbit", "--out", str(tmp_path))
     assert code == 0, err
     with open(tmp_path / "orbit.csv") as fh:
