@@ -23,14 +23,23 @@ conservation and closure.  Only a FAIL fails a run.
 
 Each run builds one raising and one lowering `CompositeStep`; the exact
 composite lines and the float ladder-closure gate all measure those two.
+
+The classical gates share nothing with the rest, so when two CPUs are
+usable they run in a forked worker that starts before the first exact check
+and is joined after the ladder-closure gate, where their lines are printed
+either way; otherwise the same function runs in-process at that point.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .angular import (
     angular_gauge_logderiv,
@@ -42,7 +51,12 @@ from .angular import (
     exceptional_jacobi_candidate_solve,
 )
 from .classical import ClassicalModel, default_start, drift_and_closure
-from .errors import NoSolutionError, ParameterDomainError, XSuperintError
+from .errors import (
+    NoSolutionError,
+    ParameterDomainError,
+    VerificationError,
+    XSuperintError,
+)
 from .ladders import (
     CompositeStep,
     Measurement,
@@ -580,11 +594,10 @@ def _composite_lines(params: ModelParams, up: CompositeStep,
 
 
 def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
-                classical: bool, steps: tuple[CompositeStep, CompositeStep]
+                steps: tuple[CompositeStep, CompositeStep]
                 ) -> Iterator[CheckLine]:
-    """The float gates, the ladder closure measuring the composite `steps`,
-    then with `classical` the classical ones, each yielded as soon as it is
-    measured."""
+    """The float gates, the last of them the ladder closure measuring the
+    composite `steps`, each yielded as soon as it is measured."""
     alpha, beta = params.alpha, params.beta
     gram = angular_gram(alpha, beta, min(nmax, 6))
     off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
@@ -610,23 +623,100 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"numeric images track the exact coefficients (deviation "
         f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
-    if classical:
+
+def _classical_lines(params: ModelParams
+                     ) -> tuple[list[CheckLine], Optional[XSuperintError]]:
+    """The classical conservation and closure gates, read from one
+    integration, and the package error that ended them, if any."""
+    lines: list[CheckLine] = []
+    try:
         model = ClassicalModel.from_model_params(params)
-        seed = default_start(model)
-        reports = drift_and_closure(model, seed, 20,
+        reports = drift_and_closure(model, default_start(model), 20,
                                     2.5 * params.q * model.radial_period)
         drift = next(reports)
         drifted = max(drift.energy_drift, drift.invariant_drift)
-        yield CheckLine(
+        lines.append(CheckLine(
             "classical", "classical conservation",
             PASS if drifted < 1e-8 else FAIL,
-            f"drift {fmt_float(drifted)} over 20 radial periods")
+            f"drift {fmt_float(drifted)} over 20 radial periods"))
         closure = next(reports)
-        yield CheckLine(
+        lines.append(CheckLine(
             "classical", "classical closure",
             PASS if closure.distance < 1e-6 else FAIL,
             f"normalized return distance {fmt_float(closure.distance)} at "
-            f"t = {fmt_float(closure.time)}")
+            f"t = {fmt_float(closure.time)}"))
+    except XSuperintError as exc:
+        return lines, exc
+    return lines, None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _classical_worker(params: ModelParams) -> Iterator[Callable[[], tuple]]:
+    """Yield a callable that returns `_classical_lines(params)` or raises
+    what it raised.
+
+    With `os.fork`, two usable CPUs and no other thread alive, the lines are
+    computed at once in a forked worker and the callable joins it: the
+    worker pickles its result or exception down a pipe and ends with
+    `os._exit`, so it never flushes the parent's stdio buffers.  Otherwise
+    they are computed in-process when the callable is called.  On exit an
+    unjoined worker is killed, and every worker is reaped.  A worker that
+    ends without sending its result raises VerificationError naming its
+    exit status.
+    """
+    if not (hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1):
+        yield lambda: _classical_lines(params)
+        return
+    import signal  # kept off package import: only a forking run needs it
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                reply = (True, _classical_lines(params))
+            except BaseException as exc:
+                reply = (False, exc)
+            with open(wfd, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    pipe = open(rfd, "rb")
+    reaped = False
+
+    def join() -> tuple:
+        nonlocal reaped
+        with pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if status != 0 or not data:
+            raise VerificationError(
+                f"the classical worker exited with status {status} before "
+                f"sending its result")
+        ok, value = pickle.loads(data)
+        if ok:
+            return value
+        raise value
+
+    try:
+        yield join
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +799,30 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     alpha_f, beta_f = params.alpha, params.beta
     lines: list[CheckLine] = []
     error = None
-    try:
-        closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
-                  for n in range(1, nmax + 1)}
-        lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
-        steps = (composite_raising(QuantumState(params.p, 1), params),
-                 composite_lowering(QuantumState(0, 1 + params.q), params))
-        lines += [
-            *_family_lines(alpha_f, beta_f, closed),
-            *_potential_lines(alpha_f, beta_f),
-            *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
-            *_intertwiner_lines(alpha_f, beta_f, nmax),
-            *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
-            *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p, mmax),
-            *_composite_lines(params, *steps)]
-        for line in _gate_lines(params, nmax, tol, grid, classical, steps):
-            lines.append(line)
-    except XSuperintError as exc:
-        error = exc
+    with (_classical_worker(params) if classical
+          else nullcontext()) as classical_lines:
+        try:
+            closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
+                      for n in range(1, nmax + 1)}
+            lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
+            steps = (composite_raising(QuantumState(params.p, 1), params),
+                     composite_lowering(QuantumState(0, 1 + params.q), params))
+            lines += [
+                *_family_lines(alpha_f, beta_f, closed),
+                *_potential_lines(alpha_f, beta_f),
+                *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
+                *_intertwiner_lines(alpha_f, beta_f, nmax),
+                *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
+                *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p,
+                                      mmax),
+                *_composite_lines(params, *steps)]
+            for line in _gate_lines(params, nmax, tol, grid, steps):
+                lines.append(line)
+            if classical:
+                measured, classical_error = classical_lines()
+                lines += measured
+                if classical_error is not None:
+                    raise classical_error
+        except XSuperintError as exc:
+            error = exc
     return VerificationReport(params, tol, tuple(lines), error)

@@ -1,6 +1,8 @@
 """Reconciliation scorecard: the ratio classifier and the assembled report."""
 
 import dataclasses
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import pytest
 
 from xsuperint import ladders, spectral, verify
 from xsuperint.angular import angular_operator
-from xsuperint.errors import ParameterDomainError, VerificationError
+from xsuperint.errors import (ParameterDomainError, QuadratureError,
+                              VerificationError)
 from xsuperint.ladders import (LadderChain, composite_lowering,
                                composite_raising, deformed_lowering_chain,
                                deformed_raising,
@@ -349,3 +352,145 @@ def test_skewed_raising_step_fails_the_reflection_line(skewed_raising):
     rep = verification_report(F(1), F(3), p=3, q=2)
     assert ("  [MISMATCH] raising and lowering chains swap under eigenroot "
             "reflection A -> -A -- " in rep.render())
+
+
+# ---------------------------------------------------------------------------
+# the classical worker: the same report forked or in-process, and no child
+# left behind
+# ---------------------------------------------------------------------------
+
+# the 13 points of the benchmark's scorecard sweep, all at q = 1; (1/3, 50)
+# fails the classical conservation gate, and (1/4, 30, 2) and
+# (1/100, 1/50, 1) leave the wedge mid-integration
+SWEEP = [("1", "3", 1), ("1", "2", 2), ("1/2", "5/2", 2), ("3/2", "7/2", 1),
+         ("2", "9/4", 1), ("5/2", "11/4", 3), ("3", "4", 2), ("1/3", "50", 1),
+         ("1/4", "30", 2), ("1/10", "3/5", 1), ("1/100", "1/50", 1),
+         ("1/3", "7/4", 1), ("1/2", "3/4", 1)]
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the classical worker needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list with one entry per `os.fork` call the parent makes while the
+    test runs."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+
+
+def _outcome(report):
+    error = report.error
+    return (report.render(), type(error), str(error), report.exit_code)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("point", [
+    *(dict(alpha=a, beta=b, p=p) for a, b, p in SWEEP),
+    dict(alpha="1", beta="3", p=1, q=3),
+    dict(alpha="1", beta="3", p=1, q=6),
+    # exits through r > 0
+    dict(alpha="1", beta="3", omega=1e150),
+], ids=repr)
+def test_classical_worker_and_in_process_report_alike(monkeypatch, forks,
+                                                      point):
+    outcomes = []
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        outcomes.append(_outcome(verification_report(**point,
+                                                     classical=True)))
+    # the worker ran with two CPUs, and not with one
+    assert len(forks) == 1
+    assert outcomes[0] == outcomes[1]
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("point,classical", [
+    (dict(alpha="1", beta="3"), "PASS classical closure"),
+    (dict(alpha="1/3", beta="50"), "FAIL classical conservation"),
+])
+def test_classical_worker_is_reaped_after_its_lines(monkeypatch, forks,
+                                                   point, classical):
+    _usable_cpus(monkeypatch, 2)
+    report = verification_report(**point, classical=True)
+    assert len(forks) == 1 and report.error is None
+    assert classical in report.render()
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("name,error", [
+    ("_radial_ladder_lines", VerificationError("exact section broke")),
+    ("angular_gram", QuadratureError("no convergence")),
+])
+def test_check_that_raises_kills_the_classical_worker(monkeypatch, forks,
+                                                      name, error):
+    # a scored section or a float gate that raises ends the report before
+    # any classical line; the worker's result is discarded
+    def broken(*args):
+        raise error
+    monkeypatch.setattr(verify, name, broken)
+    _usable_cpus(monkeypatch, 2)
+    report = verification_report(1, 3, classical=True)
+    assert len(forks) == 1 and report.error is error
+    assert "classical" not in report.render()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_classical_worker_that_dies_is_an_error(monkeypatch, forks):
+    monkeypatch.setattr(verify, "_classical_lines", lambda params: os._exit(3))
+    _usable_cpus(monkeypatch, 2)
+    report = verification_report(1, 3, classical=True)
+    assert len(forks) == 1
+    assert isinstance(report.error, VerificationError)
+    assert "status 3" in str(report.error)
+    assert report.exit_code == 1
+    assert "classical" not in report.render()
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_classical_gates_run_in_process_while_another_thread_lives(
+        monkeypatch, forks):
+    _usable_cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        report = verification_report(1, 3, nmax=3, mmax=2, classical=True)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert not forks
+    assert "PASS classical closure" in report.render()
+
+
+@pytest.mark.parametrize("cpus", [
+    pytest.param(2, marks=needs_fork), 1])
+def test_classical_worker_reraises_a_foreign_exception(monkeypatch, cpus):
+    def broken(params):
+        raise ZeroDivisionError("not a package error")
+    monkeypatch.setattr(verify, "_classical_lines", broken)
+    _usable_cpus(monkeypatch, cpus)
+    with pytest.raises(ZeroDivisionError, match="not a package error"):
+        verification_report(1, 3, nmax=3, mmax=2, classical=True)
+    _assert_no_child_left()
