@@ -48,7 +48,7 @@ from .errors import ParameterDomainError, XSuperintError
 from .params import ModelParams, QuantumState, angular_eigenroot, energy
 from .polynomials import as_fraction
 # angular_gram is not used here: `xsuperint.cli.angular_gram` is the first
-# call of the benchmark's set-up (benchmarks/run.py), which loads scipy
+# call of the benchmark's set-up (benchmarks/run.py), timed as first use
 from .spectral import (
     angular_gram,
     default_rmax,

@@ -41,7 +41,9 @@ class NumericalOverflowError(XSuperintError):
 
 
 class QuadratureError(XSuperintError):
-    """Quadrature failed to converge under order doubling."""
+    """Quadrature failed to converge under order doubling, or a Gauss-Jacobi
+    rule failed: its nodes are not strictly increasing inside (-1, 1) or a
+    weight is not finite and positive."""
 
 
 class WedgeExitError(XSuperintError):

@@ -395,3 +395,52 @@ def test_closed_pipe_exits_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def run_module(*argv, code=None, cwd=None):
+    """Run `python -m xsuperint *argv` in a fresh interpreter, or `python -c
+    code *argv`, with the package on the path."""
+    src = os.path.dirname(os.path.dirname(xsuperint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    head = ["-m", "xsuperint"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=300)
+
+
+def test_verify_far_from_the_walls_fails_without_traceback():
+    # the Gram converges to a FAIL, then the radial gauge overflows
+    proc = run_module("verify", "--alpha", "100", "--beta", "1000")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1].startswith(
+        "FAIL orthogonality: worst relative off-diagonal Gram entry ")
+    assert proc.stderr.startswith("error: radial gauge factor exceeds float "
+                                  "range: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# runs the CLI with every import of scipy failing
+NO_SCIPY = ("import runpy, sys; sys.modules['scipy'] = None; "
+            "runpy.run_module('xsuperint', run_name='__main__', "
+            "alter_sys=True)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--classical"),
+    ("spectrum", "--emax", "20"),
+    ("export-wavefunction", "--out", "out"),
+    ("orbit", "--out", "out"),
+])
+def test_the_cli_runs_without_scipy(argv, tmp_path):
+    plain = run_module(*argv, cwd=tmp_path)
+    shimmed = run_module(*argv, code=NO_SCIPY, cwd=tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert (shimmed.returncode, shimmed.stdout, shimmed.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+
+
+def test_the_gram_does_not_load_scipy():
+    proc = run_module(code=(
+        "import sys; from fractions import Fraction; import xsuperint.cli; "
+        "xsuperint.cli.angular_gram(Fraction(2, 7), Fraction(9, 7), 1); "
+        "print('scipy' in sys.modules)"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

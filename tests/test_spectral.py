@@ -2,10 +2,14 @@
 weight, numeric ladder application, and the exact-rational degeneracy table."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from xsuperint import ladders, spectral
 from xsuperint.angular import angular_potential, angular_potential_candidate
@@ -148,6 +152,126 @@ def test_angular_gram_impossible_tolerance(monkeypatch):
     with pytest.raises(QuadratureError, match=r"did not converge to 0\.0 by "
                        r"order 256$"):
         angular_gram(Fraction(1), Fraction(3), nmax=4)
+
+
+# ---------------------------------------------------------------------------
+# The numpy Gauss-Jacobi rule
+# ---------------------------------------------------------------------------
+
+RULE_PAIRS = [(Fraction(1), Fraction(3)), (Fraction(1, 3), Fraction(50)),
+              (Fraction(1, 4), Fraction(30)),
+              (Fraction(1, 10), Fraction(101, 10)),
+              (Fraction(1, 100), Fraction(1, 50)),
+              (Fraction(30), Fraction(50))]
+
+
+@pytest.mark.parametrize("order,alpha,beta", [
+    *((order, alpha, beta) for order in (64, 128, 256, 1024)
+      for alpha, beta in RULE_PAIRS),
+    (4096, Fraction(1), Fraction(3)),
+])
+def test_gauss_jacobi_matches_scipy(order, alpha, beta):
+    a, b = float(alpha), float(beta)
+    x, w = spectral._gauss_jacobi(order, a, b)
+    x_ref, w_ref = roots_jacobi(order, a, b)
+    assert float(np.max(np.abs(x - x_ref))) <= 1e-15
+    # relative to the largest weight: pointwise, at the nodes next to
+    # x = +-1 checked against mpmath, scipy's weights are off by up to 4e-9
+    # at order 1024 and 3e-7 at 4096, and these by up to 2e-11 and 2e-10
+    assert float(np.max(np.abs(w - w_ref))) <= 1e-9 * float(np.max(w_ref))
+
+
+@pytest.mark.parametrize("order", [256, 1024, 4096])
+@pytest.mark.parametrize("side", [1, -1])
+def test_gauss_jacobi_is_accurate_next_to_the_pole(order, side):
+    # at (1/10, 101/10) the weight pole b = 51/50 sits 0.02 past x = 1; the
+    # integral of (1-x)^(1/10) (1+x)^(101/10) / (b-x)^2 over [-1, 1], by
+    # mpmath quadrature at 30 digits, is 28319.303784570424155.  scipy's
+    # rule is off by 3e-13 to 2.3e-12 at these orders.  side = -1 is the
+    # mirror image, (101/10, 1/10) with the pole past x = -1
+    a, b = (0.1, 10.1)[::side]
+    x, w = spectral._gauss_jacobi(order, a, b)
+    total = float(np.sum(w / (1.02 - side * x) ** 2))
+    assert abs(total / 28319.303784570424155 - 1) < 1e-13
+
+
+def jacobi_table(jmax, a, b, x):
+    """P_0 .. P_jmax^(a, b) at x by the textbook three-term recurrence."""
+    rows = [np.ones_like(x), (a + 1) + (a + b + 2) * (x - 1) / 2]
+    for k in range(1, jmax):
+        c = 2 * k + a + b
+        rows.append(((c + 1) * ((c + 2) * c * x + a * a - b * b) * rows[k]
+                     - 2 * (k + a) * (k + b) * (c + 2) * rows[k - 1])
+                    / (2 * (k + 1) * (k + a + b + 1) * c))
+    return np.array(rows[:jmax + 1])
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 3.0), (1 / 3, 50.0)])
+def test_gauss_jacobi_integrates_the_jacobi_gram(alpha, beta):
+    # order 64 is exact through degree 127: sum_i w_i P_j P_k = delta_jk h_j
+    x, w = spectral._gauss_jacobi(64, alpha, beta)
+    vals = jacobi_table(20, alpha, beta, x)
+    gram = vals @ (w[:, None] * vals.T)
+    j = np.arange(21)
+    log_h = ((alpha + beta + 1) * math.log(2)
+             - np.log(2 * j + alpha + beta + 1)
+             + np.array([math.lgamma(i + alpha + 1) + math.lgamma(i + beta + 1)
+                         - math.lgamma(i + alpha + beta + 1)
+                         - math.lgamma(i + 1) for i in j]))
+    inv = np.exp(-log_h / 2)
+    deviation = gram * np.outer(inv, inv) - np.eye(21)
+    assert float(np.max(np.abs(deviation))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(50),
+                    max_denominator=100),
+       st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(500),
+                    max_denominator=1000),
+       st.integers(min_value=1, max_value=300))
+def test_gauss_jacobi_rule_is_well_formed(alpha, gap, order):
+    a, b = float(alpha), float(alpha + gap)
+    x, w = spectral._gauss_jacobi(order, a, b)
+    assert x.shape == w.shape == (order,)
+    assert -1 < x[0] and x[-1] < 1 and np.all(np.diff(x) > 0)
+    assert np.all(w > 0)
+    # the integral of (1-x)^a (1+x)^b over [-1, 1]
+    mu0 = math.exp((a + b + 1) * math.log(2) + math.lgamma(a + 1)
+                   + math.lgamma(b + 1) - math.lgamma(a + b + 2))
+    assert math.isclose(float(np.sum(w)), mu0, rel_tol=1e-12)
+    # and the first moment, exact at every order: E[x] = (b - a)/(a + b + 2)
+    assert math.isclose(float(w @ x), mu0 * (b - a) / (a + b + 2),
+                        rel_tol=1e-10, abs_tol=1e-12 * mu0)
+
+
+def test_gauss_jacobi_raises_instead_of_a_collapsed_rule(monkeypatch):
+    # every guess at one point: Halley takes them all to the same root
+    monkeypatch.setattr(spectral, "_jacobi_guesses",
+                        lambda n, a, b: np.full(n, 0.5))
+    with pytest.raises(QuadratureError, match=r"order 64 at \(alpha, beta\) "
+                       r"= \(1\.0, 3\.0\): nodes are not strictly increasing"):
+        spectral._gauss_jacobi(64, 1.0, 3.0)
+
+
+def test_gauss_jacobi_raises_on_weights_out_of_float_range():
+    # the weights span more than the float range at this order
+    with pytest.raises(QuadratureError, match=r"order 1024 at \(alpha, beta\) "
+                       r"= \(1\.0, 1000\.0\): a weight is not finite and "
+                       r"positive"):
+        spectral._gauss_jacobi(1024, 1.0, 1000.0)
+
+
+def test_angular_gram_never_doubles_a_nan_rule(monkeypatch):
+    calls = []
+
+    def nan_guesses(n, a, b):
+        calls.append(n)
+        return np.full(n, np.nan)
+
+    monkeypatch.setattr(spectral, "_jacobi_guesses", nan_guesses)
+    with pytest.raises(QuadratureError, match="order 64 "):
+        angular_gram(Fraction(1), Fraction(3), nmax=4)
+    assert calls == [64]
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
