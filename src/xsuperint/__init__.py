@@ -22,7 +22,6 @@ from .classical import (
     closure_report,
     conservation_drift,
     convergence_order,
-    integrate,
 )
 from .errors import (
     NoSolutionError,
@@ -103,7 +102,6 @@ __all__ = [
     "exceptional_jacobi",
     "exceptional_jacobi_closed_form",
     "hamiltonian_residual",
-    "integrate",
     "jacobi_polynomial",
     "ladder_numeric_check",
     "laguerre_polynomial",

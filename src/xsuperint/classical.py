@@ -271,15 +271,6 @@ def _land(model: ClassicalModel, state: tuple, t_end: float, t: float):
         return state
 
 
-def integrate(model: ClassicalModel, start: OrbitState, t_end: float,
-              dt: float) -> OrbitState:
-    """The state `trajectory` ends in."""
-    state = start
-    for _, state in trajectory(model, start, t_end, dt):
-        pass
-    return OrbitState(*state)
-
-
 def worst_drift(model: ClassicalModel, start: OrbitState,
                 states: Iterable[tuple]) -> tuple[float, float]:
     """Largest relative deviation of the energy and of the angular invariant
@@ -448,8 +439,8 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
     the wedge wall are skipped, as are rungs at the rounding floor.  Raises
     StepSizeError if no rung anywhere can be certified.  Each step size is
     one forward run across the spans, as far as the rungs read need, landing
-    on each span as `trajectory` does (so bit for bit `integrate`'s end
-    state); a full step out of the wedge fails every later span at it."""
+    on each span as `trajectory` does, bit for bit; a full step out of the
+    wedge fails every later span at it."""
     period = model.radial_period
     spans = [f * period for f in (0.7, 1.7, 2.7)]
     # per step T/div: [full steps taken, the state they reach, the run]

@@ -53,6 +53,7 @@ from .spectral import (
     angular_gram,
     default_rmax,
     degeneracy_table,
+    interior_grid,
     wavefunction_on_grid,
 )
 from .utils import fmt_float
@@ -360,10 +361,7 @@ def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
             f"angular grid extent {phi_hi} leaves the open wedge "
             f"(0, {span:.6g}) for k = {params.p}/{params.q}")
     rmax = cfg.rmax if cfg.rmax is not None else default_rmax(params)
-    import numpy as np
-    margin = 1e-3
-    r = np.linspace(margin * rmax, rmax * (1 - margin), cfg.grid)
-    phi = np.linspace(margin * phi_hi, phi_hi * (1 - margin), cfg.grid)
+    r, phi = interior_grid(rmax, phi_hi, cfg.grid, 1e-3)
     psi = wavefunction_on_grid(state, params, r, phi)
 
     lines = ["r,phi,psi"]

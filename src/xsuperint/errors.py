@@ -54,8 +54,3 @@ class StepSizeError(XSuperintError):
     """Bad integration step or horizon (non-positive or non-finite step,
     negative time, a step count that is not finite, an empty closure
     window), or no convergence-probe rung could be certified."""
-
-
-class InsufficientSpanError(XSuperintError):
-    """Too few index nodes for an exact interpolation with a held-out check
-    (raised by `parity_report` when nmax < 5, for every p and q)."""

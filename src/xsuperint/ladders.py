@@ -38,8 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .angular import angular_operator, exceptional_jacobi
-from .errors import (InsufficientSpanError, OutOfFamilyError,
-                     VerificationError)
+from .errors import OutOfFamilyError, VerificationError
 from .operators import Coefficientable, DiffOp, Poles, RatFunc
 from .params import ModelParams, QuantumState, angular_eigenroot, energy_ratio
 from .polynomials import (Poly, RationalLike, as_fraction,
@@ -791,8 +790,8 @@ def _interpolate_tables(nodes: Sequence[Fraction],
     return out
 
 
-def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
-                  nmax: int = 8) -> ParityReport:
+def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int
+                  ) -> ParityReport:
     """Verify, three independent ways, that the raising and lowering chains
     are a single object read at opposite signs of the angular eigenroot.
 
@@ -802,9 +801,9 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
     twin factor by factor when its one-step factors are.
 
     1. Tabulate the factors of both one-step deformed chains at indices
-       n = 1..nmax, clear the common pole power, interpolate every
+       n = 1..8, clear the common pole power, interpolate every
        coefficient exactly as a polynomial in A (fitted on 4 nodes, as the
-       coefficients are at most quadratic, and validated on the rest), and
+       coefficients are at most quadratic, and validated on the other 4), and
        check the raising interpolants at -A equal the lowering ones at A.
     2. Same for the one-step radial ladders in the gauge parameter a = k A,
        k = p/q, with the energy parameter held fixed at an arbitrary
@@ -813,18 +812,14 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
        builder and compare its factor sequence with the lowering chain's.
 
     A negative control confirms the raising interpolants alone are not even
-    in A, so the swap is a genuine pairing.  Raises InsufficientSpanError when
-    nmax leaves no held-out validation node.
+    in A, so the swap is a genuine pairing.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
     k = Fraction(p, q)
     eps = Fraction(7, 2)
     fit = 4
-    if nmax <= fit:
-        raise InsufficientSpanError(f"parity interpolation needs at least "
-                                    f"{fit + 1} index nodes; got nmax={nmax}")
     details: list[str] = []
-    ns = [Fraction(n) for n in range(1, nmax + 1)]
+    ns = [Fraction(n) for n in range(1, 2 * fit + 1)]
     roots = [angular_eigenroot(n, alpha, beta) for n in ns]
 
     def swap(chains: list[LadderChain], twins: list[LadderChain],
@@ -832,8 +827,8 @@ def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int,
         """The interpolants of `chains`, and the entries whose interpolant
         at -A differs from that of `twins` at A."""
         tables = _chain_value_table(chains + twins, root)
-        plus = _interpolate_tables(roots, tables[:nmax], fit)
-        minus = _interpolate_tables(roots, tables[nmax:], fit)
+        plus = _interpolate_tables(roots, tables[:len(ns)], fit)
+        minus = _interpolate_tables(roots, tables[len(ns):], fit)
         zero = Poly.zero()
         return plus, [key for key in sorted(set(plus) | set(minus))
                       if plus.get(key, zero).reflect() != minus.get(key, zero)]

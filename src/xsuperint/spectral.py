@@ -1,5 +1,6 @@
-"""Numerical spectral layer: bound-state wavefunctions on the plane wedge,
-an independent Hamiltonian-residual oracle, orthogonality quadrature on
+"""Numerical spectral layer: bound-state wavefunctions on the plane wedge
+and the one interior grid they are sampled on, an independent
+Hamiltonian-residual oracle, orthogonality quadrature on
 Gauss-Jacobi rules built here in numpy (WKB first guesses refined by Halley
 steps on the Jacobi recurrence, after Hale and Townsend, SIAM J. Sci.
 Comput. 35 (2013) A652, each node evaluated from its nearer endpoint), a
@@ -118,21 +119,20 @@ def wavefunction_on_grid(state: QuantumState, params: ModelParams,
     return np.outer(rad, ang)
 
 
-def _interior_grid(params: ModelParams, nr: int, nphi: int, margin: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """nr x nphi grid over (0, default_rmax) x the wedge, each axis inset
-    by `margin` of its extent."""
-    rmax = default_rmax(params)
-    span_phi = params.wedge_span
-    r = np.linspace(margin * rmax, rmax * (1 - margin), nr)
-    phi = np.linspace(margin * span_phi, span_phi * (1 - margin), nphi)
+def interior_grid(rmax: float, span: float, size: int, margin: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """size x size grid over (0, rmax) x (0, span) in (r, phi), each axis
+    inset by `margin` of its extent: the grid of the residual, of the
+    numeric ladder check and of `export-wavefunction`."""
+    r = np.linspace(margin * rmax, rmax * (1 - margin), size)
+    phi = np.linspace(margin * span, span * (1 - margin), size)
     return r, phi
 
 
 def hamiltonian_residual(state: QuantumState, params: ModelParams,
-                         nr: int = 60, nphi: int = 60) -> float:
-    """Independent oracle: max |H psi - E psi| / (|E| max |psi|) on an
-    interior grid, with H = -Laplacian/2 + omega^2 r^2 / 2
+                         grid: int = 60) -> float:
+    """Independent oracle: max |H psi - E psi| / (|E| max |psi|) on a
+    grid x grid interior grid, with H = -Laplacian/2 + omega^2 r^2 / 2
     + (k^2 / 2 r^2) V(cos 2 k phi) applied through exact closed-form
     derivatives (no finite differences, no eigensolver).
 
@@ -144,7 +144,8 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     omega, kf = params.omega, params.k_float
     a = params.k * angular_eigenroot(state.n, alpha, beta)
     e_val = energy(state, params)
-    r, phi = _interior_grid(params, nr, nphi, 1e-3)
+    r, phi = interior_grid(default_rmax(params), params.wedge_span, grid,
+                           1e-3)
 
     # radial factor and its first two r-derivatives via u(y), y = omega r^2
     y = omega * r ** 2
@@ -403,7 +404,7 @@ def ladder_numeric_check(step: CompositeStep, params: ModelParams
                 f"polynomial")
     target = step.target
     target_a = params.k * angular_eigenroot(target.n, alpha, beta)
-    r, phi = _interior_grid(params, 48, 48, 1e-2)
+    r, phi = interior_grid(default_rmax(params), params.wedge_span, 48, 1e-2)
     img = np.outer(
         radial_values(target.m, target_a, params.omega, r,
                       poly=rad_img.as_poly()),

@@ -395,24 +395,24 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
 
     outcomes = [(n, *_resolve_free_scalar(alpha, beta, n))
                 for n in range(0, min(nmax, 4))]
-    if alpha == 1:
+    kinds = {kind for _, kind, _, _ in outcomes}
+    ts = {t for _, kind, t, _ in outcomes if kind == "unique"}
+    if alpha == 1 and "none" in kinds and "unique" not in kinds:
         detail = ("the undefined scalar multiplies the factor (alpha - 1) = 0 "
                   "and drops out entirely; the candidate then annihilates "
                   "degree-0 input instead of raising it, and no value of the "
                   "scalar can restore the intertwining")
+    elif alpha != 1 and ts == {alpha / (alpha - 1)}:
+        detail = (f"the only value that intertwines is the parameter-"
+                  f"dependent alpha/(alpha-1) = {alpha / (alpha - 1)}, which "
+                  f"rewrites the zeroth term as alpha*(x - c) — the derived "
+                  f"intertwiner; no constant resolves the symbol, and at "
+                  f"alpha = 1 no value exists at all")
     else:
-        ts = {t for _, kind, t, _ in outcomes if kind == "unique"}
-        if len(ts) == 1 and ts == {alpha / (alpha - 1)}:
-            detail = (f"the only value that intertwines is the parameter-"
-                      f"dependent alpha/(alpha-1) = {ts.pop()}, which rewrites "
-                      f"the zeroth term as alpha*(x - c) — the derived "
-                      f"intertwiner; no constant resolves the symbol, and at "
-                      f"alpha = 1 no value exists at all")
-        else:
-            detail = ("no single value of the undefined scalar makes the "
-                      "candidate intertwine: per-degree requirements "
-                      + ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
-                                  for n, kind, t, _ in outcomes))
+        detail = ("no single value of the undefined scalar makes the "
+                  "candidate intertwine: per-degree requirements "
+                  + ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
+                              for n, kind, t, _ in outcomes))
     lines.append(CheckLine(
         "intertwiners", "candidate forward intertwiner with undefined scalar",
         UNRESOLVABLE, detail))
@@ -608,8 +608,7 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"(limit 1e-12)")
 
     states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
-    worst = max(hamiltonian_residual(s, params, nr=grid, nphi=grid)
-                for s in states)
+    worst = max(hamiltonian_residual(s, params, grid) for s in states)
     yield CheckLine(
         "spectral", "residual", PASS if worst < tol else FAIL,
         f"worst relative Schrodinger residual {fmt_float(worst)} over "

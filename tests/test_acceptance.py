@@ -259,7 +259,7 @@ def test_acceptance_5_index_reflection_and_noncommutation():
         if not rep.ok:
             problems.append(f"chain reflection fails at p={p}, q={q}: "
                             f"{rep.details}")
-    rep = parity_report(F(1, 2), F(5, 2), 1, 1, nmax=8)
+    rep = parity_report(F(1, 2), F(5, 2), 1, 1)
     if not rep.ok:
         problems.append("chain reflection fails at the half-integer pair")
     for p, q in EXACT_RATIOS:

@@ -20,6 +20,7 @@ TEST_ORACLES = {
     "wedge_minimum_exact",
     "equilibrium_state",
     "time_reversal_error",
+    "trajectory_end",
     "reference_richardson_order",
     "reference_convergence_order",
     "deformed_raising_chain_action",
@@ -60,7 +61,7 @@ RATIONAL_CALLS = {
     "deformed_lowering": lambda a, b: xsuperint.deformed_lowering(2, a, b),
     "radial_lowering": xsuperint.radial_lowering,
     "radial_raising": xsuperint.radial_raising,
-    "parity_report": lambda a, b: xsuperint.parity_report(a, b, 1, 1, nmax=5),
+    "parity_report": lambda a, b: xsuperint.parity_report(a, b, 1, 1),
     "verification_report":
         lambda a, b: xsuperint.verification_report(a, b, nmax=2, mmax=1).lines,
 }

@@ -18,7 +18,6 @@ from xsuperint.classical import (
     conservation_drift,
     convergence_order,
     default_start,
-    integrate,
     scan_closure,
     trajectory,
     wedge_potential,
@@ -28,6 +27,15 @@ from xsuperint.errors import (ParameterDomainError, StepSizeError,
 
 MODEL = ClassicalModel(1.0, 1.0, 1.0, 3.0)
 START = OrbitState(1.7, 0.4, 0.3, 1.1)
+
+
+def trajectory_end(model: ClassicalModel, start: OrbitState, t_end: float,
+                   dt: float) -> OrbitState:
+    """The state `trajectory` ends in."""
+    state = start
+    for _, state in trajectory(model, start, t_end, dt):
+        pass
+    return OrbitState(*state)
 
 
 def test_tableau_consistency():
@@ -185,7 +193,7 @@ LOW_BARRIER = ClassicalModel(1.0, 1.0, 1e-6, 1e-6)
 def test_wedge_exit_message_and_time(model, start):
     # every reader of the stream reports the exit a per-step loop reports
     period = model.radial_period
-    runs = [(lambda: integrate(model, start, 5.0, 0.01), 5.0, 0.01),
+    runs = [(lambda: trajectory_end(model, start, 5.0, 0.01), 5.0, 0.01),
             (lambda: conservation_drift(model, start, 5), 5 * period,
              period / 256),
             (lambda: list(cm.drift_and_closure(model, start, 5, 2.5 * period)),
@@ -271,9 +279,10 @@ def time_reversal_error(model: ClassicalModel, start: OrbitState,
                         t_span: float, dt: float) -> float:
     """Integrate forward, flip the momenta, integrate forward again, flip
     back: the result must be the initial state up to integration error."""
-    fwd = integrate(model, start, t_span, dt)
-    back = integrate(model, OrbitState(fwd.r, fwd.phi, -fwd.pr, -fwd.pphi),
-                     t_span, dt)
+    fwd = trajectory_end(model, start, t_span, dt)
+    back = trajectory_end(model,
+                          OrbitState(fwd.r, fwd.phi, -fwd.pr, -fwd.pphi),
+                          t_span, dt)
     ref = start
     out = (back.r, back.phi, -back.pr, -back.pphi)
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(ref, out)))
@@ -326,7 +335,7 @@ def equilibrium_state(model: ClassicalModel) -> OrbitState:
 
 def test_equilibrium_is_stationary():
     eq = equilibrium_state(MODEL)
-    end = integrate(MODEL, eq, 5.0, MODEL.radial_period / 128)
+    end = trajectory_end(MODEL, eq, 5.0, MODEL.radial_period / 128)
     assert abs(end.r - eq.r) < 1e-12
     assert abs(end.phi - eq.phi) < 1e-12
     assert abs(end.pr) < 1e-12 and abs(end.pphi) < 1e-12
@@ -383,8 +392,8 @@ def test_convergence_order():
 def reference_richardson_order(model: ClassicalModel, start: OrbitState,
                                t_span: float, dt: float):
     """log2 error ratio between runs at (dt, dt/2) and (dt/2, dt/4), each a
-    fresh `integrate` from t = 0, or None at the rounding floor."""
-    outs = [integrate(model, start, t_span, dt / f) for f in (1, 2, 4)]
+    fresh `trajectory_end` from t = 0, or None at the rounding floor."""
+    outs = [trajectory_end(model, start, t_span, dt / f) for f in (1, 2, 4)]
     e1 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[0], outs[1])))
     e2 = math.sqrt(sum((a - b) ** 2 for a, b in zip(outs[1], outs[2])))
     scale = math.sqrt(sum(v * v for v in outs[2]))
@@ -455,13 +464,13 @@ def test_convergence_order_outside_the_wedge():
 
 
 def wedge_exits_at_t16(model, start):
-    """Which of the probe's three spans `integrate` leaves the wedge on at
+    """Which of the probe's three spans `trajectory` leaves the wedge on at
     its coarsest step T/16."""
     period = model.radial_period
     exits = []
     for f in (0.7, 1.7, 2.7):
         try:
-            integrate(model, start, f * period, period / 16)
+            trajectory_end(model, start, f * period, period / 16)
             exits.append(False)
         except WedgeExitError:
             exits.append(True)
@@ -532,7 +541,7 @@ def test_wedge_exit():
     model = ClassicalModel(1.0, 1.0, 1e-6, 1e-6)
     start = OrbitState(1.0, 0.05, 0.0, -2.0)
     with pytest.raises(WedgeExitError):
-        integrate(model, start, 5.0, 0.01)
+        trajectory_end(model, start, 5.0, 0.01)
 
 
 @pytest.mark.parametrize("model, start", [
@@ -542,16 +551,16 @@ def test_nan_state_is_a_wedge_exit(model, start):
     # NaN compares false with everything, so it must fail the wedge tests
     period = model.radial_period
     with pytest.raises(WedgeExitError):
-        integrate(model, start, period, period / 256)
+        trajectory_end(model, start, period, period / 256)
 
 
 def test_step_size_validation():
     with pytest.raises(StepSizeError):
-        integrate(MODEL, START, 1.0, 0.0)
+        trajectory_end(MODEL, START, 1.0, 0.0)
     with pytest.raises(StepSizeError):
-        integrate(MODEL, START, 1.0, -0.1)
+        trajectory_end(MODEL, START, 1.0, -0.1)
     with pytest.raises(StepSizeError):
-        integrate(MODEL, START, -1.0, 0.1)
+        trajectory_end(MODEL, START, -1.0, 0.1)
     # the default window starts half a radial period in
     with pytest.raises(StepSizeError):
         closure_report(MODEL, START, max_time=0.4 * MODEL.radial_period)
@@ -560,13 +569,12 @@ def test_step_size_validation():
 def test_step_count_must_be_finite():
     # t_end / dt overflows to inf: a StepSizeError, not an OverflowError
     with pytest.raises(StepSizeError):
-        integrate(MODEL, START, 1.0, 1e-310)
+        trajectory_end(MODEL, START, 1.0, 1e-310)
 
 
 def test_trajectory_lands_on_t_end():
     steps = list(trajectory(MODEL, START, 1.0, 0.3))
     assert [t for t, _ in steps] == [0.3, 0.6, 3 * 0.3, 1.0]
-    assert integrate(MODEL, START, 1.0, 0.3) == steps[-1][1]
 
 
 def test_invariant_value_at_start():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xsuperint import ladders
-from xsuperint.errors import (InsufficientSpanError, OutOfFamilyError,
-                              VerificationError)
+from xsuperint.errors import OutOfFamilyError, VerificationError
 from xsuperint.ladders import (
     action_coefficient,
     claimed_deformed_lowering_action,
@@ -483,14 +482,14 @@ def test_chains_annihilate_the_bottom_of_each_tower(p, q):
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
 def test_parity_report_ok(alpha, beta, p, q):
-    rep = parity_report(alpha, beta, p, q, nmax=6)
+    rep = parity_report(alpha, beta, p, q)
     assert rep.ok
     assert rep.negative_control_ok
 
 
 def test_parity_report_builds_each_deformed_chain_once(monkeypatch,
                                                      compositions):
-    # 2 * nmax tabulated one-step chains, the lowering chain at n = 7/2 and
+    # 2 * 8 tabulated one-step chains, the lowering chain at n = 7/2 and
     # 3 reflected raising chains; the direct-substitution check reuses the
     # tabulated lowering chains at n = 2 and 3, and nothing is composed
     calls = []
@@ -499,7 +498,7 @@ def test_parity_report_builds_each_deformed_chain_once(monkeypatch,
             calls.append((_name, args))
             return _real(*args)
         monkeypatch.setattr(ladders, name, build)
-    assert parity_report(*A13, 1, 2, nmax=8).ok
+    assert parity_report(*A13, 1, 2).ok
     assert len(calls) == len(set(calls)) == 20
     assert {args[1] for _, args in calls} == {1}
     assert compositions == []
@@ -514,11 +513,6 @@ def test_parity_report_fails_on_a_skewed_raising_step(skewed_raising, p, q):
     assert not rep.angular_swap_ok
     assert rep.radial_swap_ok
     assert not rep.ok
-
-
-def test_parity_report_needs_enough_nodes():
-    with pytest.raises(InsufficientSpanError):
-        parity_report(*A13, 1, 2, nmax=3)
 
 
 def test_action_coefficient_rejects_wrong_target():

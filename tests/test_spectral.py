@@ -59,7 +59,7 @@ def test_hamiltonian_residual_small(p, q):
 
 
 #: (p, q) at which `verify`'s residual gate fails at (1, 3) on its default
-#: 40 x 40 grid: six of the 43 coprime p, q <= 8 it admits (ROADMAP item 2).
+#: 40 x 40 grid: six of the 43 coprime p, q <= 8 it admits (ROADMAP item 7).
 #: The worst residuals are 3.3e-9, 8.7e-9, 1.5e-8, 2.2e-8, 2.7e-8, 1.6e-9.
 RESIDUAL_GATE_FAILURES = [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 7)]
 
@@ -71,8 +71,7 @@ RESIDUAL_GATE_FAILURES = [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 7)]
 def test_verify_residual_gate(p, q):
     # the four states and the grid that `xsuperint verify` checks; 1/3 is
     # the passing control, at 5.5e-10
-    worst = max(hamiltonian_residual(QuantumState(m, n), kparams(p, q),
-                                     nr=40, nphi=40)
+    worst = max(hamiltonian_residual(QuantumState(m, n), kparams(p, q), 40)
                 for m in range(2) for n in range(1, 3))
     assert worst < 1e-9
 

@@ -20,6 +20,8 @@ from xsuperint.ladders import (LadderChain, composite_lowering,
                                radial_lowering, radial_raising,
                                radial_raising_candidate, radial_raising_chain,
                                raising_intertwiner)
+from xsuperint.operators import DiffOp
+from xsuperint.polynomials import Poly, secondary_root, weight_pole
 from xsuperint.verify import (classify_claim, normalization,
                               verification_report)
 
@@ -228,6 +230,30 @@ def test_candidates_are_scored_against_the_derived_tables(
     doubled = lambda *args: derived(*args).premultiply(2)
     assert _verdict(monkeypatch, name, doubled, section, line
                     ) == "NORMALIZATION(1/2)"
+
+
+def _scalar_intertwiner_detail(alpha, beta):
+    """The witness of the candidate forward intertwiner line at nmax = 3."""
+    return next(ln.detail for ln in verify._intertwiner_lines(alpha, beta, 3)
+                if ln.name == "candidate forward intertwiner with undefined "
+                              "scalar")
+
+
+def test_alpha_one_intertwiner_line_reads_its_outcomes(monkeypatch):
+    # the candidate with its (alpha - 1) factor dropped: at alpha = 1 its
+    # scalar no longer drops out, and the line must print what each degree
+    # then requires instead of the text for a scalar that drops out
+    def kept_scalar(alpha, beta, free_scalar):
+        b, c = weight_pole(alpha, beta), secondary_root(alpha, beta)
+        return DiffOp((Poly((-free_scalar * c, free_scalar)),
+                       Poly((-1, 1)) * Poly((-b, 1))))
+
+    real = _scalar_intertwiner_detail(F(1), F(3))
+    assert "drops out entirely" in real
+    monkeypatch.setattr(verify, "raising_intertwiner_candidate", kept_scalar)
+    mutant = _scalar_intertwiner_detail(F(1), F(3))
+    assert mutant != real
+    assert "n=0: any, n=1: unique t=" in mutant
 
 
 def _doubled(op):
