@@ -126,17 +126,19 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: RationalLike
 
         D(x) * (op u - eigenvalue * u) == 0   identically,
 
-    where D is the common denominator of op's coefficients.  Returns the monic
-    representative.  Raises NoSolutionError / NonUniqueSolutionError when the
-    cleared linear system has no rank-deficiency of exactly one in the right
-    place — that is the oracle that flags a wrong eigenvalue or a defective
+    where D is the common denominator of op's coefficients, and so of
+    op - eigenvalue: shifting c_0 by a constant cancels no pole.  Returns the
+    monic representative.  Raises NoSolutionError / NonUniqueSolutionError
+    when the cleared linear system has no rank-deficiency of exactly one in
+    the right place — the oracle that flags a wrong eigenvalue or a defective
     operator, rather than silently returning garbage.
     """
-    shifted = op - DiffOp.identity().premultiply(eigenvalue)
-    _, cleared = shifted.cleared()
+    den, cleared = op.cleared()
+    shift = den * -as_fraction(eigenvalue)
 
-    def image(i: int) -> Poly:          # the cleared operator applied to x^i
-        out, term = Poly.zero(), Poly.x() ** i
+    def image(i: int) -> Poly:          # D (op - eigenvalue) applied to x^i
+        term = Poly.x() ** i
+        out = shift * term
         for a in cleared:
             out, term = out + a * term, term.derivative()
         return out

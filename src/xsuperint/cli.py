@@ -96,10 +96,10 @@ def at_least(low: int) -> Callable[[str], int]:
 MAX_ROWS = 10 ** 6
 
 
-#: Largest p and q `verify` accepts.  On a 2-core machine the whole `verify`
-#: at the default (alpha, beta) = (1, 3) takes 0.72 s at k = 6/1, 0.73 s at
-#: 5/6, 0.70 s at 1/8 and 0.72 s at 7/8.  The cap is set by the float
-#: ladder-closure gate, which fails at k = 15/16, not by cost.
+#: Largest p and q `verify` accepts.  On a 2-core machine a fresh `verify`
+#: at the default (alpha, beta) = (1, 3) takes 0.42 s at k = 6/1, 0.41 s at
+#: 5/6, 0.44 s at 1/8 and 0.43 s at 7/8 (least of 7 runs).  The cap is set
+#: by the float ladder-closure gate, which fails at k = 15/16, not by cost.
 MAX_VERIFY_PQ = 8
 
 

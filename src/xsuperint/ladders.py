@@ -77,7 +77,7 @@ def action_report(op: DiffOp | LadderChain, source: Poly, target: Poly
     """Measure op on a polynomial family member: (c, witness) with
     op(source) == c * target, or (None, witness) when the image leaves the
     target's line.  Every polynomial-family action is measured here."""
-    return _line_report(op.apply_poly(source), target)
+    return _line_report(op.apply_ratfunc(source), target)
 
 
 def action_coefficient(op: DiffOp | LadderChain, source: Poly, target: Poly
@@ -327,8 +327,6 @@ class LadderChain:
             f = factor.apply_ratfunc(f)
         return RatFunc.of(f)
 
-    apply_poly = apply_ratfunc
-
     def gauge_conjugate(self, logderiv: RatFunc) -> "LadderChain":
         """`DiffOp.gauge_conjugate` factor by factor (a homomorphism)."""
         return LadderChain(tuple(f.gauge_conjugate(logderiv)
@@ -511,7 +509,7 @@ def radial_family_image(op: DiffOp | LadderChain, m: int, a: Fraction,
     if shift.denominator != 1:
         raise ValueError("gauge parameters must differ by an even integer")
     stripped = op.gauge_conjugate(-radial_gauge_logderiv(a))
-    img = stripped.apply_poly(laguerre_polynomial(m, a))
+    img = stripped.apply_ratfunc(laguerre_polynomial(m, a))
     s = int(shift)
     return img * (RatFunc(Poly.x() ** s) if s >= 0 else RatFunc(1, {0: -s}))
 
@@ -662,7 +660,7 @@ def composite_images(step: CompositeStep, params: ModelParams
     measures these."""
     alpha, beta, k = params.alpha, params.beta, params.k
     source = exceptional_jacobi(step.source.n, alpha, beta)
-    return (step.angular.apply_poly(source),
+    return (step.angular.apply_ratfunc(source),
             radial_family_image(
                 step.radial, step.source.m,
                 k * angular_eigenroot(step.source.n, alpha, beta),
@@ -703,7 +701,7 @@ def l1_commutator_report(step: CompositeStep, params: ModelParams
     source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
     angular_image, radial_image = composite_images(step, params)
     image = (lop.apply_ratfunc(angular_image)
-             - step.angular.apply_ratfunc(lop.apply_poly(source)))
+             - step.angular.apply_ratfunc(lop.apply_ratfunc(source)))
     return _composite_report(step, params, image, radial_image)
 
 

@@ -7,9 +7,9 @@ y = 0, so a denominator never needs an irrational root.  Sums take the larger
 multiplicity at each root, products add them, and `_cancel` removes the
 common factors by exact synthetic division at the poles; zero-testing and
 equality are structural.  A `DiffOp` is sum_j c_j(x) d^j with RatFunc
-coefficients c_j, normal-ordered with derivatives on the right; it supports
-composition, application to functions, and gauge conjugation by a factor
-known only through its logarithmic derivative.
+coefficients c_j, normal-ordered with derivatives on the right; the package
+applies and gauge-conjugates operators, and keeps their products as factor
+sequences (`ladders.LadderChain`) that only the tests expand (`compose`).
 
 The gauge trick is what keeps everything rational: the weight factors that
 dress the polynomial eigenfunctions involve irrational powers, but their log
@@ -186,37 +186,6 @@ class DiffOp:
             cs.pop()
         self.coeffs: tuple[RatFunc, ...] = tuple(cs)
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls(())
-
-    @classmethod
-    def identity(cls) -> "DiffOp":
-        return cls((RatFunc.one(),))
-
-    # -- linear structure ------------------------------------------------
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return DiffOp(out)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def premultiply(self, f: Coefficientable) -> "DiffOp":
-        """Left multiplication by a function: f * A (coefficient-wise)."""
-        g = RatFunc.of(f)
-        return DiffOp(tuple(g * c for c in self.coeffs))
-
-    # -- multiplicative structure ----------------------------------------
     def compose(self, other: "DiffOp") -> "DiffOp":
         """(A o B) f = A(B f), expanded to normal order by the Leibniz rule:
 
@@ -256,9 +225,7 @@ class DiffOp:
 
     # -- action ------------------------------------------------------------
     def apply_ratfunc(self, f: Coefficientable) -> RatFunc:
-        g = RatFunc.of(f)
-        out = RatFunc.zero()
-        cur = g
+        out, cur = RatFunc.zero(), RatFunc.of(f)
         for j, c in enumerate(self.coeffs):
             if j > 0:
                 cur = cur.derivative()
@@ -266,26 +233,24 @@ class DiffOp:
                 out = out + c * cur
         return out
 
-    def apply_poly(self, p: Poly) -> RatFunc:
-        return self.apply_ratfunc(RatFunc(p))
-
     # -- gauge conjugation -----------------------------------------------
     def gauge_conjugate(self, logderiv: RatFunc) -> "DiffOp":
-        """Return G A G^{-1} where (log G)' = logderiv.
+        """Return G A G^{-1} where (log G)' = logderiv = L: the substitution
+        d -> d - L, an algebra homomorphism that -L inverts exactly.  Each
+        power (d - L)^j is taken from the last on its coefficient list:
 
-        Computed by the exact substitution d -> d - (log G)', which is an
-        algebra homomorphism, so conjugating a composition equals composing
-        the conjugates; conjugating back with -logderiv inverts exactly.
+            (d - L) sum_i p_i d^i = sum_i (p_i' - L p_i) d^i + p_i d^(i+1)
         """
-        shifted = DiffOp((-logderiv, RatFunc.one()))  # d - (log G)'
-        out = DiffOp.zero()
-        power = DiffOp.identity()
+        out = [RatFunc.zero()] * len(self.coeffs)
+        power = [RatFunc.one()]                 # (d - L)^j, lowest order first
         for j, c in enumerate(self.coeffs):
             if j > 0:
-                power = shifted.compose(power)
+                power = [p.derivative() - logderiv * p + lower for p, lower
+                         in zip(power, [RatFunc.zero()] + power)] + [power[-1]]
             if not c.is_zero():
-                out = out + power.premultiply(c)
-        return out
+                for i, p in enumerate(power):
+                    out[i] = out[i] + c * p
+        return DiffOp(out)
 
     # -- formatting ----------------------------------------------------------
     def pretty(self) -> str:

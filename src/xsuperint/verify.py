@@ -345,8 +345,8 @@ def _resolve_free_scalar(alpha: Fraction, beta: Fraction, n: int
     """
     src = shifted_jacobi(n, alpha, beta)
     tgt = exceptional_jacobi_closed_form(n + 1, alpha, beta)
-    img0 = raising_intertwiner_candidate(alpha, beta, 0).apply_poly(src).as_poly()
-    img1 = raising_intertwiner_candidate(alpha, beta, 1).apply_poly(src).as_poly()
+    img0 = raising_intertwiner_candidate(alpha, beta, 0).apply_ratfunc(src).as_poly()
+    img1 = raising_intertwiner_candidate(alpha, beta, 1).apply_ratfunc(src).as_poly()
     basis = fraction_nullspace([[img1 - img0, -tgt, img0]])
     particular = [v for v in basis if v[2] != 0]
     if len(basis) >= 2:
@@ -397,22 +397,29 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
                 for n in range(0, min(nmax, 4))]
     kinds = {kind for _, kind, _, _ in outcomes}
     ts = {t for _, kind, t, _ in outcomes if kind == "unique"}
-    if alpha == 1 and "none" in kinds and "unique" not in kinds:
+    derived_t = alpha / (alpha - 1) if alpha != 1 else None
+    required = ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
+                         for n, kind, t, _ in outcomes)
+    if "none" not in kinds and len(ts) == 1 and ts != {derived_t}:
+        detail = (f"t = {min(ts)} makes the candidate intertwine at every "
+                  f"probed degree: per-degree requirements {required}")
+    elif kinds == {"any"}:
+        detail = ("every value of the undefined scalar makes the candidate "
+                  "intertwine at every probed degree")
+    elif alpha == 1 and "none" in kinds and "unique" not in kinds:
         detail = ("the undefined scalar multiplies the factor (alpha - 1) = 0 "
                   "and drops out entirely; the candidate then annihilates "
                   "degree-0 input instead of raising it, and no value of the "
                   "scalar can restore the intertwining")
-    elif alpha != 1 and ts == {alpha / (alpha - 1)}:
+    elif ts == {derived_t}:
         detail = (f"the only value that intertwines is the parameter-"
-                  f"dependent alpha/(alpha-1) = {alpha / (alpha - 1)}, which "
+                  f"dependent alpha/(alpha-1) = {derived_t}, which "
                   f"rewrites the zeroth term as alpha*(x - c) — the derived "
                   f"intertwiner; no constant resolves the symbol, and at "
                   f"alpha = 1 no value exists at all")
     else:
         detail = ("no single value of the undefined scalar makes the "
-                  "candidate intertwine: per-degree requirements "
-                  + ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
-                              for n, kind, t, _ in outcomes))
+                  f"candidate intertwine: per-degree requirements {required}")
     lines.append(CheckLine(
         "intertwiners", "candidate forward intertwiner with undefined scalar",
         UNRESOLVABLE, detail))
@@ -446,7 +453,7 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
                         q, q)
     down_chain = measured(deformed_lowering_chain,
                           range(q + 1, nmax + q + 1), -q, q)
-    bottom = deformed_lowering(1, alpha, beta).apply_poly(member(1))
+    bottom = deformed_lowering(1, alpha, beta).apply_ratfunc(member(1))
     ab, qab, sec = (alpha, beta), (q, alpha, beta), "deformed ladders"
     return [
         _scored(sec, "one-step raising action table", "n = ",

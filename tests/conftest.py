@@ -11,7 +11,8 @@ from xsuperint.operators import DiffOp
 @pytest.fixture
 def compositions(monkeypatch):
     """List of the (left, right) operators of every `DiffOp.compose` call
-    made while the test runs."""
+    made while the test runs.  The package composes no operator, so every
+    entry comes from a reference product the test builds itself."""
     calls = []
     real = DiffOp.compose
 

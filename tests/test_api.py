@@ -126,3 +126,24 @@ def test_rationals_are_coerced_only_at_the_boundary():
                     callers.add((path.stem, getattr(top, "name", None)))
     assert {("polynomials", "Poly"), ("cli", "parse_rational")} <= callers
     assert callers <= exported | BOUNDARY, callers - exported - BOUNDARY
+
+
+def _tracer_list(name: str) -> list:
+    """The literal list assigned to `name` in benchmarks/tracing.py."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    return next(ast.literal_eval(node.value)
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def test_tracer_wraps_only_methods_and_classes_the_package_has():
+    # the benchmark tracer skips a function the package no longer has, but
+    # a missing method or class would crash every traced run
+    for modname, cname, mname in _tracer_list("METHODS"):
+        cls = getattr(importlib.import_module(f"xsuperint.{modname}"), cname)
+        assert callable(getattr(cls, mname, None)), (modname, cname, mname)
+    for modname, cname in _tracer_list("CONSTRUCTED"):
+        cls = getattr(importlib.import_module(f"xsuperint.{modname}"), cname,
+                      None)
+        assert isinstance(cls, type), (modname, cname)

@@ -150,6 +150,14 @@ def test_cleared_is_the_least_common_denominator(pairs):
 
 D = DiffOp((0, 1))                                  # d/dx
 X = DiffOp((Poly.x(),))                             # multiplication by x
+ONE = DiffOp((1,))                                  # the identity
+
+
+def _plus(a: DiffOp, b: DiffOp, sign: int = 1) -> DiffOp:
+    """a + sign * b, coefficient-wise."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    pad = lambda op: op.coeffs + (RatFunc.zero(),) * (n - len(op.coeffs))
+    return DiffOp(p + q * sign for p, q in zip(pad(a), pad(b)))
 
 
 def test_diffop_apply_and_compose():
@@ -157,47 +165,76 @@ def test_diffop_apply_and_compose():
     # (d . x) p = p + x p' (the Leibniz rule)
     composed = D.compose(X)
     expected = p + Poly((0, 1)) * p.derivative()
-    assert composed.apply_poly(p).as_poly() == expected
+    assert composed.apply_ratfunc(p).as_poly() == expected
 
 
 def test_commutator_d_x_is_identity():
-    comm = D.compose(X) - X.compose(D)
-    assert comm == DiffOp.identity()
+    comm = _plus(D.compose(X), X.compose(D), -1)
+    assert comm == ONE
     for p in (Poly((1, 2, 3)), Poly((0, 0, 0, 5))):
-        assert comm.apply_poly(p).as_poly() == p
+        assert comm.apply_ratfunc(p).as_poly() == p
 
 
 def test_diffop_power_and_order():
     d2 = D.compose(D)
     assert len(d2.coeffs) - 1 == 2                  # the order
-    assert d2.apply_poly(Poly((0, 0, 0, 1))).as_poly() == Poly((0, 6))
+    assert d2.apply_ratfunc(Poly((0, 0, 0, 1))).as_poly() == Poly((0, 6))
 
 
 def test_gauge_conjugate_moves_gauge_factor():
     """A_g = G A G^{-1} so A_g (G p) = G (A p); with G = (x-1)^2 both sides
     stay rational and can be compared exactly."""
-    op = D.compose(D) + DiffOp((RatFunc(Poly((5,))),))
+    op = _plus(D.compose(D), DiffOp((RatFunc(Poly((5,))),)))
     logderiv = RatFunc(2, {1: 1})                    # G'/G for G = (x-1)^2
     conj = op.gauge_conjugate(logderiv)
     gauge = RatFunc(Poly((1, -2, 1)))
     for p in (Poly((1, 1)), Poly((2, 0, 1)), Poly((0, 1, 0, 1))):
         lhs = conj.apply_ratfunc(gauge * RatFunc.of(p))
-        rhs = gauge * op.apply_poly(p)
+        rhs = gauge * op.apply_ratfunc(p)
         assert lhs == rhs
 
 
 def test_gauge_conjugate_round_trip():
-    op = D.compose(X) + DiffOp.identity()
+    op = _plus(D.compose(X), ONE)
     ld = RatFunc(1, {0: 1})
     assert op.gauge_conjugate(ld).gauge_conjugate(-ld) == op
 
 
-def test_premultiply_and_scalar_multiplication():
-    scaled = D.premultiply(Fraction(3, 2))
-    p = Poly((0, 0, 1))
-    assert scaled.apply_poly(p).as_poly() == Poly((0, 3))
-    pre = D.premultiply(RatFunc(Poly((0, 1))))
-    assert pre.apply_poly(p).as_poly() == Poly((0, 0, 2))
+@st.composite
+def wall_pole_operators(draw) -> tuple[DiffOp, DiffOp, RatFunc]:
+    """Two operators of order <= 3 and a log derivative, every pole at the
+    walls x = +-1, at 0 or at one drawn b, as the package's gauges have them."""
+    roots = st.sampled_from((Fraction(1), Fraction(-1), Fraction(0),
+                             draw(ROOTS)))
+
+    def ratfunc() -> RatFunc:
+        poles = draw(st.dictionaries(roots, st.integers(1, 2), max_size=2))
+        return RatFunc(Poly(draw(st.lists(SMALL, max_size=3))), poles)
+
+    def operator() -> DiffOp:
+        return DiffOp(ratfunc() for _ in range(draw(st.integers(1, 4))))
+
+    return operator(), operator(), ratfunc()
+
+
+def _composed_conjugate(op: DiffOp, logderiv: RatFunc) -> DiffOp:
+    """sum_j c_j (d - L)^j, each power and product built by `compose`."""
+    shifted, power, out = DiffOp((-logderiv, 1)), ONE, DiffOp(())
+    for c in op.coeffs:
+        out = _plus(out, DiffOp((c,)).compose(power))
+        power = shifted.compose(power)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(wall_pole_operators())
+def test_gauge_conjugate_is_the_composed_substitution(drawn):
+    a, b, ld = drawn
+    conj = a.gauge_conjugate(ld)
+    assert conj == _composed_conjugate(a, ld)
+    assert (a.compose(b).gauge_conjugate(ld)
+            == conj.compose(b.gauge_conjugate(ld)))
+    assert conj.gauge_conjugate(-ld) == a
 
 
 def test_pretty_output():
@@ -213,4 +250,4 @@ def test_cleared_over_mixed_denominators():
     den, nums = op.cleared()
     assert den == xm1 * xp1 ** 2
     assert nums == [xp1 ** 2, Poly((0, 2)) * xm1, Poly((3,)) * xp1]
-    assert DiffOp.identity().cleared() == (Poly.one(), [Poly.one()])
+    assert ONE.cleared() == (Poly.one(), [Poly.one()])

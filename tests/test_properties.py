@@ -74,7 +74,7 @@ def test_one_step_deformed_action_tables(pair):
         assert action_report(deformed_raising(n, alpha, beta), member(n),
                              member(n + 1))[0] == \
             deformed_raising_action(n, alpha, beta)
-    assert deformed_lowering(1, alpha, beta).apply_poly(member(1)).is_zero()
+    assert deformed_lowering(1, alpha, beta).apply_ratfunc(member(1)).is_zero()
     assert deformed_lowering_action(1, alpha, beta) == 0
     for n in range(2, 4):
         assert action_report(deformed_lowering(n, alpha, beta), member(n),

@@ -227,40 +227,56 @@ def test_candidates_are_scored_against_the_derived_tables(
         monkeypatch, name, derived, section, line):
     # a candidate equal to twice the derived operator is off by a constant,
     # which only a comparison with the derived table can see
-    doubled = lambda *args: derived(*args).premultiply(2)
+    doubled = lambda *args: _doubled(derived(*args))
     assert _verdict(monkeypatch, name, doubled, section, line
                     ) == "NORMALIZATION(1/2)"
 
 
-def _scalar_intertwiner_detail(alpha, beta):
-    """The witness of the candidate forward intertwiner line at nmax = 3."""
-    return next(ln.detail for ln in verify._intertwiner_lines(alpha, beta, 3)
+def _scalar_intertwiner_line(alpha, beta):
+    """The candidate forward intertwiner line at nmax = 3."""
+    return next(ln for ln in verify._intertwiner_lines(alpha, beta, 3)
                 if ln.name == "candidate forward intertwiner with undefined "
                               "scalar")
 
 
-def test_alpha_one_intertwiner_line_reads_its_outcomes(monkeypatch):
-    # the candidate with its (alpha - 1) factor dropped: at alpha = 1 its
-    # scalar no longer drops out, and the line must print what each degree
-    # then requires instead of the text for a scalar that drops out
-    def kept_scalar(alpha, beta, free_scalar):
-        b, c = weight_pole(alpha, beta), secondary_root(alpha, beta)
-        return DiffOp((Poly((-free_scalar * c, free_scalar)),
-                       Poly((-1, 1)) * Poly((-b, 1))))
+def _kept_scalar(alpha, beta, free_scalar):
+    """The candidate forward intertwiner with its (alpha - 1) factor dropped."""
+    b, c = weight_pole(alpha, beta), secondary_root(alpha, beta)
+    return DiffOp((Poly((-free_scalar * c, free_scalar)),
+                   Poly((-1, 1)) * Poly((-b, 1))))
 
-    real = _scalar_intertwiner_detail(F(1), F(3))
+
+def test_alpha_one_intertwiner_line_reads_its_outcomes(monkeypatch):
+    # without the (alpha - 1) factor the scalar no longer drops out at
+    # alpha = 1, and the line must print what each degree then requires
+    # instead of the text for a scalar that drops out
+    real = _scalar_intertwiner_line(F(1), F(3)).detail
     assert "drops out entirely" in real
-    monkeypatch.setattr(verify, "raising_intertwiner_candidate", kept_scalar)
-    mutant = _scalar_intertwiner_detail(F(1), F(3))
+    monkeypatch.setattr(verify, "raising_intertwiner_candidate", _kept_scalar)
+    mutant = _scalar_intertwiner_line(F(1), F(3)).detail
     assert mutant != real
     assert "n=0: any, n=1: unique t=" in mutant
+
+
+@pytest.mark.parametrize("alpha,beta,t", [(F(1), F(3), F(1)),
+                                          (F(1, 2), F(5, 2), F(1, 2))])
+def test_intertwiner_witness_names_a_common_scalar(monkeypatch, alpha, beta,
+                                                   t):
+    # without the (alpha - 1) factor, t = alpha intertwines at every probed
+    # degree; the witness must name that value, not deny that one exists
+    monkeypatch.setattr(verify, "raising_intertwiner_candidate", _kept_scalar)
+    line = _scalar_intertwiner_line(alpha, beta)
+    assert line.verdict == "UNRESOLVABLE"
+    assert line.detail.startswith(
+        f"t = {t} makes the candidate intertwine at every probed degree")
+    assert "no single value" not in line.detail
 
 
 def _doubled(op):
     """2 * op, for an operator or for a chain (its last factor doubled)."""
     if isinstance(op, LadderChain):
-        return LadderChain(op.factors[:-1] + (op.factors[-1].premultiply(2),))
-    return op.premultiply(2)
+        return LadderChain(op.factors[:-1] + (_doubled(op.factors[-1]),))
+    return DiffOp(tuple(2 * c for c in op.coeffs))
 
 
 @pytest.fixture(scope="module")
@@ -348,16 +364,15 @@ def _record_builder_calls(monkeypatch):
 
 
 def test_scorecard_composes_no_deformed_chain(compositions):
-    # chains are applied factor by factor, so the scorecard's compositions,
-    # all inside gauge conjugations, do not grow with the angular chain
-    # length
+    # chains are applied factor by factor and gauge conjugation works on
+    # coefficient lists, so no run composes an operator, whatever the
+    # angular chain length and whether or not the family's cache is warm
     counts = []
     for q in (2, 8, 2, 8):
         compositions.clear()
         verification_report(F(1), F(3), p=1, q=q)
         counts.append(len(compositions))
-    # the first two runs also fill the deformed family's cache
-    assert counts[2] == counts[3]
+    assert counts == [0, 0, 0, 0]
 
 
 def test_one_step_ladders_reuse_the_q1_chains(monkeypatch):
