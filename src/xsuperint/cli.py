@@ -82,11 +82,15 @@ def positive(text: str) -> float:
     return value
 
 
-def at_least(low: int) -> Callable[[str], int]:
+def int_range(low: Optional[int], high: Optional[int] = None
+              ) -> Callable[[str], int]:
+    """Caster of an int in [low, high]; a None bound is no bound."""
     def cast(text: str) -> int:
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise ValueError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be at most {high}")
         return value
     return cast
 
@@ -97,14 +101,29 @@ MAX_ROWS = 10 ** 6
 
 
 #: Largest p and q `verify` accepts.  On a 2-core machine a fresh `verify`
-#: at the default (alpha, beta) = (1, 3) takes 0.42 s at k = 6/1, 0.41 s at
-#: 5/6, 0.44 s at 1/8 and 0.43 s at 7/8 (least of 7 runs).  The cap is set
+#: at the default (alpha, beta) = (1, 3) takes 0.33 s at k = 6/1, 0.37 s at
+#: 5/6, 0.34 s at 1/8 and 0.35 s at 7/8 (least of 7 runs).  The cap is set
 #: by the float ladder-closure gate, which fails at k = 15/16, not by cost.
 MAX_VERIFY_PQ = 8
 
+#: Largest `verify --nmax` and `--mmax`.  A fresh `verify` at the default
+#: point takes 0.64 s at nmax = 40, 0.62 s at mmax = 120, 0.94 s at both and
+#: 2.3 s at both with p = 8 (least of 3 runs, 2-core machine); nmax = 100
+#: takes 8.1 s and mmax = 1000 92 s.
+MAX_VERIFY_NMAX = 40
+MAX_VERIFY_MMAX = 120
+
+#: Largest `export-wavefunction --m` and `--n`.  With --grid 4 the export
+#: takes 0.62 s at m = 3000 and 12.9 s at m = 10^4, where the float radial
+#: evaluation overflows; n = 300 takes 2.1 s at --rmax 1 (the exact angular
+#: solve is cubic in n) and fails the radial-gauge range check at the
+#: default rmax, as n = 250 already does.
+MAX_EXPORT_M = 3000
+MAX_EXPORT_N = 300
+
 
 def grid_size(text: str) -> int:
-    value = at_least(2)(text)
+    value = int_range(2)(text)
     if value * value > MAX_ROWS:
         raise ValueError(f"grid^2 must be at most {MAX_ROWS}")
     return value
@@ -154,15 +173,17 @@ FLAGS = {
     "omega": Flag(float, 1.0, "oscillator frequency (float)"),
     "p": Flag(int, 1, "numerator of k = p/q"),
     "q": Flag(int, 1, "denominator of k = p/q"),
-    "nmax": Flag(at_least(2), 6, "angular index range for sweeps"),
-    "mmax": Flag(at_least(1), 6, "radial index range for sweeps"),
+    "nmax": Flag(int_range(2, MAX_VERIFY_NMAX), 6,
+                 "angular index range for sweeps"),
+    "mmax": Flag(int_range(1, MAX_VERIFY_MMAX), 6,
+                 "radial index range for sweeps"),
     "tol": Flag(positive, 1e-9, "residual tolerance for verify"),
     "classical": Flag(parse_bool, False,
                       "include classical drift/closure checks"),
     "emax": Flag(finite, None, "energy cutoff for the spectrum"),
     "format": Flag(table_format, "csv", "table output format: csv or json"),
-    "m": Flag(int, 0, "radial index of the state"),
-    "n": Flag(int, 1, "angular index of the state"),
+    "m": Flag(int_range(None, MAX_EXPORT_M), 0, "radial index of the state"),
+    "n": Flag(int_range(None, MAX_EXPORT_N), 1, "angular index of the state"),
     "rmax": Flag(positive, None, "radial grid extent"),
     "phi_max": Flag(finite, None,
                     "angular grid extent (must stay in the wedge)"),

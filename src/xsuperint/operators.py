@@ -3,7 +3,10 @@
 A `RatFunc` is num / prod (x - r)^m in lowest terms: a numerator polynomial
 and a pole map {rational root r: multiplicity m}.  Every operator the package
 builds has its poles at the wedge walls x = +-1, the weight pole x = b and
-y = 0, so a denominator never needs an irrational root.  Sums take the larger
+y = 0, so a denominator never needs an irrational root.  The constructor
+keys an integral root as an `int` (as all four are at (alpha, beta) =
+(1, 3)), whose hash runs in C, and any other as a `Fraction`; arithmetic
+only ever reuses keys it was given.  Sums take the larger
 multiplicity at each root, products add them, and `_cancel` removes the
 common factors by exact synthetic division at the poles; zero-testing and
 equality are structural.  A `DiffOp` is sum_j c_j(x) d^j with RatFunc
@@ -27,8 +30,9 @@ from .polynomials import (Poly, RationalLike, as_fraction, divide_root,
                           times_roots)
 
 Coefficientable = Union["RatFunc", Poly, Fraction, int]
-#: {root r: multiplicity m} standing for prod (x - r)^m
-Poles = dict[Fraction, int]
+#: {root r: multiplicity m} standing for prod (x - r)^m, keyed by
+#: `RatFunc._root_key`
+Poles = dict[Union[int, Fraction], int]
 
 _ONE = Poly.one()
 
@@ -65,7 +69,15 @@ class RatFunc:
             if min(poles.values()) < 0:
                 raise ValueError(f"negative pole multiplicity in {dict(poles)}")
             self.num, self.poles = _cancel(
-                num, {as_fraction(r): m for r, m in poles.items()})
+                num, {self._root_key(r): m for r, m in poles.items()})
+
+    @staticmethod
+    def _root_key(r: RationalLike) -> Union[int, Fraction]:
+        """The pole-map key of the root r: an int when r is integral."""
+        if isinstance(r, int):
+            return r
+        r = as_fraction(r)
+        return r.numerator if r.denominator == 1 else r
 
     @classmethod
     def _of_parts(cls, num: Poly, poles: Poles) -> "RatFunc":
@@ -83,11 +95,11 @@ class RatFunc:
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(Poly.zero())
+        return _RZERO
 
     @classmethod
     def one(cls) -> "RatFunc":
-        return cls(Poly.one())
+        return _RONE
 
     # -- queries ---------------------------------------------------------
     @property
@@ -173,6 +185,11 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.pretty()})"
+
+
+#: the shared constants `RatFunc.zero()` and `one()`; a RatFunc, its pole
+#: map included, is never mutated
+_RZERO, _RONE = RatFunc._of_parts(Poly.zero(), {}), RatFunc._of_parts(_ONE, {})
 
 
 class DiffOp:

@@ -10,7 +10,13 @@ Rationals are coerced (`as_fraction`, which refuses floats) only at the
 package boundary: the `Poly` constructors, scalar product and `evaluate`,
 and each exported family builder, whose cache is typed so that a float equal
 to a cached rational is refused too.  Internal helpers such as `weight_pole`
-and `pochhammer` take `Fraction` parameters.
+and `pochhammer` take `Fraction` parameters.  `Poly.zero()`, `one()` and
+`x()` return shared module constants; a `Poly` is never mutated.
+
+The Laguerre and Jacobi families are summed on ints from their terminating
+hypergeometric series (Koekoek, Lesky & Swarttouw 2010, 9.12 and 9.8), over
+one common denominator and never divided by a parameter-dependent factor,
+so both are defined at every rational parameter.
 """
 
 from __future__ import annotations
@@ -46,13 +52,6 @@ def pochhammer(z: Fraction, j: int) -> Fraction:
     return out
 
 
-def binomial_rational(z: Fraction, j: int) -> Fraction:
-    """Generalized binomial C(z, j) = z (z-1) ... (z-j+1) / j! for rational z."""
-    if j < 0:
-        raise ValueError("binomial needs j >= 0")
-    return pochhammer(z - j + 1, j) / math.factorial(j)
-
-
 class Poly:
     """Dense univariate polynomial with rational coefficients, stored as
     integer numerators over one common denominator.
@@ -82,19 +81,20 @@ class Poly:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _X
 
     @classmethod
     def constant(cls, c: RationalLike) -> "Poly":
-        return cls((c,))
+        c = c if isinstance(c, int) else as_fraction(c)
+        return cls._of([c.numerator], c.denominator)
 
     # -- basic queries -------------------------------------------------
     @property
@@ -256,6 +256,10 @@ def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
+#: the shared constants `Poly.zero()`, `one()` and `x()`
+_ZERO, _ONE, _X = Poly._of([], 1), Poly._of([1], 1), Poly._of([0, 1], 1)
+
+
 def _divide_linear(nums: Sequence[int], a: int, b: int) -> list[int] | None:
     """The integer Q with sum nums[i] x^i = (b x - a) Q, or None when b x - a
     does not divide.  For coprime a, b > 0 this factor is primitive, so by
@@ -334,29 +338,43 @@ def lagrange_fit(basis: Sequence[tuple[Poly, Fraction]],
 def jacobi_polynomial(n: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     """Jacobi polynomial P_n in the standard normalization P_n(1) = (alpha+1)_n / n!.
 
-    Built from the three-term recurrence, so every coefficient is exact.
+    From the series in y = (x - 1)/2,
+
+        P_n = sum_k (alpha+k+1)_(n-k) (n+alpha+beta+1)_k y^k / ((n-k)! k!),
+
+    which for alpha = a/d, beta = (s - a)/d is sum_k C(n, k) N_k y^k / (d^n n!)
+    with the integers
+
+        N_k = prod_(k<j<=n) (a + j d) * prod_(0<=j<k) (s + (n+1+j) d),
+
+    summed by Horner's rule in 2y = x - 1.
     """
     if n < 0:
         raise ValueError("jacobi_polynomial needs n >= 0")
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    if n == 0:
-        return Poly.one()
-    p_prev = Poly.one()
-    # P_1 = (alpha - beta)/2 + (alpha + beta + 2) x / 2
-    p_cur = Poly(((alpha - beta) / 2, (alpha + beta + 2) / 2))
-    for j in range(2, n + 1):
-        s = alpha + beta
-        c0 = 2 * j * (j + s) * (2 * j + s - 2)
-        lin = Poly((alpha * alpha - beta * beta, (2 * j + s) * (2 * j + s - 2)))
-        p_next = (lin * p_cur * (2 * j + s - 1)
-                  - p_prev * (2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + s)))
-        p_prev, p_cur = p_cur, p_next * (1 / c0)
-    return p_cur
+    d = math.lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (d // alpha.denominator)
+    s = a + beta.numerator * (d // beta.denominator)
+    low = [1]                   # low[k] = prod_(0<=j<k) (s + (n+1+j) d)
+    for j in range(n):
+        low.append(low[-1] * (s + (n + 1 + j) * d))
+    nums: list[int] = []
+    high = 1                    # prod_(k<j<=n) (a + j d)
+    for k in range(n, -1, -1):  # nums <- (x - 1) nums + 2^(n-k) C(n, k) N_k
+        nums = [u - v for u, v in zip([0] + nums, nums + [0])]
+        nums[0] += (math.comb(n, k) * high * low[k]) << (n - k)
+        high *= a + k * d
+    return Poly._of(nums, (d ** n * math.factorial(n)) << n)
 
 
 @lru_cache(maxsize=None, typed=True)
 def laguerre_polynomial(m: int, a: RationalLike) -> Poly:
-    """Laguerre polynomial L_m^(a) from the terminating series.
+    """Laguerre polynomial L_m^(a) from the terminating series
+
+        L_m^(a) = sum_i (-1)^i (a + i + 1)_(m-i) x^i / ((m-i)! i!),
+
+    which for a = u/v has the integer numerators (-1)^i C(m, i) v^i
+    prod_(i<j<=m) (u + j v) over v^m m!.
 
     The parameter may be any rational (it is generically non-integer here),
     including negative values, where the series still terminates.
@@ -364,11 +382,14 @@ def laguerre_polynomial(m: int, a: RationalLike) -> Poly:
     if m < 0:
         raise ValueError("laguerre_polynomial needs m >= 0")
     a = as_fraction(a)
-    coeffs = []
-    for i in range(m + 1):
-        c = binomial_rational(m + a, m - i) / math.factorial(i)
-        coeffs.append(-c if i % 2 else c)
-    return Poly(coeffs)
+    u, v = a.numerator, a.denominator
+    nums = [0] * (m + 1)
+    high, c = 1, (-v) ** m      # prod_(i<j<=m) (u + j v), (-1)^i C(m, i) v^i
+    for i in range(m, -1, -1):
+        nums[i] = c * high
+        high *= u + i * v
+        c = -c * i // ((m - i + 1) * v)
+    return Poly._of(nums, v ** m * math.factorial(m))
 
 
 def weight_pole(alpha: Fraction, beta: Fraction) -> Fraction:

@@ -3,9 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from xsuperint import ladders
 from xsuperint.operators import DiffOp
+
+#: `pytest --hypothesis-profile=reference-deep`: a larger, reproducible
+#: budget for the properties that take their example count from the profile
+#: (the family builders against their reference builders)
+settings.register_profile("reference-deep", max_examples=2000,
+                          derandomize=True)
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ TEST_ORACLES = {
     "deformed_raising_chain_action",
     "radial_lowering_chain_action",
     "lagrange_interpolate",
+    "reference_jacobi",
+    "reference_laguerre",
 }
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import xsuperint
-from xsuperint import classical, verify
+from xsuperint import classical, cli, verify
 from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
                                  scan_closure, trajectory)
 from xsuperint.cli import build_parser, fmt_float, main
@@ -310,6 +310,13 @@ def test_bad_rational_flag():
     ("export-wavefunction", "--grid", "4", "--out", "file"),
     ("verify", "--tol", "0"),
     ("verify", "--tol", "-1"),
+    ("verify", "--nmax", "100000"),
+    ("verify", "--mmax", "100000"),
+    ("verify", "--config", "nmax = 41"),
+    ("export-wavefunction", "--m", "3001", "--grid", "4", "--out", "wf"),
+    ("export-wavefunction", "--m", "1" + "0" * 31, "--grid", "4", "--out", "wf"),
+    ("export-wavefunction", "--n", "1000", "--rmax", "1", "--grid", "4",
+     "--out", "wf"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so
@@ -331,6 +338,20 @@ def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,flag,cap", [
+    ("verify", "--nmax", cli.MAX_VERIFY_NMAX),
+    ("verify", "--mmax", cli.MAX_VERIFY_MMAX),
+    ("export-wavefunction", "--m", cli.MAX_EXPORT_M),
+    ("export-wavefunction", "--n", cli.MAX_EXPORT_N),
+])
+def test_a_capped_flag_names_its_cap(command, flag, cap, tmp_path):
+    extra = ("--out", str(tmp_path)) if command == "export-wavefunction" else ()
+    code, out, err = run_cli(command, flag, str(cap + 1), *extra)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad value for {flag}: '{cap + 1}' "
+                   f"(must be at most {cap})\n")
 
 
 @pytest.mark.parametrize("argv", [

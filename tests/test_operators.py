@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xsuperint.angular import angular_operator
+from xsuperint.ladders import lowering_intertwiner, radial_lowering
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.polynomials import Poly
 
@@ -57,6 +59,21 @@ def test_ratfunc_cancellations_and_rests():
         RatFunc(1, {1: -1})
 
 
+def test_constants_are_shared_and_integral_roots_are_int_keys():
+    assert RatFunc.zero() is RatFunc.zero() and RatFunc.zero() == RatFunc(0)
+    assert RatFunc.one() is RatFunc.one() and RatFunc.one() == RatFunc(1)
+    f = RatFunc(Poly((1, 1)), {Fraction(2): 1, "1": 2, -1: 1, "3/2": 1})
+    assert [type(r) for r in f.poles] == [int, int, Fraction]
+    assert f.poles == {2: 1, 1: 2, Fraction(3, 2): 1}      # (x + 1) cancels
+    g = (f + RatFunc(1, {Fraction(-1): 1})) * f
+    assert all(type(r) is int for r in g.poles if r.denominator == 1)
+    # every pole of the package's operators at (1, 3): walls, b = 2, y = 0
+    for op in (angular_operator(1, 3), lowering_intertwiner(1, 3),
+               radial_lowering(1, 3)):
+        keys = {r for c in op.coeffs for r in c.poles}
+        assert keys and all(type(r) is int for r in keys)
+
+
 # Denominators as the package builds them, prod (x - r)^m with m <= 3, over
 # numerators that may share those factors.
 ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -92,6 +109,9 @@ def _assert_reduced_form(f: RatFunc, num: Poly, poles: dict) -> None:
     assert f.num * _den(poles) == num * _den(f.poles)
     assert all(f.num.evaluate(r) != 0 for r in f.poles)
     assert all(m >= 1 for m in f.poles.values())
+    # an integral root is keyed by an int, any other by a Fraction
+    assert all(type(r) is (int if r.denominator == 1 else Fraction)
+               for r in f.poles)
     built = RatFunc(num, poles)
     assert f == built and hash(f) == hash(built)
 

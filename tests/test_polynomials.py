@@ -1,7 +1,8 @@
 """Exact polynomial layer: arithmetic, classical families, and the deformed
 closed-form family.  The integer-numerator `Poly` is checked against
 `ReferencePoly`, a plain Fraction-coefficient polynomial kept here as the
-oracle."""
+oracle, and the integer-built families against `reference_jacobi` (the
+three-term recurrence) and `reference_laguerre` (the series in Fractions)."""
 
 import math
 from fractions import Fraction
@@ -16,7 +17,6 @@ from xsuperint.params import ModelParams
 from xsuperint.polynomials import (
     Poly,
     as_fraction,
-    binomial_rational,
     divide_root,
     exceptional_jacobi_closed_form,
     jacobi_polynomial,
@@ -36,6 +36,44 @@ def test_as_fraction_parsing():
     assert as_fraction(Fraction(-7, 3)) == Fraction(-7, 3)
     with pytest.raises(ValueError):
         as_fraction("not a number")
+
+
+def binomial_rational(z: Fraction, j: int) -> Fraction:
+    """Generalized binomial C(z, j) = z (z-1) ... (z-j+1) / j! for rational z."""
+    if j < 0:
+        raise ValueError("binomial needs j >= 0")
+    return pochhammer(z - j + 1, j) / math.factorial(j)
+
+
+def reference_jacobi(n, alpha, beta):
+    """Jacobi P_n^(alpha, beta) from the three-term recurrence in Fractions;
+    it divides by 2j (j + alpha + beta) (2j + alpha + beta - 2), so it raises
+    ZeroDivisionError at some negative parameters."""
+    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    if n == 0:
+        return Poly.one()
+    p_prev = Poly.one()
+    # P_1 = (alpha - beta)/2 + (alpha + beta + 2) x / 2
+    p_cur = Poly(((alpha - beta) / 2, (alpha + beta + 2) / 2))
+    for j in range(2, n + 1):
+        s = alpha + beta
+        c0 = 2 * j * (j + s) * (2 * j + s - 2)
+        lin = Poly((alpha * alpha - beta * beta, (2 * j + s) * (2 * j + s - 2)))
+        p_next = (lin * p_cur * (2 * j + s - 1)
+                  - p_prev * (2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + s)))
+        p_prev, p_cur = p_cur, p_next * (1 / c0)
+    return p_cur
+
+
+def reference_laguerre(m, a):
+    """Laguerre L_m^(a) from the terminating series, coefficient by
+    coefficient in Fractions."""
+    a = as_fraction(a)
+    coeffs = []
+    for i in range(m + 1):
+        c = binomial_rational(m + a, m - i) / math.factorial(i)
+        coeffs.append(-c if i % 2 else c)
+    return Poly(coeffs)
 
 
 def test_pochhammer_and_binomial():
@@ -86,6 +124,53 @@ def test_jacobi_against_scipy():
         for t in (-0.7, 0.0, 0.31, 0.95):
             exact = float(p.evaluate(Fraction(t)))     # t's binary value
             assert abs(exact - eval_jacobi(n, 2.0, 2.0, t)) < 1e-12
+
+
+#: rational parameters, negatives and negative integers included
+PARAMETERS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(-15, 3).map(Fraction),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 6))
+
+
+# max_examples comes from the settings profile (see conftest.py)
+@settings(deadline=None)
+@given(st.integers(0, 12), PARAMETERS, PARAMETERS)
+def test_jacobi_matches_the_reference(n, alpha, beta):
+    p = jacobi_polynomial(n, alpha, beta)
+    try:
+        ref = reference_jacobi(n, alpha, beta)
+    except ZeroDivisionError:       # the integer series has no such pole
+        assert isinstance(p, Poly) and p.degree <= n
+        return
+    assert (p.nums, p.den) == (ref.nums, ref.den)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), PARAMETERS)
+def test_laguerre_matches_the_reference(m, a):
+    p, ref = laguerre_polynomial(m, a), reference_laguerre(m, a)
+    assert (p.nums, p.den) == (ref.nums, ref.den)
+
+
+def test_jacobi_where_the_recurrence_divides_by_zero():
+    # at alpha + beta = -2 the recurrence's 2j (j + s) (2j + s - 2) vanishes
+    # at j = 2; the series still gives P_2, with P_2(1) = (alpha + 1)_2 / 2!
+    with pytest.raises(ZeroDivisionError):
+        reference_jacobi(2, Fraction(-3), Fraction(1))
+    p = jacobi_polynomial(2, Fraction(-3), Fraction(1))
+    assert p.evaluate(1) == pochhammer(Fraction(-2), 2) / 2
+
+
+def test_constants_are_shared():
+    assert Poly.zero() is Poly.zero() and Poly.zero() == Poly(())
+    assert Poly.one() is Poly.one() and Poly.one() == Poly((1,))
+    assert Poly.x() is Poly.x() and Poly.x() == Poly((0, 1))
+    for c in (0, 3, -7, Fraction(-5, 6), "4/10"):
+        assert Poly.constant(c) == Poly((c,))
+    with pytest.raises(TypeError):
+        Poly.constant(0.5)
 
 
 def test_laguerre_against_scipy():
