@@ -33,7 +33,7 @@ class VerificationError(XSuperintError):
     """An exact check failed: an image left its target's line, a chain had a
     foreign denominator or missed a holdout, an intertwiner ansatz had no
     single solution, or a composite broke energy or left the family; or the
-    worker computing `verify`'s classical gates ended without its result."""
+    worker computing part of `verify` ended without its result."""
 
 
 class NumericalOverflowError(XSuperintError):

@@ -112,11 +112,19 @@ def angular_values(n: int, params: ModelParams, phi: np.ndarray,
 
 def wavefunction_on_grid(state: QuantumState, params: ModelParams,
                          r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """psi on the tensor grid, shape (len(r), len(phi))."""
+    """psi on the tensor grid, shape (len(r), len(phi)).  A value that is
+    not finite (a Laguerre factor past float range, say) raises
+    NumericalOverflowError instead of being returned."""
     a = params.k * angular_eigenroot(state.n, params.alpha, params.beta)
-    rad = radial_values(state.m, a, params.omega, r)
-    ang = angular_values(state.n, params, phi)
-    return np.outer(rad, ang)
+    with np.errstate(all="ignore"):
+        psi = np.outer(radial_values(state.m, a, params.omega, r),
+                       angular_values(state.n, params, phi))
+    if not np.isfinite(psi).all():
+        raise NumericalOverflowError(
+            f"psi of state (m, n) = ({state.m}, {state.n}) is not finite on "
+            f"the grid: its float evaluation overflows; shrink the grid or "
+            f"the quantum numbers")
+    return psi
 
 
 def interior_grid(rmax: float, span: float, size: int, margin: float

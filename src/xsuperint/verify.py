@@ -24,22 +24,31 @@ conservation and closure.  Only a FAIL fails a run.
 Each run builds one raising and one lowering `CompositeStep`; the exact
 composite lines and the float ladder-closure gate all measure those two.
 
-The classical gates share nothing with the rest, so when two CPUs are
-usable they run in a forked worker that starts before the first exact check
-and is joined after the ladder-closure gate, where their lines are printed
-either way; otherwise the same function runs in-process at that point.
+When two CPUs are usable, one forked worker takes part of the run.  Plain
+`verify` hands it the radial ladders and the float gates once the composite
+steps are built, and scores the other sections meanwhile; with `--classical`
+it takes the classical gates alone, from before the first exact check, since
+at q = 1 they cost about as much as the whole exact scorecard.  The parent
+reads each section's lines, stderr and error in the serial order, so the
+first error in that order ends the report and the output is the same as
+when the worker's job runs in-process at the join (one usable CPU, no
+`os.fork`, or another thread alive).
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
+import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, redirect_stderr
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from functools import partial
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, TypeVar)
 
 from .angular import (
     angular_gauge_logderiv,
@@ -126,6 +135,8 @@ NO_SOLUTION = "NO-SOLUTION"
 UNRESOLVABLE = "UNRESOLVABLE"
 PASS = "PASS"
 FAIL = "FAIL"
+
+T = TypeVar("T")
 
 
 def normalization(c: Fraction) -> str:
@@ -630,30 +641,53 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
 
-def _classical_lines(params: ModelParams
-                     ) -> tuple[list[CheckLine], Optional[XSuperintError]]:
+def _classical_lines(params: ModelParams) -> Iterator[CheckLine]:
     """The classical conservation and closure gates, read from one
-    integration, and the package error that ended them, if any."""
+    integration, each yielded as soon as it is measured."""
+    model = ClassicalModel.from_model_params(params)
+    reports = drift_and_closure(model, default_start(model), 20,
+                                2.5 * params.q * model.radial_period)
+    drift = next(reports)
+    drifted = max(drift.energy_drift, drift.invariant_drift)
+    yield CheckLine(
+        "classical", "classical conservation",
+        PASS if drifted < 1e-8 else FAIL,
+        f"drift {fmt_float(drifted)} over 20 radial periods")
+    closure = next(reports)
+    yield CheckLine(
+        "classical", "classical closure",
+        PASS if closure.distance < 1e-6 else FAIL,
+        f"normalized return distance {fmt_float(closure.distance)} at "
+        f"t = {fmt_float(closure.time)}")
+
+
+class _Outcome(NamedTuple):
+    """What one section measured: its lines up to the exception that ended
+    it, that exception, and what it wrote to stderr meanwhile."""
+    lines: list[CheckLine]
+    error: Optional[Exception]
+    stderr: str
+
+    def keep(self, lines: list[CheckLine]) -> None:
+        """Write the section's stderr, add its lines to `lines`, then raise
+        what ended it, if anything did."""
+        sys.stderr.write(self.stderr)
+        lines += self.lines
+        if self.error is not None:
+            raise self.error
+
+
+def _measure(section: Callable[..., Iterable[CheckLine]], *args) -> _Outcome:
+    """Run `section(*args)` with its stderr held back, so that a section
+    run early or in the worker prints where the serial run would print."""
     lines: list[CheckLine] = []
-    try:
-        model = ClassicalModel.from_model_params(params)
-        reports = drift_and_closure(model, default_start(model), 20,
-                                    2.5 * params.q * model.radial_period)
-        drift = next(reports)
-        drifted = max(drift.energy_drift, drift.invariant_drift)
-        lines.append(CheckLine(
-            "classical", "classical conservation",
-            PASS if drifted < 1e-8 else FAIL,
-            f"drift {fmt_float(drifted)} over 20 radial periods"))
-        closure = next(reports)
-        lines.append(CheckLine(
-            "classical", "classical closure",
-            PASS if closure.distance < 1e-6 else FAIL,
-            f"normalized return distance {fmt_float(closure.distance)} at "
-            f"t = {fmt_float(closure.time)}"))
-    except XSuperintError as exc:
-        return lines, exc
-    return lines, None
+    with redirect_stderr(io.StringIO()) as err:
+        try:
+            for line in section(*args):
+                lines.append(line)
+        except Exception as exc:
+            return _Outcome(lines, exc, err.getvalue())
+    return _Outcome(lines, None, err.getvalue())
 
 
 def _usable_cpus() -> int:
@@ -664,22 +698,26 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _classical_worker(params: ModelParams) -> Iterator[Callable[[], tuple]]:
-    """Yield a callable that returns `_classical_lines(params)` or raises
-    what it raised.
+def _worker(job: Callable[[], T]) -> Iterator[Callable[[], T]]:
+    """Yield a callable that returns `job()` or raises what it raised.
 
-    With `os.fork`, two usable CPUs and no other thread alive, the lines are
-    computed at once in a forked worker and the callable joins it: the
-    worker pickles its result or exception down a pipe and ends with
-    `os._exit`, so it never flushes the parent's stdio buffers.  Otherwise
-    they are computed in-process when the callable is called.  On exit an
-    unjoined worker is killed, and every worker is reaped.  A worker that
-    ends without sending its result raises VerificationError naming its
-    exit status.
+    With `os.fork`, two usable CPUs and no other thread alive, the job runs
+    at once in a forked worker and the callable joins it: the worker
+    pickles its result or exception down a pipe and ends with `os._exit`,
+    so it never flushes the parent's stdio buffers.  Otherwise the job runs
+    in-process when the callable is called.  On exit an unjoined worker is
+    killed, and every worker is reaped.  A worker that ends without sending
+    its result raises VerificationError naming its exit status.
+
+    `verification_report` has one worker per run.  Without `classical` it
+    takes the radial ladders and the float gates, forked once the composite
+    steps they share with the parent are built; with `classical` it takes
+    the classical gates alone, forked before the first exact check, since
+    they cost about as much as the whole exact scorecard at q = 1.
     """
     if not (hasattr(os, "fork") and _usable_cpus() >= 2
             and threading.active_count() == 1):
-        yield lambda: _classical_lines(params)
+        yield job
         return
     import signal  # kept off package import: only a forking run needs it
     rfd, wfd = os.pipe()
@@ -689,7 +727,7 @@ def _classical_worker(params: ModelParams) -> Iterator[Callable[[], tuple]]:
         try:
             os.close(rfd)
             try:
-                reply = (True, _classical_lines(params))
+                reply = (True, job())
             except BaseException as exc:
                 reply = (False, exc)
             with open(wfd, "wb") as pipe:
@@ -701,7 +739,7 @@ def _classical_worker(params: ModelParams) -> Iterator[Callable[[], tuple]]:
     pipe = open(rfd, "rb")
     reaped = False
 
-    def join() -> tuple:
+    def join() -> T:
         nonlocal reaped
         with pipe:
             data = pipe.read()
@@ -709,7 +747,7 @@ def _classical_worker(params: ModelParams) -> Iterator[Callable[[], tuple]]:
         reaped = True
         if status != 0 or not data:
             raise VerificationError(
-                f"the classical worker exited with status {status} before "
+                f"the verify worker exited with status {status} before "
                 f"sending its result")
         ok, value = pickle.loads(data)
         if ok:
@@ -805,30 +843,37 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     alpha_f, beta_f = params.alpha, params.beta
     lines: list[CheckLine] = []
     error = None
-    with (_classical_worker(params) if classical
-          else nullcontext()) as classical_lines:
+    with (_worker(partial(_measure, _classical_lines, params)) if classical
+          else nullcontext()) as classical_gates:
         try:
             closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
                       for n in range(1, nmax + 1)}
             lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
             steps = (composite_raising(QuantumState(params.p, 1), params),
                      composite_lowering(QuantumState(0, 1 + params.q), params))
-            lines += [
-                *_family_lines(alpha_f, beta_f, closed),
-                *_potential_lines(alpha_f, beta_f),
-                *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
-                *_intertwiner_lines(alpha_f, beta_f, nmax),
-                *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax),
-                *_radial_ladder_lines(alpha_f, beta_f, params.k, params.p,
-                                      mmax),
-                *_composite_lines(params, *steps)]
-            for line in _gate_lines(params, nmax, tol, grid, steps):
-                lines.append(line)
+
+            def radial_and_gates() -> tuple[_Outcome, _Outcome]:
+                return (_measure(_radial_ladder_lines, alpha_f, beta_f,
+                                 params.k, params.p, mmax),
+                        _measure(_gate_lines, params, nmax, tol, grid, steps))
+
+            with (nullcontext(radial_and_gates) if classical
+                  else _worker(radial_and_gates)) as worker:
+                scored = [
+                    *_family_lines(alpha_f, beta_f, closed),
+                    *_potential_lines(alpha_f, beta_f),
+                    *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
+                    *_intertwiner_lines(alpha_f, beta_f, nmax),
+                    *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax)]
+                composite = _measure(_composite_lines, params, *steps)
+                radial, gates = worker()
+            # in section order, so the first error in that order wins
+            radial.keep(scored)
+            composite.keep(scored)
+            lines += scored
+            gates.keep(lines)
             if classical:
-                measured, classical_error = classical_lines()
-                lines += measured
-                if classical_error is not None:
-                    raise classical_error
+                classical_gates().keep(lines)
         except XSuperintError as exc:
             error = exc
     return VerificationReport(params, tol, tuple(lines), error)

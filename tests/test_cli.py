@@ -356,13 +356,19 @@ def test_a_capped_flag_names_its_cap(command, flag, cap, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("export-wavefunction", "--n", "300", "--grid", "4"),
+    # psi overflows to inf or nan on part of the grid
+    ("export-wavefunction", "--m", "400", "--rmax", "400", "--grid", "4"),
+    ("export-wavefunction", "--m", "3000", "--rmax", "20", "--grid", "4"),
 ])
-def test_package_error_exits_1_with_one_error_line(argv, tmp_path):
+def test_package_error_exits_1_with_one_error_line(argv, tmp_path, recwarn):
     code, out, err = run_cli(*argv, "--out", str(tmp_path))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # nothing written, and no numpy warning on the way
+    assert not list(tmp_path.iterdir())
+    assert not [str(w.message) for w in recwarn]
 
 
 @pytest.mark.parametrize("argv,printed", [

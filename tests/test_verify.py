@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -179,7 +180,8 @@ def test_chain_image_with_a_pole_fails_the_run(monkeypatch):
 
 def test_report_builds_each_composite_step_once(monkeypatch):
     # the exact composite lines and the ladder-closure gate measure the
-    # same two steps
+    # same two steps; in-process, so the gate's calls are counted too
+    _usable_cpus(monkeypatch, 1)
     calls = Counter()
 
     def counting(name, real):
@@ -363,10 +365,12 @@ def _record_builder_calls(monkeypatch):
     return calls
 
 
-def test_scorecard_composes_no_deformed_chain(compositions):
+def test_scorecard_composes_no_deformed_chain(monkeypatch, compositions):
     # chains are applied factor by factor and gauge conjugation works on
     # coefficient lists, so no run composes an operator, whatever the
-    # angular chain length and whether or not the family's cache is warm
+    # angular chain length and whether or not the family's cache is warm;
+    # in-process, so the worker's sections are counted too
+    _usable_cpus(monkeypatch, 1)
     counts = []
     for q in (2, 8, 2, 8):
         compositions.clear()
@@ -377,7 +381,8 @@ def test_scorecard_composes_no_deformed_chain(compositions):
 
 def test_one_step_ladders_reuse_the_q1_chains(monkeypatch):
     # every one-step ladder the scorecard asks for is the 1-fold chain at
-    # the same index
+    # the same index; in-process, so the ladder-closure gate's are seen too
+    _usable_cpus(monkeypatch, 1)
     calls = _record_builder_calls(monkeypatch)
     verification_report(F(1), F(3), nmax=3, mmax=2)
     chains = {call for call in calls if call[0].endswith("_chain")}
@@ -396,8 +401,7 @@ def test_skewed_raising_step_fails_the_reflection_line(skewed_raising):
 
 
 # ---------------------------------------------------------------------------
-# the classical worker: the same report forked or in-process, and no child
-# left behind
+# the worker: the same report forked or in-process, and no child left behind
 # ---------------------------------------------------------------------------
 
 # the 13 points of the benchmark's scorecard sweep, all at q = 1; (1/3, 50)
@@ -409,7 +413,7 @@ SWEEP = [("1", "3", 1), ("1", "2", 2), ("1/2", "5/2", 2), ("3/2", "7/2", 1),
          ("1/3", "7/4", 1), ("1/2", "3/4", 1)]
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the classical worker needs os.fork")
+                                reason="the worker needs os.fork")
 
 
 @pytest.fixture
@@ -439,6 +443,60 @@ def _outcome(report):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _broken(action, real):
+    """A stand-in for the section or gate helper `real`: raise `action` if
+    it is an exception; else write it to stderr and defer to `real`."""
+    def section(*args):
+        if isinstance(action, Exception):
+            raise action
+        sys.stderr.write(action)
+        return real(*args)
+    return section
+
+
+PARENT = VerificationError("parent section broke")
+WORKER = VerificationError("worker section broke")
+
+
+@needs_fork
+@pytest.mark.parametrize("point,broken", [
+    *((dict(alpha="1", beta="3", p=p, q=q), {})
+      for p, q in ((3, 2), (2, 3), (7, 8))),
+    *((dict(alpha=a, beta=b, p=p), {}) for a, b, p in SWEEP),
+    (dict(alpha="1", beta="3"), {"_intertwiner_lines": PARENT}),
+    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": WORKER}),
+    # a parent section before the worker's: its error wins, and the
+    # worker's stderr is not printed
+    (dict(alpha="1", beta="3"), {"_deformed_ladder_lines": PARENT,
+                                 "_gate_lines": "worker stderr\n"}),
+    # a worker section before a parent one: its error wins
+    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": WORKER,
+                                 "_composite_lines": PARENT}),
+    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": "worker stderr\n"}),
+    (dict(alpha="1", beta="3"),
+     {"angular_gram": QuadratureError("no convergence")}),
+], ids=repr)
+def test_scorecard_worker_and_in_process_report_alike(monkeypatch, capsys,
+                                                      forks, point, broken):
+    for name, action in broken.items():
+        monkeypatch.setattr(verify, name,
+                            _broken(action, getattr(verify, name)))
+    outcomes = []
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        outcome = _outcome(verification_report(**point))
+        outcomes.append((*outcome, capsys.readouterr().err))
+        # the worker ran with two CPUs, and not with one
+        assert len(forks) == 1
+        _assert_no_child_left()
+    assert outcomes[0] == outcomes[1]
+    raised = [a for a in broken.values() if isinstance(a, Exception)]
+    if raised:
+        assert outcomes[0][1:3] == (type(raised[0]), str(raised[0]))
+    written = [a for a in broken.values() if isinstance(a, str)]
+    assert outcomes[0][4] == ("".join(written) if not raised else "")
 
 
 @needs_fork
