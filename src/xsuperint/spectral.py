@@ -421,6 +421,9 @@ def ladder_numeric_check(step: CompositeStep, params: ModelParams
         radial_values(target.m, target_a, params.omega, r),
         angular_values(target.n, params, phi))
 
+    # an exact power-of-two scale, invisible to the fit, keeps its sums finite
+    shift = -np.frexp(np.max(np.abs(tgt)))[1]
+    img, tgt = np.ldexp(img, shift), np.ldexp(tgt, shift)
     flat_i, flat_t = img.ravel(), tgt.ravel()
     fit = float(flat_i @ flat_t) / float(flat_t @ flat_t)
     scale = float(np.max(np.abs(fit * tgt)))

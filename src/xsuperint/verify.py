@@ -21,18 +21,15 @@ The gates of `verify` are PASS or FAIL: the exact eigen-identity, the float
 orthogonality, residual and ladder closure, and on request the classical
 conservation and closure.  Only a FAIL fails a run.
 
-Each run builds one raising and one lowering `CompositeStep`; the exact
-composite lines and the float ladder-closure gate all measure those two.
+Each run builds one raising and one lowering `CompositeStep`, on first use;
+the exact composite lines and the float ladder-closure gate measure those two.
 
-When two CPUs are usable, one forked worker takes part of the run.  Plain
-`verify` hands it the radial ladders and the float gates once the composite
-steps are built, and scores the other sections meanwhile; with `--classical`
-it takes the classical gates alone, from before the first exact check, since
-at q = 1 they cost about as much as the whole exact scorecard.  The parent
-reads each section's lines, stderr and error in the serial order, so the
-first error in that order ends the report and the output is the same as
-when the worker's job runs in-process at the join (one usable CPU, no
-`os.fork`, or another thread alive).
+When two CPUs are usable, a worker forked at the start of the run measures
+the sections `_IN_WORKER` names and the parent the others, up to its first
+error.  Every section's lines, stderr and error are then read in the print
+order of `_SECTIONS`, so the first error in that order ends the report, and
+the output is that of the worker's sections run in-process at the join (one
+usable CPU, no `os.fork`, or another thread alive).
 """
 
 from __future__ import annotations
@@ -43,12 +40,14 @@ import pickle
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager, nullcontext, redirect_stderr
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import groupby
+from operator import attrgetter
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, TypeVar)
+                    Sequence)
 
 from .angular import (
     angular_gauge_logderiv,
@@ -135,8 +134,6 @@ NO_SOLUTION = "NO-SOLUTION"
 UNRESOLVABLE = "UNRESOLVABLE"
 PASS = "PASS"
 FAIL = "FAIL"
-
-T = TypeVar("T")
 
 
 def normalization(c: Fraction) -> str:
@@ -236,39 +233,56 @@ def _product_scored(section: str, name: str, label: str,
 # Section builders
 # ---------------------------------------------------------------------------
 
-def _eigen_identity_line(alpha: Fraction, beta: Fraction,
-                         closed: dict[int, Poly]) -> CheckLine:
+@dataclass(frozen=True)
+class _Run:
+    """One run's inputs, which every section builder reads."""
+    params: ModelParams
+    nmax: int
+    mmax: int
+    tol: float
+    grid: int
+
+    @cached_property
+    def steps(self) -> tuple[CompositeStep, CompositeStep]:
+        """The raising and lowering `CompositeStep`, built on first use."""
+        params = self.params
+        return (composite_raising(QuantumState(params.p, 1), params),
+                composite_lowering(QuantumState(0, 1 + params.q), params))
+
+
+def _eigen_identity_lines(run: _Run) -> list[CheckLine]:
     """Gate: the derived operator maps each closed-form member to A_n^2
     times itself, exactly."""
+    alpha, beta = run.params.alpha, run.params.beta
+    closed = {n: exceptional_jacobi_closed_form(n, alpha, beta)
+              for n in range(1, run.nmax + 1)}
     op = angular_operator(alpha, beta)
     ok = all(action_report(op, member, member)[0]
              == angular_eigenroot(n, alpha, beta) ** 2
              for n, member in closed.items())
-    return CheckLine(
+    return [CheckLine(
         "eigenfamily", "eigen-identity", PASS if ok else FAIL,
         f"operator reproduces A_n^2 on every family member, "
-        f"n = 1..{len(closed)} (exact)")
+        f"n = 1..{run.nmax} (exact)")]
 
 
-def _family_lines(alpha: Fraction, beta: Fraction, closed: dict[int, Poly]
-                  ) -> list[CheckLine]:
-    """The closed-form family `closed` (degree -> member, n = 1..nmax)
-    against the derived-operator eigenfamily, and against the candidate
-    operator's eigen-solve, degree by degree."""
+def _family_lines(run: _Run) -> list[CheckLine]:
+    """The closed-form family against the derived-operator eigenfamily, and
+    against the candidate operator's eigen-solve, degree by degree."""
+    alpha, beta = run.params.alpha, run.params.beta
+    closed = {n: exceptional_jacobi_closed_form(n, alpha, beta)
+              for n in range(1, run.nmax + 1)}
     ratios = {n: member.proportionality(exceptional_jacobi(n, alpha, beta))
               for n, member in closed.items()}
     bad = [n for n, ratio in ratios.items() if ratio in (None, 0)]
+    name = "closed-form family vs derived-operator eigenfamily"
     if bad:
-        lines = [CheckLine(
-            "eigenfamily", "closed-form family vs derived-operator eigenfamily",
-            MISMATCH, f"not proportional at n = {bad}")]
+        lines = [CheckLine("eigenfamily", name, MISMATCH,
+                           f"not proportional at n = {bad}")]
     else:
         shown = ", ".join(f"n={n}: {ratios[n]}" for n in list(ratios)[:3])
         lines = [CheckLine(
-            "eigenfamily",
-            f"closed-form family vs derived-operator eigenfamily "
-            f"(n = 1..{len(closed)})",
-            MATCH,
+            "eigenfamily", f"{name} (n = 1..{len(closed)})", MATCH,
             f"proportional at every degree; closed/monic leading ratios {shown}, ...")]
     for n, member in closed.items():
         name = f"candidate-operator eigen-solve at n = {n}"
@@ -290,7 +304,8 @@ def _family_lines(alpha: Fraction, beta: Fraction, closed: dict[int, Poly]
     return lines
 
 
-def _potential_lines(alpha: Fraction, beta: Fraction) -> list[CheckLine]:
+def _potential_lines(run: _Run) -> list[CheckLine]:
+    alpha, beta = run.params.alpha, run.params.beta
     good = angular_potential(alpha, beta)
     cand = angular_potential_candidate(alpha, beta)
     g = angular_gauge_logderiv(alpha, beta)
@@ -301,30 +316,26 @@ def _potential_lines(alpha: Fraction, beta: Fraction) -> list[CheckLine]:
     coeff, detail = action_report(op_cand, phat1, phat1)
     if coeff == a1 ** 2:
         witness = "candidate reproduces the derived eigenvalue (unexpected)"
-        verdict = MATCH
     elif coeff is None:
         witness = (f"gauge-conjugated candidate maps the degree-1 family "
                    f"member off its own line ({detail})")
-        verdict = MISMATCH
     else:
         witness = (f"gauge-conjugated candidate gives eigenvalue {coeff} on "
                    f"the degree-1 member instead of A^2 = {a1 ** 2}")
-        verdict = MISMATCH
     x0 = Fraction(0)
     return [CheckLine(
         "angular potential", "candidate deformation term of the wedge potential",
-        verdict,
+        MATCH if coeff == a1 ** 2 else MISMATCH,
         f"candidate and derived potentials differ as rational functions "
         f"(value at x = 0: {cand.evaluate(x0)} vs {good.evaluate(x0)}); {witness}")]
 
 
-def _jacobi_ladder_lines(alpha: Fraction, beta: Fraction, nmax: int
-                         ) -> list[CheckLine]:
+def _jacobi_ladder_lines(run: _Run) -> list[CheckLine]:
     """Score the one-step ladders for the plain Jacobi family at the shifted
     parameters (alpha+1, beta-1) where the deformed construction uses them.
     Derived and candidate operators alike are measured against the derived
     action tables."""
-    sa, sb = alpha + 1, beta - 1
+    sa, sb = run.params.alpha + 1, run.params.beta - 1
     ladders = [
         (f"derived lowering ladder at parameters ({sa}, {sb})",
          jacobi_lowering, jacobi_lowering_action, -1),
@@ -340,16 +351,16 @@ def _jacobi_ladder_lines(alpha: Fraction, beta: Fraction, nmax: int
         rows = [(f"n = {n}", table(n, sa, sb),
                  action_report(make(n, sa, sb), jacobi_polynomial(n, sa, sb),
                                jacobi_polynomial(n + dn, sa, sb)))
-                for n in range(1, nmax + 1)]
+                for n in range(1, run.nmax + 1)]
         lines.append(CheckLine("plain-jacobi ladders", name,
                                *classify_claim(rows)))
     return lines
 
 
 def _resolve_free_scalar(alpha: Fraction, beta: Fraction, n: int
-                         ) -> tuple[str, Optional[Fraction], Optional[Fraction]]:
+                         ) -> tuple[str, Optional[Fraction]]:
     """Outcome of demanding the candidate forward intertwiner work at one
-    degree: ('any' | 'unique' | 'none', scalar value, action coefficient).
+    degree: ('any' | 'unique' | 'none', the scalar's value if unique).
 
     The candidate's image is affine in its undefined scalar t, so proportion-
     ality to the target is a 2-unknown exact linear problem in (t, c).
@@ -359,17 +370,16 @@ def _resolve_free_scalar(alpha: Fraction, beta: Fraction, n: int
     img0 = raising_intertwiner_candidate(alpha, beta, 0).apply_ratfunc(src).as_poly()
     img1 = raising_intertwiner_candidate(alpha, beta, 1).apply_ratfunc(src).as_poly()
     basis = fraction_nullspace([[img1 - img0, -tgt, img0]])
-    particular = [v for v in basis if v[2] != 0]
     if len(basis) >= 2:
-        return "any", None, None
-    if particular:
-        v = particular[0]
-        return "unique", v[0] / v[2], v[1] / v[2]
-    return "none", None, None
+        return "any", None
+    for v in basis:
+        if v[2] != 0:
+            return "unique", v[0] / v[2]
+    return "none", None
 
 
-def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
-                       ) -> list[CheckLine]:
+def _intertwiner_lines(run: _Run) -> list[CheckLine]:
+    alpha, beta, nmax = run.params.alpha, run.params.beta, run.nmax
     lines = []
     fwd = raising_intertwiner(alpha, beta)
     bwd = lowering_intertwiner(alpha, beta)
@@ -406,11 +416,11 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
 
     outcomes = [(n, *_resolve_free_scalar(alpha, beta, n))
                 for n in range(0, min(nmax, 4))]
-    kinds = {kind for _, kind, _, _ in outcomes}
-    ts = {t for _, kind, t, _ in outcomes if kind == "unique"}
+    kinds = {kind for _, kind, _ in outcomes}
+    ts = {t for _, kind, t in outcomes if kind == "unique"}
     derived_t = alpha / (alpha - 1) if alpha != 1 else None
     required = ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
-                         for n, kind, t, _ in outcomes)
+                         for n, kind, t in outcomes)
     if "none" not in kinds and len(ts) == 1 and ts != {derived_t}:
         detail = (f"t = {min(ts)} makes the candidate intertwine at every "
                   f"probed degree: per-degree requirements {required}")
@@ -446,8 +456,10 @@ def _intertwiner_lines(alpha: Fraction, beta: Fraction, nmax: int
     return lines
 
 
-def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
-                           ) -> list[CheckLine]:
+def _deformed_ladder_lines(run: _Run) -> list[CheckLine]:
+    params, nmax = run.params, run.nmax
+    alpha, beta, q = params.alpha, params.beta, params.q
+
     def member(n: int) -> Poly:
         return exceptional_jacobi_closed_form(n, alpha, beta)
 
@@ -491,9 +503,9 @@ def _deformed_ladder_lines(alpha: Fraction, beta: Fraction, q: int, nmax: int
     ]
 
 
-def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
-                         p: int, mmax: int) -> list[CheckLine]:
-    a = k * angular_eigenroot(1, alpha, beta)
+def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
+    p, mmax = run.params.p, run.mmax
+    a = run.params.k * angular_eigenroot(1, run.params.alpha, run.params.beta)
 
     def measured(make, ms: range, shift: int, *steps: int
                  ) -> dict[int, Measurement]:
@@ -565,9 +577,8 @@ def _radial_ladder_lines(alpha: Fraction, beta: Fraction, k: Fraction,
     return lines
 
 
-def _composite_lines(params: ModelParams, up: CompositeStep,
-                     down: CompositeStep) -> list[CheckLine]:
-    alpha, beta = params.alpha, params.beta
+def _composite_lines(run: _Run) -> list[CheckLine]:
+    params, (up, down) = run.params, run.steps
     p, q = params.p, params.q
     lines = []
     for name, step in (
@@ -600,7 +611,7 @@ def _composite_lines(params: ModelParams, up: CompositeStep,
         "composites do not commute with the angular invariant",
         MATCH if gap else MISMATCH, detail))
 
-    par = parity_report(alpha, beta, p, q)
+    par = parity_report(params.alpha, params.beta, p, q)
     lines.append(CheckLine(
         "composite structure",
         "raising and lowering chains swap under eigenroot reflection A -> -A",
@@ -611,13 +622,11 @@ def _composite_lines(params: ModelParams, up: CompositeStep,
     return lines
 
 
-def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
-                steps: tuple[CompositeStep, CompositeStep]
-                ) -> Iterator[CheckLine]:
+def _gate_lines(run: _Run) -> Iterator[CheckLine]:
     """The float gates, the last of them the ladder closure measuring the
-    composite `steps`, each yielded as soon as it is measured."""
-    alpha, beta = params.alpha, params.beta
-    gram = angular_gram(alpha, beta, min(nmax, 6))
+    composite steps, each yielded as soon as it is measured."""
+    params, tol = run.params, run.tol
+    gram = angular_gram(params.alpha, params.beta, min(run.nmax, 6))
     off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
                     for j in range(gram.shape[1]) if i != j))
     yield CheckLine(
@@ -626,13 +635,13 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"(limit 1e-12)")
 
     states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
-    worst = max(hamiltonian_residual(s, params, grid) for s in states)
+    worst = max(hamiltonian_residual(s, params, run.grid) for s in states)
     yield CheckLine(
         "spectral", "residual", PASS if worst < tol else FAIL,
         f"worst relative Schrodinger residual {fmt_float(worst)} over "
         f"{len(states)} states (limit {fmt_float(tol)})")
 
-    checks = [ladder_numeric_check(step, params) for step in steps]
+    checks = [ladder_numeric_check(step, params) for step in run.steps]
     ok = all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
     deviation, ratio_error = (max(column) for column in zip(*checks))
     yield CheckLine(
@@ -641,12 +650,12 @@ def _gate_lines(params: ModelParams, nmax: int, tol: float, grid: int,
         f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
 
-def _classical_lines(params: ModelParams) -> Iterator[CheckLine]:
+def _classical_lines(run: _Run) -> Iterator[CheckLine]:
     """The classical conservation and closure gates, read from one
     integration, each yielded as soon as it is measured."""
-    model = ClassicalModel.from_model_params(params)
+    model = ClassicalModel.from_model_params(run.params)
     reports = drift_and_closure(model, default_start(model), 20,
-                                2.5 * params.q * model.radial_period)
+                                2.5 * run.params.q * model.radial_period)
     drift = next(reports)
     drifted = max(drift.energy_drift, drift.invariant_drift)
     yield CheckLine(
@@ -677,17 +686,21 @@ class _Outcome(NamedTuple):
             raise self.error
 
 
-def _measure(section: Callable[..., Iterable[CheckLine]], *args) -> _Outcome:
-    """Run `section(*args)` with its stderr held back, so that a section
-    run early or in the worker prints where the serial run would print."""
-    lines: list[CheckLine] = []
-    with redirect_stderr(io.StringIO()) as err:
-        try:
-            for line in section(*args):
-                lines.append(line)
-        except Exception as exc:
-            return _Outcome(lines, exc, err.getvalue())
-    return _Outcome(lines, None, err.getvalue())
+def _measure(run: _Run, names: Iterable[str]) -> dict[str, _Outcome]:
+    """Run the builders named `names` on `run` in turn, each looked up in this
+    module as it runs and its stderr held back, up to the first that raises."""
+    outcomes = {}
+    for name in names:
+        lines: list[CheckLine] = []
+        with redirect_stderr(io.StringIO()) as err:
+            try:
+                for line in globals()[name](run):
+                    lines.append(line)
+            except Exception as exc:
+                outcomes[name] = _Outcome(lines, exc, err.getvalue())
+                return outcomes
+        outcomes[name] = _Outcome(lines, None, err.getvalue())
+    return outcomes
 
 
 def _usable_cpus() -> int:
@@ -698,22 +711,17 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _worker(job: Callable[[], T]) -> Iterator[Callable[[], T]]:
+def _worker(job: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
     """Yield a callable that returns `job()` or raises what it raised.
 
-    With `os.fork`, two usable CPUs and no other thread alive, the job runs
-    at once in a forked worker and the callable joins it: the worker
-    pickles its result or exception down a pipe and ends with `os._exit`,
-    so it never flushes the parent's stdio buffers.  Otherwise the job runs
-    in-process when the callable is called.  On exit an unjoined worker is
-    killed, and every worker is reaped.  A worker that ends without sending
-    its result raises VerificationError naming its exit status.
-
-    `verification_report` has one worker per run.  Without `classical` it
-    takes the radial ladders and the float gates, forked once the composite
-    steps they share with the parent are built; with `classical` it takes
-    the classical gates alone, forked before the first exact check, since
-    they cost about as much as the whole exact scorecard at q = 1.
+    `verification_report` opens one per run, for the sections `_IN_WORKER`
+    names.  With `os.fork`, two usable CPUs and no other thread alive, the
+    job runs at once in a forked worker and the callable joins it: the
+    worker pickles its result or exception down a pipe and ends with
+    `os._exit`, so it never flushes the parent's stdio buffers.  Otherwise
+    the job runs in-process when the callable is called.  On exit an
+    unjoined worker is killed and every worker reaped; one that ends
+    without sending its result raises VerificationError naming its status.
     """
     if not (hasattr(os, "fork") and _usable_cpus() >= 2
             and threading.active_count() == 1):
@@ -723,7 +731,6 @@ def _worker(job: Callable[[], T]) -> Iterator[Callable[[], T]]:
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        status = 1
         try:
             os.close(rfd)
             try:
@@ -732,14 +739,14 @@ def _worker(job: Callable[[], T]) -> Iterator[Callable[[], T]]:
                 reply = (False, exc)
             with open(wfd, "wb") as pipe:
                 pickle.dump(reply, pipe)
-            status = 0
+            os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(wfd)
     pipe = open(rfd, "rb")
     reaped = False
 
-    def join() -> T:
+    def join() -> dict:
         nonlocal reaped
         with pipe:
             data = pipe.read()
@@ -766,6 +773,19 @@ def _worker(job: Callable[[], T]) -> Iterator[Callable[[], T]]:
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
+
+#: a run's sections in print order, each named by its builder
+_SECTIONS = ("_eigen_identity_lines", "_family_lines", "_potential_lines",
+             "_jacobi_ladder_lines", "_intertwiner_lines",
+             "_deformed_ladder_lines", "_radial_ladder_lines",
+             "_composite_lines", "_gate_lines", "_classical_lines")
+
+#: the sections the worker takes: in plain `verify` the radial ladders and the
+#: float gates, which cost about what the other sections do, and with
+#: `classical` the classical gates alone, which at q = 1 cost about as much as
+#: the whole exact scorecard
+_IN_WORKER = {False: frozenset({"_radial_ladder_lines", "_gate_lines"}),
+              True: frozenset({"_classical_lines"})}
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -796,28 +816,22 @@ class VerificationReport:
         out = [f"verify: alpha = {params.alpha}, beta = {params.beta}, "
                f"omega = {params.omega}, k = {params.p}/{params.q}, "
                f"tol = {fmt_float(self.tol)}"]
-        scored = [line for line in self.lines if not line.is_gate]
-        head = next((i for i, line in enumerate(self.lines)
-                     if not line.is_gate), len(self.lines))
-        out += [line.format() for line in self.lines[:head]]
-        if scored:
+        for gates, group in groupby(self.lines, attrgetter("is_gate")):
+            if gates:
+                out += [line.format() for line in group]
+                continue
             out.append(f"formula scorecard at alpha = {params.alpha}, "
                        f"beta = {params.beta}, p = {params.p}, "
                        f"q = {params.q}")
-            section = None
-            for line in scored:
-                if line.section != section:
-                    section = line.section
-                    out.append(f"-- {section}")
-                out.append("  " + line.format())
+            for section, lines in groupby(group, attrgetter("section")):
+                out += [f"-- {section}", *("  " + ln.format() for ln in lines)]
             counts = self.counts()
             out.append("summary: " + ", ".join(
                 f"{counts[k]} {k}" for k in sorted(counts)))
-            findings = sum(line.verdict in (MISMATCH, NO_SOLUTION,
-                                            UNRESOLVABLE) for line in scored)
+            findings = sum(counts[k] for k in (MISMATCH, NO_SOLUTION,
+                                               UNRESOLVABLE))
             out.append(f"note: {findings} reconciliation findings are "
                        f"informational and do not affect the exit code")
-        out += [line.format() for line in self.lines[head + len(scored):]]
         return "\n".join(out)
 
 
@@ -840,40 +854,22 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
         raise ParameterDomainError(f"verify needs nmax >= 2 and mmax >= 1, "
                                    f"got nmax = {nmax}, mmax = {mmax}")
     params = ModelParams(alpha=alpha, beta=beta, omega=omega, p=p, q=q)
-    alpha_f, beta_f = params.alpha, params.beta
+    run = _Run(params, nmax, mmax, tol, grid)
+    names = _SECTIONS if classical else _SECTIONS[:-1]
+    forked = [name for name in names if name in _IN_WORKER[classical]]
     lines: list[CheckLine] = []
     error = None
-    with (_worker(partial(_measure, _classical_lines, params)) if classical
-          else nullcontext()) as classical_gates:
+    with _worker(partial(_measure, run, forked)) as join:
+        outcomes = _measure(run, [n for n in names if n not in forked])
         try:
-            closed = {n: exceptional_jacobi_closed_form(n, alpha_f, beta_f)
-                      for n in range(1, nmax + 1)}
-            lines.append(_eigen_identity_line(alpha_f, beta_f, closed))
-            steps = (composite_raising(QuantumState(params.p, 1), params),
-                     composite_lowering(QuantumState(0, 1 + params.q), params))
-
-            def radial_and_gates() -> tuple[_Outcome, _Outcome]:
-                return (_measure(_radial_ladder_lines, alpha_f, beta_f,
-                                 params.k, params.p, mmax),
-                        _measure(_gate_lines, params, nmax, tol, grid, steps))
-
-            with (nullcontext(radial_and_gates) if classical
-                  else _worker(radial_and_gates)) as worker:
-                scored = [
-                    *_family_lines(alpha_f, beta_f, closed),
-                    *_potential_lines(alpha_f, beta_f),
-                    *_jacobi_ladder_lines(alpha_f, beta_f, nmax),
-                    *_intertwiner_lines(alpha_f, beta_f, nmax),
-                    *_deformed_ladder_lines(alpha_f, beta_f, params.q, nmax)]
-                composite = _measure(_composite_lines, params, *steps)
-                radial, gates = worker()
-            # in section order, so the first error in that order wins
-            radial.keep(scored)
-            composite.keep(scored)
-            lines += scored
-            gates.keep(lines)
-            if classical:
-                classical_gates().keep(lines)
+            # in print order, so the first error in that order wins
+            for name in names:
+                if name not in outcomes:
+                    outcomes.update(join())
+                outcomes[name].keep(lines)
         except XSuperintError as exc:
             error = exc
+            if names.index(name) < names.index("_gate_lines"):
+                # the scored formulas are all or none
+                lines = [line for line in lines if line.is_gate]
     return VerificationReport(params, tol, tuple(lines), error)

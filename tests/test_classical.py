@@ -2,6 +2,7 @@
 and the analytic fixed point."""
 
 import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xsuperint import classical as cm
+from xsuperint.angular import angular_potential
 from xsuperint.classical import (
     ClassicalModel,
     OrbitState,
@@ -24,6 +26,7 @@ from xsuperint.classical import (
 )
 from xsuperint.errors import (ParameterDomainError, StepSizeError,
                               WedgeExitError)
+from xsuperint.params import ModelParams
 
 MODEL = ClassicalModel(1.0, 1.0, 1.0, 3.0)
 START = OrbitState(1.7, 0.4, 0.3, 1.1)
@@ -352,6 +355,30 @@ def test_wedge_minimum_oracle_agreement():
         # the analytic value is the square of the summed strengths
         a, b = model.alpha_strength, model.beta_strength
         assert val_e == (a + b) ** 2
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (Fraction(1), Fraction(3)), (Fraction(1, 2), Fraction(5, 2)),
+    (Fraction(1, 3), Fraction(50))])
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 2), (2, 3)])
+def test_wedge_potential_is_the_classical_limit_of_the_quantum_one(
+        alpha, beta, p, q):
+    # restore hbar as alpha -> alpha/h, beta -> beta/h: the pole b does not
+    # move, so f(h) = h^2 V(alpha/h, beta/h) is affine in h^2, and its h^0
+    # part, per k^2 in x = cos(2 k phi), is the classical wedge potential
+    f = {h: h * h * angular_potential(alpha / h, beta / h)
+         for h in (Fraction(1), Fraction(1, 2), Fraction(1, 3))}
+    slope = (f[1] - f[Fraction(1, 2)]) * Fraction(4, 3)
+    assert (f[Fraction(1, 2)] - f[Fraction(1, 3)]) * Fraction(36, 5) == slope
+    assert not slope.is_zero()
+    limit = (4 * f[Fraction(1, 2)] - f[1]) * Fraction(1, 3)
+    model = ClassicalModel.from_model_params(
+        ModelParams(alpha, beta, p=p, q=q))
+    for j in range(1, 24):
+        phi = model.wedge_span * j / 24
+        classical = wedge_potential(model, phi)
+        quantum = float(limit.evaluate(Fraction(math.cos(2 * model.k * phi))))
+        assert abs(quantum - classical) <= 1e-13 * classical
 
 
 def test_closure_at_commensurate_k():

@@ -3,6 +3,7 @@ weight, numeric ladder application, and the exact-rational degeneracy table."""
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,22 @@ def test_ladder_numeric_ok(p, q):
     deviation, _ = ladder_numeric_check(
         composite_lowering(QuantumState(0, 1 + q), params), params)
     assert deviation < 1e-8
+
+
+@pytest.mark.parametrize("alpha,beta,q", [
+    (Fraction(100), Fraction(101), 1), (Fraction(1, 2), Fraction(1000), 8)])
+def test_ladder_numeric_check_fit_does_not_overflow(alpha, beta, q):
+    # the fit's dot products overflowed at these points, for a deviation
+    # and ratio error of inf or nan, until both sides were scaled down
+    params = ModelParams(alpha, beta, p=1, q=q)
+    steps = (composite_raising(QuantumState(1, 1), params),
+             composite_lowering(QuantumState(0, 1 + q), params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = [ladder_numeric_check(step, params) for step in steps]
+    assert all(math.isfinite(value) for check in checks for value in check)
+    if q == 1:
+        assert all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
 
 
 def test_ladder_numeric_check_builds_the_angular_chain_once(monkeypatch):

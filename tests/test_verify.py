@@ -22,6 +22,7 @@ from xsuperint.ladders import (LadderChain, composite_lowering,
                                radial_raising_candidate, radial_raising_chain,
                                raising_intertwiner)
 from xsuperint.operators import DiffOp
+from xsuperint.params import ModelParams
 from xsuperint.polynomials import Poly, secondary_root, weight_pole
 from xsuperint.verify import (classify_claim, normalization,
                               verification_report)
@@ -236,7 +237,9 @@ def test_candidates_are_scored_against_the_derived_tables(
 
 def _scalar_intertwiner_line(alpha, beta):
     """The candidate forward intertwiner line at nmax = 3."""
-    return next(ln for ln in verify._intertwiner_lines(alpha, beta, 3)
+    run = verify._Run(ModelParams(alpha, beta), nmax=3, mmax=2, tol=1e-9,
+                      grid=40)
+    return next(ln for ln in verify._intertwiner_lines(run)
                 if ln.name == "candidate forward intertwiner with undefined "
                               "scalar")
 
@@ -461,28 +464,44 @@ WORKER = VerificationError("worker section broke")
 
 
 @needs_fork
-@pytest.mark.parametrize("point,broken", [
-    *((dict(alpha="1", beta="3", p=p, q=q), {})
+@pytest.mark.parametrize("point,broken,moved", [
+    *((dict(alpha="1", beta="3", p=p, q=q), {}, {})
       for p, q in ((3, 2), (2, 3), (7, 8))),
-    *((dict(alpha=a, beta=b, p=p), {}) for a, b, p in SWEEP),
-    (dict(alpha="1", beta="3"), {"_intertwiner_lines": PARENT}),
-    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": WORKER}),
+    *((dict(alpha=a, beta=b, p=p), {}, {}) for a, b, p in SWEEP),
+    (dict(alpha="1", beta="3"), {"_intertwiner_lines": PARENT}, {}),
+    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": WORKER}, {}),
     # a parent section before the worker's: its error wins, and the
     # worker's stderr is not printed
     (dict(alpha="1", beta="3"), {"_deformed_ladder_lines": PARENT,
-                                 "_gate_lines": "worker stderr\n"}),
+                                 "_gate_lines": "worker stderr\n"}, {}),
     # a worker section before a parent one: its error wins
     (dict(alpha="1", beta="3"), {"_radial_ladder_lines": WORKER,
-                                 "_composite_lines": PARENT}),
-    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": "worker stderr\n"}),
+                                 "_composite_lines": PARENT}, {}),
+    (dict(alpha="1", beta="3"), {"_radial_ladder_lines": "worker stderr\n"},
+     {}),
     (dict(alpha="1", beta="3"),
-     {"angular_gram": QuadratureError("no convergence")}),
+     {"angular_gram": QuadratureError("no convergence")}, {}),
+    # the section table is the only place the split lives: moving sections
+    # between the processes is one entry and changes no byte, whether they
+    # pass, write to stderr or raise
+    *((point, broken, {False: ("_composite_lines", "_gate_lines")})
+      for point in (dict(alpha="1", beta="3"), dict(alpha="1/3", beta="50"))
+      for broken in ({}, {"_radial_ladder_lines": "parent stderr\n",
+                          "_composite_lines": "worker stderr\n"},
+                     {"_composite_lines": WORKER})),
+    *((dict(alpha=a, beta=b, p=p, classical=True), broken,
+       {True: ("_gate_lines", "_classical_lines")})
+      for a, b, p in (("1", "3", 1), ("1/3", "50", 1), ("1/4", "30", 2))
+      for broken in ({}, {"angular_gram": QuadratureError("no convergence")})),
 ], ids=repr)
 def test_scorecard_worker_and_in_process_report_alike(monkeypatch, capsys,
-                                                      forks, point, broken):
+                                                      forks, point, broken,
+                                                      moved):
     for name, action in broken.items():
         monkeypatch.setattr(verify, name,
                             _broken(action, getattr(verify, name)))
+    for classical, names in moved.items():
+        monkeypatch.setitem(verify._IN_WORKER, classical, frozenset(names))
     outcomes = []
     for cpus in (2, 1):
         _usable_cpus(monkeypatch, cpus)
