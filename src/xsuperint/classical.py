@@ -45,14 +45,19 @@ class ClassicalModel:
     beta_strength: float
 
     def __post_init__(self):
-        if not (omega_in_domain(self.omega) and 0 < self.k < math.inf):
+        # the flow squares k and both strengths, as it squares omega
+        if not (omega_in_domain(self.omega) and 0 < self.k
+                and self.k * self.k < math.inf):
             raise ParameterDomainError(
-                f"need omega > 0 with omega^2 a finite normal float, and a "
-                f"finite k > 0 (got omega = {self.omega}, k = {self.k})")
-        if not all(0 < s < math.inf
+                f"need omega > 0 with omega^2 a finite normal float, and "
+                f"k > 0 with k^2 a finite float (got omega = {self.omega}, "
+                f"k = {self.k})")
+        if not all(0 < s and s * s < math.inf
                    for s in (self.alpha_strength, self.beta_strength)):
-            raise ParameterDomainError("barrier strengths must be positive "
-                                       "and finite for a confined wedge orbit")
+            raise ParameterDomainError(
+                f"barrier strengths must be positive with finite float "
+                f"squares for a confined wedge orbit (got "
+                f"{self.alpha_strength}, {self.beta_strength})")
 
     @classmethod
     def from_model_params(cls, params: ModelParams) -> "ClassicalModel":
@@ -152,7 +157,8 @@ def _rk8_stream(model, state, dt, span):
     \"""The states after each of an unending run of fixed steps dt of the
     11-stage 8th-order Cooper-Verner scheme from `state`.  With a wedge
     `span` each state is checked as `_check_inside` checks it, at t = n dt
-    after n steps; with None nothing is checked.\"""
+    after n steps; with None nothing is checked.  A step that fails in
+    floats raises WedgeExitError either way.\"""
     k, om2 = model.k, model.omega ** 2
     a2, b2 = model.alpha_strength ** 2, model.beta_strength ** 2
     kk, nkk, twok = k * k, -k * k, 2 * k
@@ -180,6 +186,12 @@ _YIELD = """\
         if span is not None and not (x0 > 0.0 and 0.0 < x1 < span):
             _check_inside(span, (x0, x1), n * dt)
         yield x0, x1, x2, x3"""
+# a stage that divides by an r^2 or sin^2(k phi) gone to 0, or takes the sine
+# of an infinite angle, has left the wedge in floats: one guard for the loop
+_GUARD = """\
+    except (ArithmeticError, ValueError) as exc:
+        raise WedgeExitError(
+            f"orbit left float range ({exc}) at t = {n * dt:.6g}") from None"""
 
 
 def _generated_stream():
@@ -201,9 +213,11 @@ def _generated_stream():
             loop += [f"        y{c} = {sums[c]}" for c in range(4)]
             loop.append(_FLOW.format(j=j))
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
-                 "count": count, "_check_inside": _check_inside}
-    exec(compile("\n".join(head + loop + [_YIELD]), "<_rk8_stream>", "exec"),
-         namespace)
+                 "count": count, "_check_inside": _check_inside,
+                 "WedgeExitError": WedgeExitError}
+    body = "\n".join(loop + [_YIELD]).replace("\n", "\n    ")
+    exec(compile("\n".join(head + ["    try:", "    " + body, _GUARD]),
+                 "<_rk8_stream>", "exec"), namespace)
     return namespace["_rk8_stream"]
 
 

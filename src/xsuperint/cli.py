@@ -45,7 +45,7 @@ from .classical import (
     worst_drift,
 )
 from .errors import ParameterDomainError, XSuperintError
-from .params import ModelParams, QuantumState, angular_eigenroot, energy
+from .params import ModelParams, QuantumState, energy, laguerre_parameter
 from .polynomials import as_fraction
 # angular_gram is not used here: `xsuperint.cli.angular_gram` is the first
 # call of the benchmark's set-up (benchmarks/run.py), timed as first use
@@ -315,19 +315,14 @@ def _write_output(out: str, basename: str, text: str) -> str:
     return f"wrote {path}"
 
 
-def _spectrum_size(params: ModelParams, emax: float) -> float:
+def _spectrum_size(params: ModelParams, emax: float) -> Fraction | float:
     """States with E <= emax in O(1), over by less than the number N of
-    angular indices: sum over n <= N of (R - e_n)/2 + 1, R = emax/omega,
-    e_n = k A_n + 1 = e_1 + 2k(n - 1); inf once N passes the cap.  Raises
-    ParameterDomainError when R or e_1 is not a finite float."""
-    k = params.k_float
-    span = (emax / params.omega - 1
-            - k * float(angular_eigenroot(1, params.alpha, params.beta)))
-    if not math.isfinite(span):
-        raise ParameterDomainError(
-            f"--emax / omega and the lowest level k A_1 + 1 must be finite "
-            f"floats (emax = {emax}, omega = {params.omega}, "
-            f"k = {k:.6g})")
+    angular indices: sum over n <= N of (R - e_n)/2 + 1, on the exact
+    R = emax/omega that `degeneracy_table` reads, e_n = k A_n + 1
+    = e_1 + 2k(n - 1); inf once N passes the cap."""
+    k = params.k
+    span = (Fraction(emax) / Fraction(params.omega)
+            - laguerre_parameter(1, params) - 1)
     if span / (2 * k) >= MAX_ROWS:
         return math.inf
     count = max(math.floor(span / (2 * k)) + 1, 0)

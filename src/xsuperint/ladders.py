@@ -15,8 +15,8 @@ Layers, bottom to top:
   * radial (Laguerre-index) ladders in y = omega r^2 at fixed energy, and
     their p-fold chains, one factor per step;
   * energy-preserving composites that trade p radial quanta against q angular
-    quanta: a `CompositeStep` with an exact rational coefficient, whose two
-    images (`composite_images`) every composite check measures;
+    quanta: a `CompositeStep` knows its model and exact coefficient, and
+    computes once the two images (`images`) every composite check measures;
   * an index-reflection report: the raising and lowering chains exchange under
     the sign flip of the angular eigenroot, verified three ways on one step.
 
@@ -35,12 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .angular import angular_operator, exceptional_jacobi
 from .errors import OutOfFamilyError, VerificationError
 from .operators import Coefficientable, DiffOp, Poles, RatFunc
-from .params import ModelParams, QuantumState, angular_eigenroot, energy_ratio
+from .params import (ModelParams, QuantumState, angular_eigenroot,
+                     energy_ratio, laguerre_parameter)
 from .polynomials import (Poly, RationalLike, as_fraction,
                           exceptional_jacobi_closed_form, jacobi_polynomial,
                           lagrange_basis, lagrange_fit, laguerre_polynomial,
@@ -581,7 +583,7 @@ def claimed_radial_raising_chain_action(m: int, a, p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CompositeStep:
-    """One application of an energy-preserving composite ladder.
+    """One energy-preserving composite ladder step in the model `params`.
 
     The coefficient is exact and refers to the monic deformed family tensored
     with standard-normalization Laguerre polynomials.  `angular` acts in
@@ -591,9 +593,25 @@ class CompositeStep:
     source: QuantumState
     target: QuantumState
     coefficient: Fraction
-    energy: Fraction           # E / omega, equal for source and target
+    params: ModelParams
     angular: LadderChain
     radial: LadderChain
+
+    @property
+    def energy(self) -> Fraction:    # E / omega, equal for source and target
+        return energy_ratio(self.source, self.params)
+
+    @cached_property
+    def images(self) -> tuple[RatFunc, RatFunc]:
+        """The angular chain on the source's monic deformed member and the
+        radial chain on its Laguerre factor over the target's gauge, computed
+        on first use: the two exact images every composite check measures."""
+        params, source = self.params, self.source
+        return (self.angular.apply_ratfunc(
+                    exceptional_jacobi(source.n, params.alpha, params.beta)),
+                radial_family_image(self.radial, source.m,
+                                    laguerre_parameter(source.n, params),
+                                    laguerre_parameter(self.target.n, params)))
 
 
 def _monic_rescale(source: QuantumState, target: QuantumState,
@@ -616,16 +634,14 @@ def composite_raising(state: QuantumState, params: ModelParams) -> CompositeStep
             f"has m = {state.m}")
     alpha, beta = params.alpha, params.beta
     target = QuantumState(state.m - p, state.n + q)
-    a = params.k * angular_eigenroot(state.n, alpha, beta)
-    eps = radial_eps(state.m, a)
+    a = laguerre_parameter(state.n, params)
     coeff = Fraction((-1) ** p) * _monic_rescale(state, target, alpha, beta)
     for i in range(q):
         coeff *= deformed_raising_action(state.n + i, alpha, beta)
     return CompositeStep(
-        source=state, target=target, coefficient=coeff,
-        energy=energy_ratio(state, params),
+        source=state, target=target, coefficient=coeff, params=params,
         angular=deformed_raising_chain(state.n, q, alpha, beta),
-        radial=radial_lowering_chain(a, eps, p))
+        radial=radial_lowering_chain(a, radial_eps(state.m, a), p))
 
 
 def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeStep:
@@ -639,70 +655,51 @@ def composite_lowering(state: QuantumState, params: ModelParams) -> CompositeSte
             f"state has n = {state.n}")
     alpha, beta = params.alpha, params.beta
     target = QuantumState(state.m + p, state.n - q)
-    a = params.k * angular_eigenroot(state.n, alpha, beta)
-    eps = radial_eps(state.m, a)
+    a = laguerre_parameter(state.n, params)
     coeff = (radial_raising_chain_action(state.m, a, p)
              * _monic_rescale(state, target, alpha, beta))
     for i in range(q):
         coeff *= deformed_lowering_action(state.n - i, alpha, beta)
     return CompositeStep(
-        source=state, target=target, coefficient=coeff,
-        energy=energy_ratio(state, params),
+        source=state, target=target, coefficient=coeff, params=params,
         angular=deformed_lowering_chain(state.n, q, alpha, beta),
-        radial=radial_raising_chain(a, eps, p))
+        radial=radial_raising_chain(a, radial_eps(state.m, a), p))
 
 
-def composite_images(step: CompositeStep, params: ModelParams
-                     ) -> tuple[RatFunc, RatFunc]:
-    """The step's two exact images: its angular chain on the source's monic
-    deformed member, and its radial chain on the source's Laguerre factor
-    over the target's gauge (`radial_family_image`).  Every composite check
-    measures these."""
-    alpha, beta, k = params.alpha, params.beta, params.k
-    source = exceptional_jacobi(step.source.n, alpha, beta)
-    return (step.angular.apply_ratfunc(source),
-            radial_family_image(
-                step.radial, step.source.m,
-                k * angular_eigenroot(step.source.n, alpha, beta),
-                k * angular_eigenroot(step.target.n, alpha, beta)))
-
-
-def _composite_report(step: CompositeStep, params: ModelParams,
-                      angular_image: RatFunc, radial_image: RatFunc
-                      ) -> Measurement:
+def _composite_report(step: CompositeStep, angular_image: RatFunc,
+                      radial_image: RatFunc) -> Measurement:
     """Product of two measurements: `angular_image` against the target's
     monic deformed member, and `radial_image` against the target's Laguerre
     factor."""
-    alpha, beta, target = params.alpha, params.beta, step.target
-    ang, witness = _line_report(
-        angular_image, exceptional_jacobi(target.n, alpha, beta))
+    params, target = step.params, step.target
+    ang, witness = _line_report(angular_image, exceptional_jacobi(
+        target.n, params.alpha, params.beta))
     if ang is None:
         return None, witness
     rad, witness = _line_report(radial_image, laguerre_polynomial(
-        target.m, params.k * angular_eigenroot(target.n, alpha, beta)))
+        target.m, laguerre_parameter(target.n, params)))
     return (None if rad is None else ang * rad), witness
 
 
-def composite_action_report(step: CompositeStep, params: ModelParams
-                            ) -> Measurement:
+def composite_action_report(step: CompositeStep) -> Measurement:
     """Measured scalar the composite multiplies its source state by on the
     way to its target, to be compared with `step.coefficient`."""
-    return _composite_report(step, params, *composite_images(step, params))
+    return _composite_report(step, *step.images)
 
 
-def l1_commutator_report(step: CompositeStep, params: ModelParams
-                         ) -> Measurement:
+def l1_commutator_report(step: CompositeStep) -> Measurement:
     """Measured eigen-coefficient of [angular invariant, composite] on the
     step's source state: L(chain P_n) - chain(L P_n) with
     L = `angular_operator`, times the radial chain's coefficient.  The
     operators are applied, never composed into a commutator operator.  It is
     (A_target^2 - A_source^2) * coefficient, nonzero on interior states."""
-    lop = angular_operator(params.alpha, params.beta)
-    source = exceptional_jacobi(step.source.n, params.alpha, params.beta)
-    angular_image, radial_image = composite_images(step, params)
+    alpha, beta = step.params.alpha, step.params.beta
+    lop = angular_operator(alpha, beta)
+    source = exceptional_jacobi(step.source.n, alpha, beta)
+    angular_image, radial_image = step.images
     image = (lop.apply_ratfunc(angular_image)
              - step.angular.apply_ratfunc(lop.apply_ratfunc(source)))
-    return _composite_report(step, params, image, radial_image)
+    return _composite_report(step, image, radial_image)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,14 @@ def angular_eigenroot(n: RationalLike, alpha: RationalLike, beta: RationalLike) 
     return 2 * as_fraction(n) - 1 + as_fraction(alpha) + as_fraction(beta)
 
 
+def laguerre_parameter(n: int, params: ModelParams) -> Fraction:
+    """k A_n, the radial factor's Laguerre parameter at angular index n."""
+    return params.k * angular_eigenroot(n, params.alpha, params.beta)
+
+
 def energy_ratio(state: QuantumState, params: ModelParams) -> Fraction:
     """Exact E / omega = 2m + k A_n + 1."""
-    a_n = angular_eigenroot(state.n, params.alpha, params.beta)
-    return 2 * state.m + params.k * a_n + 1
+    return 2 * state.m + laguerre_parameter(state.n, params) + 1
 
 
 def energy(state: QuantumState, params: ModelParams) -> float:

@@ -29,10 +29,10 @@ import numpy as np
 
 from .angular import angular_potential, exceptional_jacobi
 from .errors import NumericalOverflowError, QuadratureError, VerificationError
-from .ladders import CompositeStep, composite_images
+from .ladders import CompositeStep
 from .operators import RatFunc
-from .params import (ModelParams, QuantumState, angular_eigenroot, energy,
-                     energy_ratio)
+from .params import (ModelParams, QuantumState, energy, energy_ratio,
+                     laguerre_parameter)
 from .polynomials import (Poly, RationalLike, as_fraction, laguerre_polynomial,
                           weight_pole)
 
@@ -40,9 +40,17 @@ _EXP_LIMIT = 700.0  # exp overflow threshold for float64, with headroom
 
 
 def _polyval(p: Poly, t: np.ndarray) -> np.ndarray:
+    """p at t in floats; a coefficient past float range (a high Laguerre
+    factor's, say) raises NumericalOverflowError."""
     if p.is_zero():
         return np.zeros_like(np.asarray(t, dtype=float))
-    return np.polynomial.polynomial.polyval(t, np.array(p.float_coeffs()))
+    try:
+        coeffs = p.float_coeffs()
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"a coefficient of a degree-{p.degree} polynomial exceeds float "
+            f"range; shrink the quantum numbers") from None
+    return np.polynomial.polynomial.polyval(t, np.array(coeffs))
 
 
 def _ratval(f: RatFunc, t: np.ndarray) -> np.ndarray:
@@ -115,7 +123,7 @@ def wavefunction_on_grid(state: QuantumState, params: ModelParams,
     """psi on the tensor grid, shape (len(r), len(phi)).  A value that is
     not finite (a Laguerre factor past float range, say) raises
     NumericalOverflowError instead of being returned."""
-    a = params.k * angular_eigenroot(state.n, params.alpha, params.beta)
+    a = laguerre_parameter(state.n, params)
     with np.errstate(all="ignore"):
         psi = np.outer(radial_values(state.m, a, params.omega, r),
                        angular_values(state.n, params, phi))
@@ -150,7 +158,7 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     """
     alpha, beta = params.alpha, params.beta
     omega, kf = params.omega, params.k_float
-    a = params.k * angular_eigenroot(state.n, alpha, beta)
+    a = laguerre_parameter(state.n, params)
     e_val = energy(state, params)
     r, phi = interior_grid(default_rmax(params), params.wedge_span, grid,
                            1e-3)
@@ -219,18 +227,21 @@ def _jacobi_guesses(n: int, a: float, b: float) -> np.ndarray:
     reaches (i - 1/4) pi.  The integral runs on a grid clustered at both
     turning points."""
     nn = n + (a + b + 1) / 2
-    lin = 4 * nn * nn + a * a - b * b
+    a2, b2 = a * a, b * b
+    lin = 4 * nn * nn + a2 - b2
     # the turning points solve 4 N^2 s^2 - lin s + a^2 = 0, s = sin^2(theta/2)
     s_hi = (lin + math.sqrt(max(lin * lin - 16 * nn * nn * a * a, 0.0))) / (
         8 * nn * nn)
-    s_lo = a * a / (4 * nn * nn * s_hi)
+    s_lo = a2 / (4 * nn * nn * s_hi)
     lo = 2 * math.asin(math.sqrt(s_lo))
     hi = 2 * math.asin(math.sqrt(min(s_hi, 1.0)))
     t = np.linspace(0.0, math.pi, n + 32)
     theta = lo + (hi - lo) / 2 * (1 - np.cos(t))
     s = np.sin(theta / 2) ** 2
+    # a square that underflowed to 0 adds no barrier, not 0/0 at s = 0 or 1
     f = np.sqrt(np.maximum(
-        nn * nn - a * a / (4 * s) - b * b / (4 * (1 - s)), 0.0)) * np.sin(t)
+        nn * nn - (a2 / (4 * s) if a2 else 0.0)
+        - (b2 / (4 * (1 - s)) if b2 else 0.0), 0.0)) * np.sin(t)
     phase = np.zeros_like(t)
     np.cumsum(f[1:] + f[:-1], out=phase[1:])
     phase *= (hi - lo) / 4 * (t[1] - t[0])
@@ -300,22 +311,25 @@ def _gauss_jacobi(n: int, a: float, b: float
     1 / (P_{n-1} P_n'), equal at the exact roots, is off by 3e-7.  Raises
     QuadratureError when the nodes are not strictly increasing inside
     (-1, 1) or a weight is not finite and positive."""
-    x = _jacobi_guesses(n, a, b)
-    low = x < 0
-    sign = np.where(low, -1.0, 1.0)
-    aa, bb = np.where(low, b, a), np.where(low, a, b)
-    rec_low, rec_high = _edge_recurrence(n, b, a), _edge_recurrence(n, a, b)
-    # pn and pm below are P_n and P_{n-1} over binom(n-1+aa, n-1), times
-    # exp(logscale); side is the log of that binomial's ratio between sides
-    k = np.arange(1, n, dtype=float)
-    side = np.where(low, float(np.sum(np.log1p(b / k) - np.log1p(a / k))),
-                    0.0)
-    c = 2 * n + a + b
-    eps = float(np.finfo(float).eps)
-    log_mu0 = ((a + b + 1) * math.log(2) + math.lgamma(a + 1)
-               + math.lgamma(b + 1) - math.lgamma(a + b + 2))
-    # a failed rule shows as NaN, zero or infinity, caught below
+    # a failed rule, guesses and recurrence included, shows as NaN, zero or
+    # infinity, caught below
     with np.errstate(all="ignore"):
+        x = _jacobi_guesses(n, a, b)
+        low = x < 0
+        sign = np.where(low, -1.0, 1.0)
+        aa, bb = np.where(low, b, a), np.where(low, a, b)
+        rec_low = _edge_recurrence(n, b, a)
+        rec_high = _edge_recurrence(n, a, b)
+        # pn and pm below are P_n and P_{n-1} over binom(n-1+aa, n-1), times
+        # exp(logscale); side is the log of that binomial's ratio between
+        # sides
+        k = np.arange(1, n, dtype=float)
+        side = np.where(
+            low, float(np.sum(np.log1p(b / k) - np.log1p(a / k))), 0.0)
+        c = 2 * n + a + b
+        eps = float(np.finfo(float).eps)
+        log_mu0 = ((a + b + 1) * math.log(2) + math.lgamma(a + 1)
+                   + math.lgamma(b + 1) - math.lgamma(a + b + 2))
         for _ in range(_HALLEY_STEPS):
             y = sign * x
             t = 1 - y
@@ -391,11 +405,10 @@ def angular_gram(alpha: RationalLike, beta: RationalLike, nmax: int
 # Numeric cross-check of the composite ladders
 # ---------------------------------------------------------------------------
 
-def ladder_numeric_check(step: CompositeStep, params: ModelParams
-                         ) -> tuple[float, float]:
+def ladder_numeric_check(step: CompositeStep) -> tuple[float, float]:
     """(deviation, ratio_error) of the step's exact images
-    (`composite_images`) against (exact coefficient) * (target state) on a
-    48 x 48 float grid: the max-norm shape mismatch after fitting the best
+    (`CompositeStep.images`) against (exact coefficient) * (target state) on
+    a 48 x 48 float grid: the max-norm shape mismatch after fitting the best
     constant, and that constant against `step.coefficient`.
 
     Only the final evaluation is floating point, so any deviation beyond
@@ -403,15 +416,14 @@ def ladder_numeric_check(step: CompositeStep, params: ModelParams
     wavefunctions themselves.  Raises VerificationError when an image is
     zero or keeps a pole.
     """
-    alpha, beta = params.alpha, params.beta
-    ang_img, rad_img = composite_images(step, params)
+    params, target = step.params, step.target
+    ang_img, rad_img = step.images
     for name, img in (("angular", ang_img), ("radial", rad_img)):
         if img.is_zero() or not img.is_polynomial():
             raise VerificationError(
                 f"{name} chain image {img.pretty()} is not a nonzero "
                 f"polynomial")
-    target = step.target
-    target_a = params.k * angular_eigenroot(target.n, alpha, beta)
+    target_a = laguerre_parameter(target.n, params)
     r, phi = interior_grid(default_rmax(params), params.wedge_span, 48, 1e-2)
     img = np.outer(
         radial_values(target.m, target_a, params.omega, r,
@@ -450,12 +462,11 @@ def degeneracy_table(params: ModelParams, emax: float) -> list[SpectralLevel]:
     tolerance."""
     if emax <= 0:
         return []
-    alpha, beta = params.alpha, params.beta
     max_ratio = Fraction(emax) / Fraction(params.omega)
     buckets: dict[Fraction, list[QuantumState]] = {}
     n = 1
     while True:
-        base = params.k * angular_eigenroot(n, alpha, beta) + 1
+        base = laguerre_parameter(n, params) + 1
         if base > max_ratio:
             break
         m = 0

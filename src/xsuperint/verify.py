@@ -22,7 +22,8 @@ orthogonality, residual and ladder closure, and on request the classical
 conservation and closure.  Only a FAIL fails a run.
 
 Each run builds one raising and one lowering `CompositeStep`, on first use;
-the exact composite lines and the float ladder-closure gate measure those two.
+the exact composite lines and the float ladder-closure gate measure the
+exact images each of the two computes once.
 
 When two CPUs are usable, a worker forked at the start of the run measures
 the sections `_IN_WORKER` names and the parent the others, up to its first
@@ -586,7 +587,7 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
              f"(m-{p}, n+{q})", up),
             (f"energy-preserving lowering composite (m, n) -> "
              f"(m+{p}, n-{q})", down)):
-        measured, witness = composite_action_report(step, params)
+        measured, witness = composite_action_report(step)
         ok = measured == step.coefficient
         detail = (f"(m, n) = ({step.source.m}, {step.source.n}) -> "
                   f"({step.target.m}, {step.target.n}) at exact E/omega = "
@@ -597,7 +598,7 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         lines.append(CheckLine("composite structure", name,
                                MATCH if ok else MISMATCH, detail))
 
-    gap, witness = l1_commutator_report(up, params)
+    gap, witness = l1_commutator_report(up)
     if gap is None:
         detail = (f"commutator image on (m, n) = ({p}, 1) leaves the family: "
                   f"{witness}")
@@ -641,7 +642,7 @@ def _gate_lines(run: _Run) -> Iterator[CheckLine]:
         f"worst relative Schrodinger residual {fmt_float(worst)} over "
         f"{len(states)} states (limit {fmt_float(tol)})")
 
-    checks = [ladder_numeric_check(step, params) for step in run.steps]
+    checks = [ladder_numeric_check(step) for step in run.steps]
     ok = all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
     deviation, ratio_error = (max(column) for column in zip(*checks))
     yield CheckLine(
@@ -846,14 +847,17 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     arithmetic.  MISMATCH lines are informational — they document where the
     transcribed formulas disagree with what the operators actually do — so
     they never fail a run.  The other gates evaluate floats; `tol` bounds
-    the residual on a grid x grid mesh.  Invalid parameters, nmax < 2 and
-    mmax < 1 included, raise before any check runs; a package error in a
+    the residual on a grid x grid mesh.  Invalid parameters, nmax < 2,
+    mmax < 1 and (with `classical`) a classical model the flow cannot
+    carry included, raise before any check runs; a package error in a
     check ends the report there and is kept as its `error`.
     """
     if nmax < 2 or mmax < 1:
         raise ParameterDomainError(f"verify needs nmax >= 2 and mmax >= 1, "
                                    f"got nmax = {nmax}, mmax = {mmax}")
     params = ModelParams(alpha=alpha, beta=beta, omega=omega, p=p, q=q)
+    if classical:
+        ClassicalModel.from_model_params(params)    # valid, or raises now
     run = _Run(params, nmax, mmax, tol, grid)
     names = _SECTIONS if classical else _SECTIONS[:-1]
     forked = [name for name in names if name in _IN_WORKER[classical]]

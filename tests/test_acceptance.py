@@ -238,7 +238,7 @@ def test_acceptance_4_energy_fixing_and_degeneracy():
             except OutOfFamilyError as exc:
                 problems.append(f"{s} at k={p}/{q}: {exc}")
                 continue
-            measured, witness = composite_action_report(step, params)
+            measured, witness = composite_action_report(step)
             if step.target != t or measured != step.coefficient or not measured:
                 problems.append(f"{s} -> {t} at k={p}/{q}: target "
                                 f"{step.target}, measured {measured} "
@@ -271,7 +271,7 @@ def test_acceptance_5_index_reflection_and_noncommutation():
             for m in ms:
                 for n in ns:
                     step = make(QuantumState(m, n), params)
-                    gap, witness = l1_commutator_report(step, params)
+                    gap, witness = l1_commutator_report(step)
                     if gap in (None, 0):
                         problems.append(f"{name} commutes at ({m},{n}), "
                                         f"k={p}/{q}: {witness}")
@@ -305,7 +305,7 @@ def test_acceptance_6_numerical_spectral_suite():
         params = ModelParams(F(1), F(3), p=p, q=q)
         for step in (composite_raising(QuantumState(p, 1), params),
                      composite_lowering(QuantumState(0, q + 1), params)):
-            deviation, ratio_error = ladder_numeric_check(step, params)
+            deviation, ratio_error = ladder_numeric_check(step)
             if deviation >= 1e-8:
                 problems.append(f"shape deviation {deviation:.2e} at "
                                 f"k={p}/{q}")

@@ -252,9 +252,14 @@ def test_model_domain_checks():
             (1.0, math.nan, 1.0, 3.0),
             (1.0, math.inf, 1.0, 3.0),
             (1.0, 1.0, math.nan, 3.0),
-            (1.0, 1.0, 1.0, math.inf)]:
+            (1.0, 1.0, 1.0, math.inf),
+            # and their squares must be finite floats, as the flow takes them
+            (1.0, 1e155, 1.0, 3.0),
+            (1.0, 1.0, 1.35e154, 3.0),
+            (1.0, 1.0, 1.0, 1e155)]:
         with pytest.raises(ParameterDomainError):
             ClassicalModel(*args)
+    ClassicalModel(1.0, 1e154, 1e154, 1.3e154)
 
 
 def test_short_run_conserves():
@@ -482,9 +487,12 @@ def test_convergence_order_matches_the_reference_anywhere(omega, k, a, b, r,
 
 
 def test_convergence_order_outside_the_wedge():
-    # every rung leaves at t = 0, so none can be certified
+    # every rung leaves at t = 0, or in its first step, where r^2 or
+    # sin^2(k phi) underflows to 0, so none can be certified
     for start in (OrbitState(1.0, -0.1, 0.0, 1.0),
-                  OrbitState(1.0, 0.4, math.nan, 1.0)):
+                  OrbitState(1.0, 0.4, math.nan, 1.0),
+                  OrbitState(1e-200, 0.4, 0.0, 1.0),
+                  OrbitState(1.0, 1e-320, 0.0, 1.0)):
         with pytest.raises(StepSizeError):
             convergence_order(MODEL, start)
         assert_probe_matches_reference(MODEL, start)
@@ -579,6 +587,25 @@ def test_nan_state_is_a_wedge_exit(model, start):
     period = model.radial_period
     with pytest.raises(WedgeExitError):
         trajectory_end(model, start, period, period / 256)
+
+
+@pytest.mark.parametrize("start", [
+    # r^2 underflows to 0 inside a stage
+    OrbitState(1e-200, 0.4, 0.0, 1.0),
+    # sin^2(k phi) underflows to 0
+    OrbitState(1.0, 1e-320, 0.0, 1.0),
+    # r^3 underflows, and the angle goes infinite
+    OrbitState(1e-100, 0.4, 0.0, 1.0),
+])
+def test_a_step_that_fails_in_floats_is_a_wedge_exit(start):
+    period = MODEL.radial_period
+    dt = period / 256
+    with pytest.raises(WedgeExitError,
+                       match=rf"^orbit left float range \(.*\) at t = "
+                             rf"{dt:.6g}$"):
+        trajectory_end(MODEL, start, period, dt)
+    with pytest.raises(WedgeExitError, match="left float range"):
+        cm.rk8_step(MODEL, start, dt)
 
 
 def test_step_size_validation():

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xsuperint
 from xsuperint import classical, cli, verify
@@ -15,7 +19,8 @@ from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
                                  scan_closure, trajectory)
 from xsuperint.cli import build_parser, fmt_float, main
 from xsuperint.errors import QuadratureError
-from xsuperint.params import ModelParams
+from xsuperint.params import ModelParams, QuantumState, energy_ratio
+from xsuperint.spectral import degeneracy_table
 from xsuperint.verify import verification_report
 
 
@@ -257,6 +262,50 @@ def test_config_unknown_key(tmp_path):
     assert "alhpa" in err
 
 
+@st.composite
+def spectrum_points(draw):
+    """A model and an --emax: half of them a level's energy omega * E/omega
+    as a float, or the float next to it on either side."""
+    alpha = Fraction(draw(st.integers(1, 10)), draw(st.integers(1, 10)))
+    beta = alpha + Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 10)))
+    p, q = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 2), (2, 3),
+                                 (5, 3), (3, 4)]))
+    omega = draw(st.floats(0.1, 4.0))
+    params = ModelParams(alpha, beta, omega=omega, p=p, q=q)
+    if draw(st.booleans()):
+        state = QuantumState(draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+        emax = omega * float(energy_ratio(state, params))
+        emax = draw(st.sampled_from([emax, math.nextafter(emax, 0.0),
+                                     math.nextafter(emax, math.inf)]))
+    else:
+        emax = draw(st.floats(-1.0, 40.0))
+    return params, emax
+
+
+@given(spectrum_points())
+# emax / omega in floats lands just below the level at these two
+@example((ModelParams(Fraction(3, 2), Fraction(69, 2), omega=0.5, p=5, q=3),
+          33.0))
+@example((ModelParams(Fraction(8, 5), Fraction(33, 10), omega=0.37, p=3,
+                      q=4), 2.00725))
+@settings(max_examples=100, deadline=None)
+def test_spectrum_size_overcounts_by_less_than_the_angular_indices(point):
+    # n <= estimate < n + N: n states in the table, N angular indices
+    params, emax = point
+    states = [s for level in degeneracy_table(params, emax)
+              for s in level.states]
+    angular = len({s.n for s in states})
+    size = cli._spectrum_size(params, emax)
+    assert len(states) <= size < len(states) + max(angular, 1)
+
+
+def test_spectrum_with_a_lowest_level_past_float_range_is_empty():
+    # k A_1 is past float range here, so no level lies below --emax
+    code, out, err = run_cli("spectrum", "--p", "7" + "0" * 307, "--emax",
+                             "5")
+    assert (code, out, err) == (0, "m,n,energy_ratio,energy,level\n", "")
+
+
 def test_bad_rational_flag():
     code, _, err = run_cli("spectrum", "--alpha", "1.5.2", "--emax", "5")
     assert code == 2
@@ -317,6 +366,10 @@ def test_bad_rational_flag():
     ("export-wavefunction", "--m", "1" + "0" * 31, "--grid", "4", "--out", "wf"),
     ("export-wavefunction", "--n", "1000", "--rmax", "1", "--grid", "4",
      "--out", "wf"),
+    # the classical flow squares k and both strengths
+    ("orbit", "--alpha", "1", "--beta", "1e155"),
+    ("orbit", "--p", "1" + "0" * 200),
+    ("verify", "--classical", "--alpha", "1", "--beta", "1e155"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so
@@ -359,6 +412,15 @@ def test_a_capped_flag_names_its_cap(command, flag, cap, tmp_path):
     # psi overflows to inf or nan on part of the grid
     ("export-wavefunction", "--m", "400", "--rmax", "400", "--grid", "4"),
     ("export-wavefunction", "--m", "3000", "--rmax", "20", "--grid", "4"),
+    # a Laguerre coefficient past float range
+    ("export-wavefunction", "--m", "1000", "--n", "1", "--p", "500",
+     "--grid", "2", "--rmax", "1"),
+    ("export-wavefunction", "--m", "1000", "--n", "200", "--grid", "2",
+     "--rmax", "1"),
+    # a stage divides by an r^2 or sin^2(k phi) gone to 0
+    ("orbit", "--state", "1e-200,0.4,0,1"),
+    ("orbit", "--state", "1,1e-320,0,1"),
+    ("orbit", "--state", "1e-100,0.4,0,1"),
 ])
 def test_package_error_exits_1_with_one_error_line(argv, tmp_path, recwarn):
     code, out, err = run_cli(*argv, "--out", str(tmp_path))

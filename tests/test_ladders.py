@@ -440,7 +440,7 @@ def test_composite_coefficient_is_stepwise_product():
 def commutator_gap(make, state, params):
     """Measured commutator coefficient of the composite `make` builds on
     `state` (None when its image leaves the family)."""
-    return l1_commutator_report(make(state, params), params)[0]
+    return l1_commutator_report(make(state, params))[0]
 
 
 def test_l1_noncommutation_reference_value():

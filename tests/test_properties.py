@@ -91,5 +91,5 @@ def test_composite_actions_equal_their_coefficients(pair):
         params = ModelParams(alpha, beta, p=p, q=q)
         for step in (composite_raising(QuantumState(p, 1), params),
                      composite_lowering(QuantumState(0, q + 1), params)):
-            assert composite_action_report(step, params)[0] == \
+            assert composite_action_report(step)[0] == \
                 step.coefficient

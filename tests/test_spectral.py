@@ -261,6 +261,26 @@ def test_gauss_jacobi_raises_on_weights_out_of_float_range():
         spectral._gauss_jacobi(1024, 1.0, 1000.0)
 
 
+def test_gauss_jacobi_with_an_underflowed_square():
+    # alpha^2 is 0 in floats: the guesses drop that barrier instead of
+    # dividing 0 by 0 at the edge, and the rule is the one at alpha = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = spectral._gauss_jacobi(64, 1e-300, 1.0)
+    x_ref, w_ref = roots_jacobi(64, 0.0, 1.0)
+    assert np.max(np.abs(x - x_ref)) < 1e-14
+    assert np.max(np.abs(w / w_ref - 1)) < 1e-10
+
+
+def test_gauss_jacobi_out_of_float_range_raises_without_a_warning():
+    # the recurrence coefficients overflow at beta = 1e300: the rule fails
+    # under its own errstate, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="order 64 at"):
+            spectral._gauss_jacobi(64, 1 / 3, 1e300)
+
+
 def test_angular_gram_never_doubles_a_nan_rule(monkeypatch):
     calls = []
 
@@ -278,11 +298,11 @@ def test_angular_gram_never_doubles_a_nan_rule(monkeypatch):
 def test_ladder_numeric_ok(p, q):
     params = kparams(p, q)
     deviation, ratio_error = ladder_numeric_check(
-        composite_raising(QuantumState(p, 1), params), params)
+        composite_raising(QuantumState(p, 1), params))
     assert deviation < 1e-8
     assert ratio_error < 1e-10
     deviation, _ = ladder_numeric_check(
-        composite_lowering(QuantumState(0, 1 + q), params), params)
+        composite_lowering(QuantumState(0, 1 + q), params))
     assert deviation < 1e-8
 
 
@@ -296,7 +316,7 @@ def test_ladder_numeric_check_fit_does_not_overflow(alpha, beta, q):
              composite_lowering(QuantumState(0, 1 + q), params))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checks = [ladder_numeric_check(step, params) for step in steps]
+        checks = [ladder_numeric_check(step) for step in steps]
     assert all(math.isfinite(value) for check in checks for value in check)
     if q == 1:
         assert all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
@@ -313,7 +333,7 @@ def test_ladder_numeric_check_builds_the_angular_chain_once(monkeypatch):
 
     monkeypatch.setattr(ladders, "deformed_raising_chain", build)
     params = kparams(1, 2)
-    ladder_numeric_check(composite_raising(QuantumState(1, 1), params), params)
+    ladder_numeric_check(composite_raising(QuantumState(1, 1), params))
     assert len(builds) == 1
 
 
@@ -325,7 +345,7 @@ def test_ladder_numeric_check_fails_an_image_that_keeps_a_pole():
         angular=lowering_intertwiner_candidate(P13.alpha, P13.beta))
     with pytest.raises(VerificationError,
                        match="angular chain image .* is not a nonzero"):
-        ladder_numeric_check(step, P13)
+        ladder_numeric_check(step)
 
 
 def test_ladder_numeric_check_fails_an_image_that_vanishes():
@@ -337,7 +357,7 @@ def test_ladder_numeric_check_fails_an_image_that_vanishes():
                                radial=radial_lowering(a, radial_eps(0, a)))
     with pytest.raises(VerificationError,
                        match="radial chain image 0 is not a nonzero"):
-        ladder_numeric_check(step, P13)
+        ladder_numeric_check(step)
 
 
 def test_degeneracy_table_structure():
@@ -364,7 +384,7 @@ def test_degeneracy_chain_step():
     for s, t in pairs:
         step = composite_raising(s, params)
         assert step.target == t
-        measured, witness = composite_action_report(step, params)
+        measured, witness = composite_action_report(step)
         assert measured == step.coefficient != 0, (s, witness)
 
 

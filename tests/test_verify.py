@@ -200,6 +200,32 @@ def test_report_builds_each_composite_step_once(monkeypatch):
     assert calls == {"composite_raising": 1, "composite_lowering": 1}
 
 
+def test_report_computes_each_step_image_once(monkeypatch):
+    # the composite action line, the commutator line and the ladder-closure
+    # gate all read a step's exact images; in-process, so the gate counts
+    _usable_cpus(monkeypatch, 1)
+    steps, images = [], Counter()
+
+    def capture(real):
+        def build(state, params):
+            steps.append(real(state, params))
+            return steps[-1]
+        return build
+
+    for name in ("composite_raising", "composite_lowering"):
+        monkeypatch.setattr(verify, name, capture(getattr(ladders, name)))
+    real_image = ladders.radial_family_image
+
+    def counting(op, *args):
+        images.update(i for i, step in enumerate(steps) if op is step.radial)
+        return real_image(op, *args)
+
+    monkeypatch.setattr(ladders, "radial_family_image", counting)
+    rep = verification_report(1, 3, 3, 2, classical=True)
+    assert rep.error is None
+    assert len(steps) == 2 and images == {0: 1, 1: 1}
+
+
 @pytest.mark.parametrize("nmax,mmax", [(1, 6), (0, 6), (6, 0)])
 def test_report_refuses_a_small_span_before_any_check(monkeypatch, nmax,
                                                       mmax):
