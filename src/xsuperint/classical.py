@@ -61,8 +61,13 @@ class ClassicalModel:
 
     @classmethod
     def from_model_params(cls, params: ModelParams) -> "ClassicalModel":
-        return cls(params.omega, params.k_float,
-                   float(params.alpha), float(params.beta))
+        try:
+            strengths = float(params.alpha), float(params.beta)
+        except OverflowError:
+            raise ParameterDomainError(
+                "barrier strengths must be finite floats for the classical "
+                "flow: alpha or beta is past float range") from None
+        return cls(params.omega, params.k_float, *strengths)
 
     @property
     def wedge_span(self) -> float:

@@ -100,24 +100,27 @@ def int_range(low: Optional[int], high: Optional[int] = None
 MAX_ROWS = 10 ** 6
 
 
-#: Largest p and q `verify` accepts.  On a 2-core machine a fresh `verify`
-#: at the default (alpha, beta) = (1, 3) takes 0.33 s at k = 6/1, 0.37 s at
-#: 5/6, 0.34 s at 1/8 and 0.35 s at 7/8 (least of 7 runs).  The cap is set
-#: by the float ladder-closure gate, which fails at k = 15/16, not by cost.
+#: Largest p and q `verify` accepts.  On a 2-core machine (nproc = 2) a
+#: fresh `verify` at the default (alpha, beta) = (1, 3) takes 0.22 s at
+#: k = 1, 0.20 s at 6/1 and at 5/6, 0.21 s at 1/8 and 0.22 s at 7/8 (least
+#: of 21 fresh processes, in three rounds of 7).  The cap is set by the
+#: float ladder-closure gate, which fails at k = 15/16, not by cost.
 MAX_VERIFY_PQ = 8
 
 #: Largest `verify --nmax` and `--mmax`.  A fresh `verify` at the default
-#: point takes 0.64 s at nmax = 40, 0.62 s at mmax = 120, 0.94 s at both and
-#: 2.3 s at both with p = 8 (least of 3 runs, 2-core machine); nmax = 100
-#: takes 8.1 s and mmax = 1000 92 s.
+#: point takes 0.52 s at nmax = 40, 0.46 s at mmax = 120 and 0.53 s at both
+#: (least of 21 fresh processes, in three rounds of 7), and 1.25 s at both
+#: with p = 8 (least of 14), with nproc = 2; nmax = 100 took 8.1 s and
+#: mmax = 1000 92 s when last measured (least of 3).
 MAX_VERIFY_NMAX = 40
 MAX_VERIFY_MMAX = 120
 
 #: Largest `export-wavefunction --m` and `--n`.  With --grid 4 the export
-#: takes 0.62 s at m = 3000 and 12.9 s at m = 10^4, where the float radial
-#: evaluation overflows; n = 300 takes 2.1 s at --rmax 1 (the exact angular
-#: solve is cubic in n) and fails the radial-gauge range check at the
-#: default rmax, as n = 250 already does.
+#: takes 0.49 s at m = 3000, and took 12.9 s at m = 10^4 when last measured,
+#: where the float radial evaluation overflows; n = 300 takes 1.83 s at
+#: --rmax 1 (the exact angular solve is cubic in n) and fails the
+#: radial-gauge range check at the default rmax, as n = 250 already does
+#: (least of 21 fresh processes, in three rounds of 7, nproc = 2).
 MAX_EXPORT_M = 3000
 MAX_EXPORT_N = 300
 

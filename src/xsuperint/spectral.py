@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -63,6 +62,16 @@ def default_rmax(params: ModelParams) -> float:
     return 6.0 / math.sqrt(params.omega)
 
 
+def _float(value: Fraction, name: str) -> float:
+    """An exact parameter as a float; past float range raises
+    NumericalOverflowError naming it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NumericalOverflowError(
+            f"{name} is past float range; shrink the parameters") from None
+
+
 def _radial_gauge(a: Fraction, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radial gauge factor G = y^(a/2) e^(-y/2) at y = omega r^2 >= 0, with
@@ -70,7 +79,7 @@ def _radial_gauge(a: Fraction, y: np.ndarray
     which are infinite at y = 0.  G is assembled in log space, so a large
     gauge exponent raises NumericalOverflowError instead of overflowing
     silently."""
-    c = float(a) / 2.0
+    c = _float(a, "the Laguerre parameter k A_n") / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.where(y > 0, c * np.log(np.where(y > 0, y, 1.0)) - y / 2,
                           -np.inf if c > 0 else 0.0)
@@ -84,12 +93,9 @@ def _radial_gauge(a: Fraction, y: np.ndarray
     return np.exp(logmag), dlog, dlog2
 
 
-def radial_values(m: int, a: Fraction, omega: float, r: np.ndarray,
-                  poly: Optional[Poly] = None) -> np.ndarray:
-    """Gauged radial factor y^(a/2) e^(-y/2) Q(y) at y = omega r^2.  Q
-    defaults to the Laguerre polynomial L_m^(a)."""
-    if poly is None:
-        poly = laguerre_polynomial(m, a)
+def radial_values(poly: Poly, a: Fraction, omega: float, r: np.ndarray
+                  ) -> np.ndarray:
+    """Gauged radial factor y^(a/2) e^(-y/2) poly(y) at y = omega r^2."""
     y = omega * np.asarray(r, dtype=float) ** 2
     return _radial_gauge(a, y)[0] * _polyval(poly, y)
 
@@ -99,23 +105,33 @@ def _angular_gauge(alpha: Fraction, beta: Fraction, x: np.ndarray
     """Positive angular gauge g(x) = (1-x)^e1 (1+x)^e2 / (b-x), with
     e1 = alpha/2 + 1/4 and e2 = beta/2 + 1/4, on the open interval, and its
     log derivatives (log g)' and (log g)''."""
-    b = float(weight_pole(alpha, beta))
-    e1 = float(alpha) / 2 + 0.25
-    e2 = float(beta) / 2 + 0.25
+    b = _float(weight_pole(alpha, beta), "the weight pole b")
+    e1 = _float(alpha, "alpha") / 2 + 0.25
+    e2 = _float(beta, "beta") / 2 + 0.25
     g = np.power(1 - x, e1) * np.power(1 + x, e2) / (b - x)
     dlog = -e1 / (1 - x) + e2 / (1 + x) + 1 / (b - x)
     dlog2 = -e1 / (1 - x) ** 2 - e2 / (1 + x) ** 2 + 1 / (b - x) ** 2
     return g, dlog, dlog2
 
 
-def angular_values(n: int, params: ModelParams, phi: np.ndarray,
-                   poly: Optional[Poly] = None) -> np.ndarray:
-    """Angular factor g(x) Q(x) at x = cos(2 k phi).  Q defaults to the monic
-    deformed polynomial of degree n."""
-    if poly is None:
-        poly = exceptional_jacobi(n, params.alpha, params.beta)
+def angular_values(poly: Poly, params: ModelParams, phi: np.ndarray
+                   ) -> np.ndarray:
+    """Angular factor g(x) poly(x) at x = cos(2 k phi)."""
     x = np.cos(2 * params.k_float * np.asarray(phi, dtype=float))
     return _angular_gauge(params.alpha, params.beta, x)[0] * _polyval(poly, x)
+
+
+def _gauged(gauge: tuple[np.ndarray, np.ndarray, np.ndarray], poly: Poly,
+            t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, f', f'') at t of the factor f = G Q, from the gauge's
+    (G, L, L') with L = (log G)' and the exact polynomial Q:
+    f' = G (Q' + L Q) and f'' = G (Q'' + 2 L Q' + (L^2 + L') Q)."""
+    g, dlog, dlog2 = gauge
+    q0 = _polyval(poly, t)
+    q1 = _polyval(poly.derivative(), t)
+    q2 = _polyval(poly.derivative().derivative(), t)
+    return (g * q0, g * (q1 + dlog * q0),
+            g * (q2 + 2 * dlog * q1 + (dlog ** 2 + dlog2) * q0))
 
 
 def wavefunction_on_grid(state: QuantumState, params: ModelParams,
@@ -124,9 +140,11 @@ def wavefunction_on_grid(state: QuantumState, params: ModelParams,
     not finite (a Laguerre factor past float range, say) raises
     NumericalOverflowError instead of being returned."""
     a = laguerre_parameter(state.n, params)
+    lag = laguerre_polynomial(state.m, a)
+    pol = exceptional_jacobi(state.n, params.alpha, params.beta)
     with np.errstate(all="ignore"):
-        psi = np.outer(radial_values(state.m, a, params.omega, r),
-                       angular_values(state.n, params, phi))
+        psi = np.outer(radial_values(lag, a, params.omega, r),
+                       angular_values(pol, params, phi))
     if not np.isfinite(psi).all():
         raise NumericalOverflowError(
             f"psi of state (m, n) = ({state.m}, {state.n}) is not finite on "
@@ -159,42 +177,28 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     alpha, beta = params.alpha, params.beta
     omega, kf = params.omega, params.k_float
     a = laguerre_parameter(state.n, params)
-    e_val = energy(state, params)
     r, phi = interior_grid(default_rmax(params), params.wedge_span, grid,
                            1e-3)
 
     # radial factor and its first two r-derivatives via u(y), y = omega r^2
     y = omega * r ** 2
-    lag = laguerre_polynomial(state.m, a)
-    l0 = _polyval(lag, y)
-    l1 = _polyval(lag.derivative(), y)
-    l2 = _polyval(lag.derivative().derivative(), y)
-    pref, gy, gy_p = _radial_gauge(a, y)
-    u0 = pref * l0
-    u1 = pref * (l1 + gy * l0)
-    u2 = pref * (l2 + 2 * gy * l1 + (gy ** 2 + gy_p) * l0)
-    rad0 = u0
+    u0, u1, u2 = _gauged(_radial_gauge(a, y), laguerre_polynomial(state.m, a),
+                         y)
     rad1 = 2 * omega * r * u1
     rad2 = 2 * omega * u1 + 4 * omega ** 2 * r ** 2 * u2
 
     # angular factor and its second phi-derivative via W(x), x = cos(2k phi)
     x = np.cos(2 * kf * phi)
-    g, gamma, gamma_p = _angular_gauge(alpha, beta, x)
-    pol = exceptional_jacobi(state.n, alpha, beta)
-    p0 = _polyval(pol, x)
-    p1 = _polyval(pol.derivative(), x)
-    p2 = _polyval(pol.derivative().derivative(), x)
-    w0 = g * p0
-    w1 = g * (gamma * p0 + p1)
-    w2 = g * ((gamma ** 2 + gamma_p) * p0 + 2 * gamma * p1 + p2)
-    ang0 = w0
+    w0, w1, w2 = _gauged(_angular_gauge(alpha, beta, x),
+                         exceptional_jacobi(state.n, alpha, beta), x)
     ang2 = 4 * kf ** 2 * ((1 - x ** 2) * w2 - x * w1)
 
+    e_val = energy(state, params)
     v_ang = _ratval(angular_potential(alpha, beta), x)
     rr = r[:, None]
-    psi = np.outer(rad0, ang0)
-    h_psi = (-0.5 * (np.outer(rad2, ang0) + np.outer(rad1 / r, ang0)
-                     + np.outer(rad0, ang2) / rr ** 2)
+    psi = np.outer(u0, w0)
+    h_psi = (-0.5 * (np.outer(rad2, w0) + np.outer(rad1 / r, w0)
+                     + np.outer(u0, ang2) / rr ** 2)
              + (0.5 * omega ** 2 * rr ** 2
                 + (kf ** 2 / (2 * rr ** 2)) * v_ang[None, :]) * psi)
     scale = abs(e_val) * float(np.max(np.abs(psi)))
@@ -373,15 +377,25 @@ def angular_gram(alpha: RationalLike, beta: RationalLike, nmax: int
     interval (the pole sits outside), so doubling the order until two
     successive Gram matrices agree to GRAM_TOL certifies convergence.
     Returns G with unit diagonal; off-diagonal entries measure any loss of
-    orthogonality.  Raises QuadratureError when the doubling does not
-    converge or a rule fails.
+    orthogonality.  Raises QuadratureError, before any rule, when the
+    weight pole b is not a finite float strictly above 1 (then the doubling
+    could not converge), and when the doubling does not converge or a rule
+    fails.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    b = float(weight_pole(alpha, beta))
+    try:
+        b = float(weight_pole(alpha, beta))
+    except OverflowError:
+        b = math.inf
+    if not 1 < b < math.inf:
+        raise QuadratureError(
+            f"angular Gram quadrature needs the weight pole b = (beta + alpha)"
+            f"/(beta - alpha) as a finite float above 1, not {b}")
+    exponents = _float(alpha, "alpha"), _float(beta, "beta")
     polys = [exceptional_jacobi(n, alpha, beta) for n in range(1, nmax + 1)]
 
     def gram(order: int) -> np.ndarray:
-        xq, wq = _gauss_jacobi(order, float(alpha), float(beta))
+        xq, wq = _gauss_jacobi(order, *exponents)
         vals = np.array([_polyval(p, xq) for p in polys])
         wfull = wq / (b - xq) ** 2
         return vals @ (wfull[:, None] * vals.T)
@@ -409,12 +423,14 @@ def ladder_numeric_check(step: CompositeStep) -> tuple[float, float]:
     """(deviation, ratio_error) of the step's exact images
     (`CompositeStep.images`) against (exact coefficient) * (target state) on
     a 48 x 48 float grid: the max-norm shape mismatch after fitting the best
-    constant, and that constant against `step.coefficient`.
+    constant, and that constant against `step.coefficient`.  The target
+    state is `wavefunction_on_grid`'s.
 
     Only the final evaluation is floating point, so any deviation beyond
     rounding reveals an inconsistency between the ladder algebra and the
     wavefunctions themselves.  Raises VerificationError when an image is
-    zero or keeps a pole.
+    zero or keeps a pole, and NumericalOverflowError when the target is not
+    finite on the grid.
     """
     params, target = step.params, step.target
     ang_img, rad_img = step.images
@@ -423,15 +439,12 @@ def ladder_numeric_check(step: CompositeStep) -> tuple[float, float]:
             raise VerificationError(
                 f"{name} chain image {img.pretty()} is not a nonzero "
                 f"polynomial")
-    target_a = laguerre_parameter(target.n, params)
     r, phi = interior_grid(default_rmax(params), params.wedge_span, 48, 1e-2)
     img = np.outer(
-        radial_values(target.m, target_a, params.omega, r,
-                      poly=rad_img.as_poly()),
-        angular_values(target.n, params, phi, poly=ang_img.as_poly()))
-    tgt = np.outer(
-        radial_values(target.m, target_a, params.omega, r),
-        angular_values(target.n, params, phi))
+        radial_values(rad_img.as_poly(), laguerre_parameter(target.n, params),
+                      params.omega, r),
+        angular_values(ang_img.as_poly(), params, phi))
+    tgt = wavefunction_on_grid(target, params, r, phi)
 
     # an exact power-of-two scale, invisible to the fit, keeps its sums finite
     shift = -np.frexp(np.max(np.abs(tgt)))[1]

@@ -370,6 +370,9 @@ def test_bad_rational_flag():
     ("orbit", "--alpha", "1", "--beta", "1e155"),
     ("orbit", "--p", "1" + "0" * 200),
     ("verify", "--classical", "--alpha", "1", "--beta", "1e155"),
+    # ... and reads both strengths as floats, which here are past float range
+    ("orbit", "--alpha", "1", "--beta", "1e400"),
+    ("verify", "--classical", "--alpha", "1", "--beta", "1e400"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so
@@ -407,6 +410,11 @@ def test_a_capped_flag_names_its_cap(command, flag, cap, tmp_path):
                    f"(must be at most {cap})\n")
 
 
+#: beta = (10^400 + 1)/10^400: with alpha = 1 the weight pole b is about
+#: 2e400, past float range
+TINY_GAP = "1" + "0" * 399 + "1/1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv", [
     ("export-wavefunction", "--n", "300", "--grid", "4"),
     # psi overflows to inf or nan on part of the grid
@@ -417,6 +425,9 @@ def test_a_capped_flag_names_its_cap(command, flag, cap, tmp_path):
      "--grid", "2", "--rmax", "1"),
     ("export-wavefunction", "--m", "1000", "--n", "200", "--grid", "2",
      "--rmax", "1"),
+    # k A_n, and the weight pole b, past float range
+    ("export-wavefunction", "--alpha", "1", "--beta", "1e400", "--grid", "4"),
+    ("export-wavefunction", "--alpha", "1", "--beta", TINY_GAP, "--grid", "4"),
     # a stage divides by an r^2 or sin^2(k phi) gone to 0
     ("orbit", "--state", "1e-200,0.4,0,1"),
     ("orbit", "--state", "1,1e-320,0,1"),
@@ -505,6 +516,34 @@ def test_verify_far_from_the_walls_fails_without_traceback():
     assert proc.stderr.startswith("error: radial gauge factor exceeds float "
                                   "range: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha,beta,pole", [
+    ("1", "1e400", "1.0"), ("1", TINY_GAP, "inf"), ("1e-300", "1", "1.0"),
+    ("1/3", "1e300", "1.0")])
+def test_verify_with_a_float_pole_on_the_wall_prints_the_scorecard(
+        alpha, beta, pole):
+    # the exact scorecard holds at any rational point; the Gram, the first
+    # float gate, refuses a weight pole that is not a finite float above 1
+    # before it builds a rule
+    code, out, err = run_cli("verify", "--alpha", alpha, "--beta", beta)
+    assert code == 1
+    assert out.splitlines()[-1].startswith("note: ")
+    assert err == (f"error: angular Gram quadrature needs the weight pole "
+                   f"b = (beta + alpha)/(beta - alpha) as a finite float "
+                   f"above 1, not {pole}\n")
+
+
+def test_export_with_a_float_pole_on_the_wall_is_finite(tmp_path):
+    # psi reads the pole only through the gauge 1/(b - x), finite on the
+    # open interval even where b rounds to 1
+    code, out, err = run_cli("export-wavefunction", "--alpha", "1e-300",
+                             "--beta", "1", "--grid", "4", "--out",
+                             str(tmp_path))
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "wavefunction_m0_n1.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
 # runs the CLI with every import of scipy failing

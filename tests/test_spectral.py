@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 from xsuperint import ladders, spectral
-from xsuperint.angular import angular_potential, angular_potential_candidate
+from xsuperint.angular import (angular_potential, angular_potential_candidate,
+                               exceptional_jacobi)
 from xsuperint.errors import (NumericalOverflowError, QuadratureError,
                               VerificationError)
 from xsuperint.ladders import (composite_action_report, composite_lowering,
@@ -22,6 +23,7 @@ from xsuperint.ladders import (composite_action_report, composite_lowering,
                                radial_lowering)
 from xsuperint.params import (ModelParams, QuantumState, angular_eigenroot,
                               energy, energy_ratio)
+from xsuperint.polynomials import Poly, laguerre_polynomial
 from xsuperint.spectral import (
     angular_gram,
     angular_values,
@@ -43,11 +45,13 @@ def kparams(p, q, alpha=Fraction(1), beta=Fraction(3)):
 def test_radial_values_overflow_guard():
     r = np.linspace(0.5, 3.0, 16)
     with pytest.raises(NumericalOverflowError):
-        radial_values(0, Fraction(4000), 1.0, r)
+        radial_values(laguerre_polynomial(0, Fraction(4000)),
+                      Fraction(4000), 1.0, r)
 
 
 def test_radial_values_at_origin():
-    vals = radial_values(1, Fraction(5), 1.0, np.array([0.0, 1.0]))
+    vals = radial_values(laguerre_polynomial(1, Fraction(5)), Fraction(5),
+                         1.0, np.array([0.0, 1.0]))
     assert vals[0] == 0.0
     assert np.isfinite(vals[1]) and vals[1] != 0.0
 
@@ -101,10 +105,11 @@ def hamiltonian_residual_fd(state: QuantumState, params: ModelParams
     phi = np.linspace(0.05 * span, span * 0.95, 12)
 
     def rad(rv: np.ndarray) -> np.ndarray:
-        return radial_values(state.m, a, omega, rv)
+        return radial_values(laguerre_polynomial(state.m, a), a, omega, rv)
 
     def ang(pv: np.ndarray) -> np.ndarray:
-        return angular_values(state.n, params, pv)
+        return angular_values(exceptional_jacobi(state.n, alpha, beta),
+                              params, pv)
 
     r0, rp, rm = rad(r), rad(r + h), rad(r - h)
     a0, ap, am = ang(phi), ang(phi + h), ang(phi - h)
@@ -294,6 +299,24 @@ def test_angular_gram_never_doubles_a_nan_rule(monkeypatch):
     assert calls == [64]
 
 
+@pytest.mark.parametrize("alpha,beta", [
+    (Fraction(1, 10 ** 300), Fraction(1)),
+    (Fraction(1, 3), Fraction(10 ** 300)),
+    (Fraction(1), Fraction(10 ** 400)),
+    (Fraction(1), Fraction(10 ** 400 + 1, 10 ** 400))])
+def test_angular_gram_refuses_a_float_pole_on_the_wall(monkeypatch, alpha,
+                                                       beta):
+    # b rounds to 1 in floats at the first three points and past float
+    # range at the last, so no order could converge: the Gram raises before
+    # its first rule
+    calls = []
+    monkeypatch.setattr(spectral, "_gauss_jacobi",
+                        lambda *args: calls.append(args))
+    with pytest.raises(QuadratureError, match="weight pole"):
+        angular_gram(alpha, beta, nmax=4)
+    assert calls == []
+
+
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_ladder_numeric_ok(p, q):
     params = kparams(p, q)
@@ -357,6 +380,19 @@ def test_ladder_numeric_check_fails_an_image_that_vanishes():
                                radial=radial_lowering(a, radial_eps(0, a)))
     with pytest.raises(VerificationError,
                        match="radial chain image 0 is not a nonzero"):
+        ladder_numeric_check(step)
+
+
+def test_ladder_numeric_check_refuses_a_target_that_is_not_finite(
+        monkeypatch):
+    # the target is `wavefunction_on_grid`'s psi: a deformed member whose
+    # float values overflow on part of the grid raises there, and never
+    # enters the fit as inf or nan
+    huge = Poly([10 ** 308, 10 ** 308])
+    monkeypatch.setattr(spectral, "exceptional_jacobi", lambda *args: huge)
+    step = composite_raising(QuantumState(1, 1), P13)
+    with pytest.raises(NumericalOverflowError, match=r"psi of state \(m, n\) "
+                       r"= \(0, 2\) is not finite"):
         ladder_numeric_check(step)
 
 
