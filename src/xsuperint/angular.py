@@ -28,7 +28,8 @@ from functools import lru_cache
 
 from .errors import NoSolutionError, NonUniqueSolutionError
 from .operators import DiffOp, RatFunc
-from .polynomials import Poly, RationalLike, as_fraction, weight_pole
+from .polynomials import (Poly, RationalLike, as_fraction, exact_text,
+                          weight_pole)
 from .params import angular_eigenroot
 from .utils import fraction_nullspace
 
@@ -94,9 +95,14 @@ def angular_operator(alpha: RationalLike, beta: RationalLike) -> DiffOp:
 
     Acts on the deformed polynomial family with eigenvalue A_n^2; images of
     polynomials are polynomials plus a simple (x-b) pole that cancels on the
-    eigenfamily.
+    eigenfamily.  Built once per (alpha, beta): every caller shares the one
+    operator, which like every DiffOp is never mutated.
     """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
+    return _angular_operator_cached(as_fraction(alpha), as_fraction(beta))
+
+
+@lru_cache(maxsize=None)
+def _angular_operator_cached(alpha: Fraction, beta: Fraction) -> DiffOp:
     h = angular_schrodinger_x(alpha, beta)
     g = angular_gauge_logderiv(alpha, beta)
     return h.gauge_conjugate(-g)
@@ -134,7 +140,8 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: RationalLike
     operator, rather than silently returning garbage.
     """
     den, cleared = op.cleared()
-    shift = den * -as_fraction(eigenvalue)
+    eigenvalue = as_fraction(eigenvalue)
+    shift = den * -eigenvalue
 
     def image(i: int) -> Poly:          # D (op - eigenvalue) applied to x^i
         term = Poly.x() ** i
@@ -147,16 +154,17 @@ def solve_eigenpolynomial(op: DiffOp, degree: int, eigenvalue: RationalLike
     if not basis:
         raise NoSolutionError(
             f"no polynomial of degree <= {degree} satisfies the cleared "
-            f"eigen-identity at eigenvalue {eigenvalue}")
+            f"eigen-identity at eigenvalue {exact_text(eigenvalue)}")
     if len(basis) > 1:
         raise NonUniqueSolutionError(
-            f"eigenpolynomial at eigenvalue {eigenvalue} is not unique "
-            f"(nullspace dimension {len(basis)})")
+            f"eigenpolynomial at eigenvalue {exact_text(eigenvalue)} is not "
+            f"unique (nullspace dimension {len(basis)})")
     vec = basis[0]
     if vec[degree] == 0:
         raise NoSolutionError(
-            f"the unique eigenpolynomial at eigenvalue {eigenvalue} has degree "
-            f"< {degree} (no degree-{degree} member)")
+            f"the unique eigenpolynomial at eigenvalue "
+            f"{exact_text(eigenvalue)} has degree < {degree} (no "
+            f"degree-{degree} member)")
     return Poly(vec).monic()
 
 

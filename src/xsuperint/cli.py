@@ -6,8 +6,12 @@ Conventions enforced here rather than in the science modules:
   * alpha and beta cross the CLI boundary as exact rational strings ("3/2"),
     never floats — exactness is what makes the symbolic checks meaningful.
     Floats are accepted only for omega, tolerances, times, and grid extents.
-  * each flag is declared once in FLAGS (caster, default, help); the
-    subcommand parsers are built from it.
+  * each flag is declared once in FLAGS (caster, default, help) and each
+    subcommand once in COMMANDS (help, the flags it reads).  One scanner over
+    those tables reads the command line: `--flag value` and `--flag=value`
+    alike, `--classical` as a switch, `-h`/`--help` as the tables' help (exit
+    0).  A flag's value is the next word whatever it starts with, unless that
+    word starts with "--", so `--alpha -1/2` reaches the value check.
   * a config file is flat ``key=value`` lines, each naming a flag of the
     subcommand; explicit flags override it.  Config and flag values are cast
     by the same casters, so a malformed number or a non-finite float (NaN,
@@ -26,12 +30,12 @@ line, 2 usage/config error or parameters outside the domain.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .classical import (
@@ -62,6 +66,10 @@ from .verify import verification_report
 
 class UsageError(Exception):
     """Bad flags, bad config file, or a config that names no valid model."""
+
+
+class HelpRequested(Exception):
+    """-h or --help: carries the help text to print, exit 0."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -211,6 +219,11 @@ COMMANDS = {
 }
 
 
+def _spelled(name: str) -> str:
+    """The flag of a config key: "phi_max" -> "--phi-max"."""
+    return "--" + name.replace("_", "-")
+
+
 def load_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
@@ -232,50 +245,100 @@ def load_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+def resolve_config(command: str, given: dict[str, str]) -> SimpleNamespace:
     """Layer defaults <- config file <- explicit flags, casting each value
-    with its flag's caster.  A config key must name a flag of the
-    subcommand, i.e. a field its parser set on `args`."""
-    names = [name for name in vars(args) if name in FLAGS]
-    given = []
-    if args.config:
-        for key, text in load_config_file(args.config).items():
+    with its flag's caster.  `given` is the scanner's text per flag; a config
+    key must name a flag of the subcommand."""
+    names = MODEL_FLAGS + COMMANDS[command][1]
+    texts = []
+    if "config" in given:
+        for key, text in load_config_file(given["config"]).items():
             name = key.replace("-", "_")
             if name not in names:
-                raise UsageError(f"{args.command} does not accept config "
+                raise UsageError(f"{command} does not accept config "
                                  f"key {key!r}")
-            given.append((name, text))
-    given += [(name, getattr(args, name)) for name in names
-              if getattr(args, name) is not None]
-    cfg = argparse.Namespace(**{name: FLAGS[name].default for name in names})
-    for name, text in given:
+            texts.append((name, text))
+    texts += [(name, given[name]) for name in names if name in given]
+    cfg = SimpleNamespace(**{name: FLAGS[name].default for name in names})
+    for name, text in texts:
         try:
             setattr(cfg, name, FLAGS[name].cast(text))
         except (ValueError, ArithmeticError) as exc:
-            raise UsageError(f"bad value for --{name.replace('_', '-')}: "
+            raise UsageError(f"bad value for {_spelled(name)}: "
                              f"{text!r} ({exc})")
     return cfg
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand accepts only the flags it reads, spelled in full.
-    Values stay strings here; resolve_config casts them."""
-    parser = argparse.ArgumentParser(
-        prog="xsuperint",
-        description="exactly verified deformed-oscillator toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, own) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        cmd.add_argument("--config", help="flat key=value config file")
-        for name in MODEL_FLAGS + own:
-            switch = ({"action": "store_const", "const": "true"}
-                      if FLAGS[name].cast is parse_bool else {})
-            cmd.add_argument("--" + name.replace("_", "-"),
-                             help=FLAGS[name].help, **switch)
-    return parser
+#: the flag names each subcommand reads, `config` included
+_READS = {command: ("config",) + MODEL_FLAGS + own
+          for command, (_, own) in COMMANDS.items()}
+_NAMES = {_spelled(name): name for name in ("config", *FLAGS)}
+_SWITCHES = {name for name, flag in FLAGS.items() if flag.cast is parse_bool}
+_HELP = ("-h", "--help")
 
 
-def model_params(cfg: argparse.Namespace) -> ModelParams:
+def help_text(command: Optional[str] = None) -> str:
+    """The usage of one subcommand, or of all of them, from the tables."""
+    lines = [f"usage: xsuperint {command or 'COMMAND'} "
+             f"[--flag VALUE | --flag=VALUE ...]", ""]
+    if command is None:
+        lines += ["exactly verified deformed-oscillator toolkit", "",
+                  "commands:"]
+        for name, (text, own) in COMMANDS.items():
+            lines += [f"  {name:<21}{text}",
+                      f"  {'':<21}flags: " + " ".join(map(_spelled, own))]
+        lines += ["", "model flags, read by every command: "
+                  + " ".join(map(_spelled, ("config",) + MODEL_FLAGS)),
+                  "xsuperint COMMAND --help lists a command's flags"]
+    else:
+        lines += [COMMANDS[command][0], "", "flags:"]
+        for name in _READS[command]:
+            text = ("flat key=value config file" if name == "config"
+                    else FLAGS[name].help)
+            lines.append(f"  {_spelled(name):<21}{text}")
+    return "\n".join(lines) + "\n"
+
+
+def scan(argv: Sequence[str]) -> tuple[str, dict[str, str]]:
+    """(subcommand, {flag name: text given}) from the command line, over
+    the COMMANDS and FLAGS tables; the last of a repeated flag wins.  Raises
+    HelpRequested at -h or --help, and UsageError at a missing or unknown
+    subcommand, a flag with no value, or any word the subcommand does not
+    read."""
+    if argv and argv[0] in _HELP:
+        raise HelpRequested(help_text())
+    choices = "choose one of " + ", ".join(COMMANDS)
+    if not argv:
+        raise UsageError(f"missing subcommand: {choices}")
+    command, words = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise UsageError(f"unknown subcommand {command!r}: {choices}")
+    given: dict[str, str] = {}
+    unknown = []
+    for word in words:
+        if word in _HELP:
+            raise HelpRequested(help_text(command))
+        flag, eq, text = word.partition("=")
+        name = _NAMES.get(flag)
+        if name not in _READS[command]:
+            unknown.append(word)
+        elif name in _SWITCHES:
+            if eq:
+                raise UsageError(f"{flag} is a switch and takes no value")
+            given[name] = "true"
+        elif eq:
+            given[name] = text
+        else:
+            text = next(words, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+            given[name] = text
+    if unknown:
+        raise UsageError(f"{command} does not accept {' '.join(unknown)}")
+    return command, given
+
+
+def model_params(cfg: SimpleNamespace) -> ModelParams:
     return ModelParams(alpha=cfg.alpha, beta=cfg.beta, omega=cfg.omega,
                        p=cfg.p, q=cfg.q)
 
@@ -284,7 +347,7 @@ def model_params(cfg: argparse.Namespace) -> ModelParams:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     params = model_params(cfg)
     if max(params.p, params.q) > MAX_VERIFY_PQ:
         raise ParameterDomainError(
@@ -332,7 +395,7 @@ def _spectrum_size(params: ModelParams, emax: float) -> Fraction | float:
     return count * (span / 2 + 1) - k * count * (count - 1) / 2
 
 
-def cmd_spectrum(cfg: argparse.Namespace) -> int:
+def cmd_spectrum(cfg: SimpleNamespace) -> int:
     if cfg.emax is None:
         raise UsageError("spectrum requires --emax")
     params = model_params(cfg)
@@ -370,7 +433,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 # export-wavefunction
 # ---------------------------------------------------------------------------
 
-def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
+def cmd_export_wavefunction(cfg: SimpleNamespace) -> int:
     params = model_params(cfg)
     state = QuantumState(cfg.m, cfg.n)
     span = params.wedge_span
@@ -408,7 +471,7 @@ def cmd_export_wavefunction(cfg: argparse.Namespace) -> int:
 # orbit
 # ---------------------------------------------------------------------------
 
-def cmd_orbit(cfg: argparse.Namespace) -> int:
+def cmd_orbit(cfg: SimpleNamespace) -> int:
     params = model_params(cfg)
     model = ClassicalModel.from_model_params(params)
     start = cfg.state if cfg.state is not None else default_start(model)
@@ -446,18 +509,14 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
     try:
-        if unknown:
-            raise UsageError(f"{args.command} does not accept "
-                             f"{' '.join(unknown)}")
-        cfg = resolve_config(args)
-        commands = {"verify": cmd_verify, "spectrum": cmd_spectrum,
-                    "export-wavefunction": cmd_export_wavefunction,
-                    "orbit": cmd_orbit}
-        code = commands[args.command](cfg)
+        command, given = scan(sys.argv[1:] if argv is None else argv)
+        code = COMMAND_RUNNERS[command](resolve_config(command, given))
         sys.stdout.flush()
         return code
+    except HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): silence the final flush at
         # exit, as the SIGPIPE note in the Python `signal` docs suggests
@@ -470,6 +529,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except XSuperintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+COMMAND_RUNNERS = {"verify": cmd_verify, "spectrum": cmd_spectrum,
+                   "export-wavefunction": cmd_export_wavefunction,
+                   "orbit": cmd_orbit}
 
 
 if __name__ == "__main__":

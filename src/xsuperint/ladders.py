@@ -43,7 +43,7 @@ from .errors import OutOfFamilyError, VerificationError
 from .operators import Coefficientable, DiffOp, Poles, RatFunc
 from .params import (ModelParams, QuantumState, angular_eigenroot,
                      energy_ratio, laguerre_parameter)
-from .polynomials import (Poly, RationalLike, as_fraction,
+from .polynomials import (Poly, RationalLike, as_fraction, exact_text,
                           exceptional_jacobi_closed_form, jacobi_polynomial,
                           lagrange_basis, lagrange_fit, laguerre_polynomial,
                           pochhammer, secondary_root, weight_pole)
@@ -779,8 +779,10 @@ def _interpolate_tables(nodes: Sequence[Fraction],
             if poly.evaluate(node) != val:
                 raise VerificationError(
                     f"chain coefficient {key} is not a degree-<{fit_count} "
-                    f"polynomial in the eigenroot (holdout node {node} "
-                    f"predicted {poly.evaluate(node)}, tabulated {val})")
+                    f"polynomial in the eigenroot (holdout node "
+                    f"{exact_text(node)} predicted "
+                    f"{exact_text(poly.evaluate(node))}, tabulated "
+                    f"{exact_text(val)})")
         out[key] = poly
     return out
 

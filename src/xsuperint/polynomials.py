@@ -42,6 +42,36 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+#: Most digits a printed numerator or denominator keeps.  str() of an int
+#: past the interpreter's digit limit (4,300 by default) raises ValueError,
+#: and a witness that long is unreadable anyway; the reference outputs print
+#: at most 16 digits in a row.
+WITNESS_DIGITS = 1000
+
+
+def _part_text(n: int) -> str:
+    """str(n) of an int n >= 0, or "(a N-digit integer)" past
+    WITNESS_DIGITS digits."""
+    if n.bit_length() <= 3 * WITNESS_DIGITS:    # n < 8^WITNESS_DIGITS
+        return str(n)
+    digits = int((n.bit_length() - 1) * math.log10(2))   # n >= 10^digits
+    while n >= 10 ** digits:
+        digits += 1
+    if digits <= WITNESS_DIGITS:
+        return str(n)
+    return f"(a {digits}-digit integer)"
+
+
+def exact_text(value: Union[int, Fraction]) -> str:
+    """An exact int or Fraction as str() prints it, with a numerator or
+    denominator of more than WITNESS_DIGITS digits named by its length: the
+    one rendering of an exact number in a witness."""
+    text = ("-" if value < 0 else "") + _part_text(abs(value.numerator))
+    if value.denominator != 1:
+        text += "/" + _part_text(value.denominator)
+    return text
+
+
 def pochhammer(z: Fraction, j: int) -> Fraction:
     """Rising factorial (z)_j = z (z+1) ... (z+j-1), with (z)_0 = 1."""
     if j < 0:
@@ -227,10 +257,10 @@ class Poly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if i == 0:
-                body = f"{mag}"
+                body = exact_text(mag)
             else:
                 xs = "x" if i == 1 else f"x^{i}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
+                body = xs if mag == 1 else f"{exact_text(mag)}*{xs}"
             if not parts:
                 parts.append(f"-{body}" if sign == "-" else body)
             else:

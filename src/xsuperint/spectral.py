@@ -88,7 +88,7 @@ def _radial_gauge(a: Fraction, y: np.ndarray
     if finite.size and float(finite.max()) > _EXP_LIMIT:
         raise NumericalOverflowError(
             f"radial gauge factor exceeds float range: exponent "
-            f"{float(finite.max()):.1f} > {_EXP_LIMIT}; shrink the grid or "
+            f"{float(finite.max()):.3g} > {_EXP_LIMIT}; shrink the grid or "
             f"the quantum numbers")
     return np.exp(logmag), dlog, dlog2
 

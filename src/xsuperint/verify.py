@@ -122,6 +122,7 @@ from .polynomials import (
     Poly,
     RationalLike,
     as_fraction,
+    exact_text,
     exceptional_jacobi_closed_form,
     jacobi_polynomial,
 )
@@ -138,7 +139,7 @@ FAIL = "FAIL"
 
 
 def normalization(c: Fraction) -> str:
-    return f"NORMALIZATION({c})"
+    return f"NORMALIZATION({exact_text(c)})"
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def classify_claim(rows: Sequence[tuple[str, Fraction, Measurement]]
                               f"measurement gives exactly 0")
         if claimed == 0:
             return MISMATCH, (f"claim vanishes at {label} where the "
-                              f"measurement gives {measured}")
+                              f"measurement gives {exact_text(measured)}")
         ratios.append((label, as_fraction(claimed) / as_fraction(measured)))
     if not ratios:
         return MATCH, "zero on both sides at every probe"
@@ -198,9 +199,10 @@ def classify_claim(rows: Sequence[tuple[str, Fraction, Measurement]]
     if len(distinct) == 1:
         c = next(iter(distinct))
         return normalization(c), (
-            f"claimed = {c} * measured at all {len(rows)} probes — a "
-            f"normalization convention, not an index-dependent error")
-    shown = ", ".join(f"{lab}: {r}" for lab, r in ratios[:4])
+            f"claimed = {exact_text(c)} * measured at all {len(rows)} "
+            f"probes — a normalization convention, not an index-dependent "
+            f"error")
+    shown = ", ".join(f"{lab}: {exact_text(r)}" for lab, r in ratios[:4])
     return MISMATCH, f"claimed/measured ratio varies with the index ({shown})"
 
 
@@ -281,7 +283,8 @@ def _family_lines(run: _Run) -> list[CheckLine]:
         lines = [CheckLine("eigenfamily", name, MISMATCH,
                            f"not proportional at n = {bad}")]
     else:
-        shown = ", ".join(f"n={n}: {ratios[n]}" for n in list(ratios)[:3])
+        shown = ", ".join(f"n={n}: {exact_text(ratios[n])}"
+                          for n in list(ratios)[:3])
         lines = [CheckLine(
             "eigenfamily", f"{name} (n = 1..{len(closed)})", MATCH,
             f"proportional at every degree; closed/monic leading ratios {shown}, ...")]
@@ -321,14 +324,16 @@ def _potential_lines(run: _Run) -> list[CheckLine]:
         witness = (f"gauge-conjugated candidate maps the degree-1 family "
                    f"member off its own line ({detail})")
     else:
-        witness = (f"gauge-conjugated candidate gives eigenvalue {coeff} on "
-                   f"the degree-1 member instead of A^2 = {a1 ** 2}")
+        witness = (f"gauge-conjugated candidate gives eigenvalue "
+                   f"{exact_text(coeff)} on the degree-1 member instead of "
+                   f"A^2 = {exact_text(a1 ** 2)}")
     x0 = Fraction(0)
     return [CheckLine(
         "angular potential", "candidate deformation term of the wedge potential",
         MATCH if coeff == a1 ** 2 else MISMATCH,
         f"candidate and derived potentials differ as rational functions "
-        f"(value at x = 0: {cand.evaluate(x0)} vs {good.evaluate(x0)}); {witness}")]
+        f"(value at x = 0: {exact_text(cand.evaluate(x0))} vs "
+        f"{exact_text(good.evaluate(x0))}); {witness}")]
 
 
 def _jacobi_ladder_lines(run: _Run) -> list[CheckLine]:
@@ -337,10 +342,11 @@ def _jacobi_ladder_lines(run: _Run) -> list[CheckLine]:
     Derived and candidate operators alike are measured against the derived
     action tables."""
     sa, sb = run.params.alpha + 1, run.params.beta - 1
+    shifted = f"({exact_text(sa)}, {exact_text(sb)})"
     ladders = [
-        (f"derived lowering ladder at parameters ({sa}, {sb})",
+        (f"derived lowering ladder at parameters {shifted}",
          jacobi_lowering, jacobi_lowering_action, -1),
-        (f"derived raising ladder at parameters ({sa}, {sb})",
+        (f"derived raising ladder at parameters {shifted}",
          jacobi_raising, jacobi_raising_action, +1),
         ("candidate lowering ladder",
          jacobi_lowering_candidate, jacobi_lowering_action, -1),
@@ -420,11 +426,13 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
     kinds = {kind for _, kind, _ in outcomes}
     ts = {t for _, kind, t in outcomes if kind == "unique"}
     derived_t = alpha / (alpha - 1) if alpha != 1 else None
-    required = ", ".join(f"n={n}: {kind}" + (f" t={t}" if t is not None else "")
+    required = ", ".join(f"n={n}: {kind}"
+                         + (f" t={exact_text(t)}" if t is not None else "")
                          for n, kind, t in outcomes)
     if "none" not in kinds and len(ts) == 1 and ts != {derived_t}:
-        detail = (f"t = {min(ts)} makes the candidate intertwine at every "
-                  f"probed degree: per-degree requirements {required}")
+        detail = (f"t = {exact_text(min(ts))} makes the candidate intertwine "
+                  f"at every probed degree: per-degree requirements "
+                  f"{required}")
     elif kinds == {"any"}:
         detail = ("every value of the undefined scalar makes the candidate "
                   "intertwine at every probed degree")
@@ -435,10 +443,10 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
                   "scalar can restore the intertwining")
     elif ts == {derived_t}:
         detail = (f"the only value that intertwines is the parameter-"
-                  f"dependent alpha/(alpha-1) = {derived_t}, which "
-                  f"rewrites the zeroth term as alpha*(x - c) — the derived "
-                  f"intertwiner; no constant resolves the symbol, and at "
-                  f"alpha = 1 no value exists at all")
+                  f"dependent alpha/(alpha-1) = {exact_text(derived_t)}, "
+                  f"which rewrites the zeroth term as alpha*(x - c) — the "
+                  f"derived intertwiner; no constant resolves the symbol, and "
+                  f"at alpha = 1 no value exists at all")
     else:
         detail = ("no single value of the undefined scalar makes the "
                   f"candidate intertwine: per-degree requirements {required}")
@@ -529,10 +537,10 @@ def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
                   MATCH if bottom.is_zero() else MISMATCH,
                   "image is identically zero" if bottom.is_zero() else
                   f"image {bottom.pretty()} is not zero"),
-        _scored(sec, f"derived lowering action table at a = {a}", "m = ",
-                radial_lowering_action, (a,), down),
-        _scored(sec, f"derived raising action table at a = {a}", "m = ",
-                radial_raising_action, (a,), up),
+        _scored(sec, f"derived lowering action table at a = {exact_text(a)}",
+                "m = ", radial_lowering_action, (a,), down),
+        _scored(sec, f"derived raising action table at a = {exact_text(a)}",
+                "m = ", radial_raising_action, (a,), up),
         _scored(sec, "claimed one-step lowering coefficient", "m=",
                 claimed_radial_lowering_action, (a,), down),
         _scored(sec, "claimed one-step raising coefficient", "m=",
@@ -559,10 +567,12 @@ def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
         verdict, detail = MISMATCH, (
             f"bottom-state image is not even in the family: {witness}")
     else:
-        shown = f"-(1 + a) = {own}" if own == -(1 + a) else f"{own}"
+        shown = exact_text(own)
+        if own == -(1 + a):
+            shown = f"-(1 + a) = {shown}"
         verdict, detail = MISMATCH, (
             f"fails to annihilate the bottom state: maps it to {shown} times "
-            f"itself (a = {a})")
+            f"itself (a = {exact_text(a)})")
     lines.append(CheckLine("radial ladders", "candidate lowering ladder",
                            verdict, detail))
 
@@ -591,10 +601,11 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         ok = measured == step.coefficient
         detail = (f"(m, n) = ({step.source.m}, {step.source.n}) -> "
                   f"({step.target.m}, {step.target.n}) at exact E/omega = "
-                  f"{step.energy}; coefficient {step.coefficient}")
+                  f"{exact_text(step.energy)}; coefficient "
+                  f"{exact_text(step.coefficient)}")
         if not ok:
-            detail += (f", but the chains measure "
-                       f"{witness if measured is None else measured}")
+            detail += ", but the chains measure " + (
+                witness if measured is None else exact_text(measured))
         lines.append(CheckLine("composite structure", name,
                                MATCH if ok else MISMATCH, detail))
 
@@ -606,7 +617,7 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         detail = "commutator vanished on an interior state"
     else:
         detail = (f"commutator eigen-coefficient on (m, n) = ({p}, 1) is "
-                  f"{gap} != 0")
+                  f"{exact_text(gap)} != 0")
     lines.append(CheckLine(
         "composite structure",
         "composites do not commute with the angular invariant",
@@ -814,15 +825,16 @@ class VerificationReport:
         formulas, the scored formulas by section with their summary, then
         the remaining gates."""
         params = self.params
-        out = [f"verify: alpha = {params.alpha}, beta = {params.beta}, "
+        alpha, beta = exact_text(params.alpha), exact_text(params.beta)
+        out = [f"verify: alpha = {alpha}, beta = {beta}, "
                f"omega = {params.omega}, k = {params.p}/{params.q}, "
                f"tol = {fmt_float(self.tol)}"]
         for gates, group in groupby(self.lines, attrgetter("is_gate")):
             if gates:
                 out += [line.format() for line in group]
                 continue
-            out.append(f"formula scorecard at alpha = {params.alpha}, "
-                       f"beta = {params.beta}, p = {params.p}, "
+            out.append(f"formula scorecard at alpha = {alpha}, "
+                       f"beta = {beta}, p = {params.p}, "
                        f"q = {params.q}")
             for section, lines in groupby(group, attrgetter("section")):
                 out += [f"-- {section}", *("  " + ln.format() for ln in lines)]

@@ -63,6 +63,11 @@ def test_gauge_pipeline_consistency():
     assert h.gauge_conjugate(-g) == angular_operator(alpha, beta)
 
 
+def test_angular_operator_is_built_once_per_parameter_pair():
+    assert angular_operator(1, 3) is angular_operator("1", Fraction(3))
+    assert angular_operator(1, 3) is not angular_operator(1, Fraction(7, 2))
+
+
 def test_solve_eigenpolynomial_unique():
     alpha, beta = A13
     op = angular_operator(alpha, beta)
@@ -80,6 +85,10 @@ def test_solve_eigenpolynomial_no_solution():
     ev = angular_eigenroot(2, *A13) ** 2
     with pytest.raises(NoSolutionError):
         solve_eigenpolynomial(op, 2, ev)
+    # an eigenvalue past the int-to-str digit limit is named by its length
+    with pytest.raises(NoSolutionError,
+                       match=r"eigenvalue \(a 5001-digit integer\)"):
+        solve_eigenpolynomial(op, 2, 10 ** 5000)
 
 
 def test_solve_eigenpolynomial_non_unique():

@@ -17,7 +17,7 @@ import xsuperint
 from xsuperint import classical, cli, verify
 from xsuperint.classical import (ClassicalModel, OrbitState, closure_report,
                                  scan_closure, trajectory)
-from xsuperint.cli import build_parser, fmt_float, main
+from xsuperint.cli import COMMANDS, MODEL_FLAGS, fmt_float, main, scan
 from xsuperint.errors import QuadratureError
 from xsuperint.params import ModelParams, QuantumState, energy_ratio
 from xsuperint.spectral import degeneracy_table
@@ -373,6 +373,16 @@ def test_bad_rational_flag():
     # ... and reads both strengths as floats, which here are past float range
     ("orbit", "--alpha", "1", "--beta", "1e400"),
     ("verify", "--classical", "--alpha", "1", "--beta", "1e400"),
+    # the scanner: no subcommand, an unknown one, a flag with no value (at
+    # the end, or before another flag), a negative value, which reaches the
+    # domain check, a switch given a value, and a stray word
+    (),
+    ("frobnicate",),
+    ("spectrum", "--emax"),
+    ("verify", "--alpha", "-1/2"),
+    ("spectrum", "--emax", "--format", "json"),
+    ("verify", "--classical=yes"),
+    ("spectrum", "--emax", "5", "stray"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so
@@ -428,6 +438,9 @@ TINY_GAP = "1" + "0" * 399 + "1/1" + "0" * 400
     # k A_n, and the weight pole b, past float range
     ("export-wavefunction", "--alpha", "1", "--beta", "1e400", "--grid", "4"),
     ("export-wavefunction", "--alpha", "1", "--beta", TINY_GAP, "--grid", "4"),
+    # the radial gauge exponent is about 5e300
+    ("export-wavefunction", "--alpha", "1e300", "--beta", "2e300",
+     "--grid", "4"),
     # a stage divides by an r^2 or sin^2(k phi) gone to 0
     ("orbit", "--state", "1e-200,0.4,0,1"),
     ("orbit", "--state", "1,1e-320,0,1"),
@@ -438,7 +451,7 @@ def test_package_error_exits_1_with_one_error_line(argv, tmp_path, recwarn):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 200
     # nothing written, and no numpy warning on the way
     assert not list(tmp_path.iterdir())
     assert not [str(w.message) for w in recwarn]
@@ -459,7 +472,7 @@ def test_unwritable_out_exits_1_with_one_error_line(argv, printed, tmp_path):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
-MODEL_FLAGS = {"--alpha", "--beta", "--omega", "--p", "--q", "--config"}
+SHARED_FLAGS = {"--alpha", "--beta", "--omega", "--p", "--q", "--config"}
 OWN_FLAGS = {
     "verify": {"--nmax", "--mmax", "--grid", "--tol", "--classical"},
     "spectrum": {"--emax", "--format", "--out"},
@@ -472,14 +485,67 @@ OWN_FLAGS = {
 def test_each_subcommand_accepts_only_the_flags_it_reads():
     accepted = 0
     for command, own in OWN_FLAGS.items():
-        for flag in sorted(MODEL_FLAGS.union(*OWN_FLAGS.values())):
+        for flag in sorted(SHARED_FLAGS.union(*OWN_FLAGS.values())):
             value = [] if flag == "--classical" else ["csv"]
-            _, unknown = build_parser().parse_known_args(
-                [command, flag, *value])
-            assert (not unknown) == (flag in MODEL_FLAGS | own), (command,
-                                                                  flag)
-            accepted += not unknown
+            try:
+                scan([command, flag, *value])
+                ok = True
+            except cli.UsageError as exc:
+                assert str(exc) == (f"{command} does not accept "
+                                    + " ".join([flag, *value]))
+                ok = False
+            assert ok == (flag in SHARED_FLAGS | own), (command, flag)
+            accepted += ok
     assert accepted == 42
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--alpha", "1/2", "--beta", "5/2", "--p", "2"),
+    ("spectrum", "--emax", "9", "--format", "json", "--alpha", "3/2"),
+    ("export-wavefunction", "--phi-max", "0.5", "--grid", "4", "--m", "1"),
+    ("orbit", "--state", "1.7,0.4,0.3,1.1", "--t-end", "12.0"),
+])
+def test_joined_flags_scan_as_separate_ones(argv):
+    command, *words = argv
+    joined = [command] + [f"{flag}={value}"
+                          for flag, value in zip(words[::2], words[1::2])]
+    assert scan(joined) == scan(argv)
+    assert scan(argv)[1] == {flag[2:].replace("-", "_"): value
+                             for flag, value in zip(words[::2], words[1::2])}
+
+
+def test_joined_flags_print_the_same():
+    assert (run_cli("spectrum", "--emax=9", "--alpha=1/2", "--beta=5/2")
+            == run_cli("spectrum", "--emax", "9", "--alpha", "1/2",
+                       "--beta", "5/2"))
+
+
+def test_the_last_of_a_repeated_flag_wins():
+    assert scan(["spectrum", "--emax", "1", "--emax=9"]) == (
+        "spectrum", {"emax": "9"})
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",)] + [
+    (command, flag) for command in COMMANDS for flag in ("-h", "--help")])
+def test_help_names_every_subcommand_and_flag(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    names = COMMANDS if len(argv) == 1 else (argv[0],)
+    for command in names:
+        assert command in out
+        for name in MODEL_FLAGS + COMMANDS[command][1]:
+            assert "--" + name.replace("_", "-") in out
+    assert "--config" in out
+
+
+def test_the_cli_loads_neither_argparse_nor_locale():
+    proc = run_module(code=(
+        "import contextlib, io, sys; from xsuperint.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['spectrum', '--emax', '5'])\n"
+        "print(code, 'argparse' in sys.modules, 'locale' in sys.modules)"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "0 False False\n", "")
 
 
 def test_closed_pipe_exits_1_without_traceback():
@@ -532,6 +598,24 @@ def test_verify_with_a_float_pole_on_the_wall_prints_the_scorecard(
     assert err == (f"error: angular Gram quadrature needs the weight pole "
                    f"b = (beta + alpha)/(beta - alpha) as a finite float "
                    f"above 1, not {pole}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # the composite coefficients and the commutator gap
+    ("--beta", "1e400", "--p", "8", "--q", "7"),
+    # the candidate potential's value at x = 0
+    ("--beta", "1e1500"),
+])
+def test_verify_with_a_number_past_the_digit_limit_prints_the_scorecard(argv):
+    # these witnesses have more than the 4,300 digits str() of an int
+    # allows: each is named by its length, and the run ends on the Gram's
+    # refusal of the float pole
+    code, out, err = run_cli("verify", "--alpha", "1", *argv)
+    assert code == 1
+    assert "digit integer)" in out
+    assert out.splitlines()[-1].startswith("note: ")
+    assert err.startswith("error: angular Gram quadrature needs the weight "
+                          "pole") and err.count("\n") == 1
 
 
 def test_export_with_a_float_pole_on_the_wall_is_finite(tmp_path):

@@ -17,7 +17,9 @@ from xsuperint.params import ModelParams
 from xsuperint.polynomials import (
     Poly,
     as_fraction,
+    WITNESS_DIGITS,
     divide_root,
+    exact_text,
     exceptional_jacobi_closed_form,
     jacobi_polynomial,
     lagrange_basis,
@@ -417,3 +419,20 @@ def test_canonical_form_examples():
     assert Poly.zero().nums == () and Poly.zero().den == 1
     assert Poly((0, 0)) == Poly.zero() and Poly.zero().degree == -1
     assert (Poly((1, 2)) * Fraction(-3, 4)).den == 4
+
+
+@pytest.mark.parametrize("digits", [1, 2, WITNESS_DIGITS - 1, WITNESS_DIGITS,
+                                    WITNESS_DIGITS + 1, 5000])
+def test_exact_text_names_a_long_integer_by_its_digits(digits):
+    # str() of an int past 4,300 digits raises; the witness names its length
+    text = (str if digits <= WITNESS_DIGITS
+            else lambda n: f"(a {digits}-digit integer)")
+    for n in (10 ** (digits - 1), 10 ** digits - 1):
+        assert exact_text(n) == text(n)
+        assert exact_text(-n) == "-" + text(n)
+    assert exact_text(Fraction(-2, 10 ** digits - 1)) == (
+        "-2/" + text(10 ** digits - 1))
+    assert exact_text(Fraction(10 ** 5000 + 1, 7)) == (
+        "(a 5001-digit integer)/7")
+    assert (Poly((10 ** 5000, 1)).pretty()
+            == "x + (a 5001-digit integer)")
