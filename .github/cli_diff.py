@@ -2,7 +2,9 @@
 file (each key is one `xsuperint` command line).  Each command runs in a
 fresh temporary working directory, once per tree; its stdout, stderr, exit
 code and every file it writes are compared.  Prints, as Markdown, how many
-keys differ and the first differing line of each.  Always exits 0.
+keys differ and the first differing line of each, marking a key "floats
+only" when it differs in float digits alone, as the benchmark judges
+outputs (see `floats_only`).  Always exits 0.
 
     python3 .github/cli_diff.py BASE_SRC HEAD_SRC benchmarks/references.json
 """
@@ -12,6 +14,10 @@ import shlex
 import subprocess
 import sys
 import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks"))
+import run as bench  # noqa: E402  (benchmarks/run.py)
 
 
 def run(src: str, key: str) -> dict[str, str]:
@@ -47,15 +53,49 @@ def first_difference(key: str, base: dict, head: dict):
     return None
 
 
+def verdicts(stdout: str) -> list[str]:
+    """The PASS or FAIL of each gate line, in order."""
+    return [line[:4] for line in stdout.splitlines()
+            if line.startswith(("PASS ", "FAIL "))]
+
+
+def floats_only(base: dict, head: dict) -> bool:
+    """Whether two runs of a key differ in float digits alone: the same
+    exit code, stderr and gate verdicts, stdout the same under the
+    benchmark's `masked_lines`, and each written file the same under its
+    `file_summary` and `same_summary` (CSVs by column sums, to 1e-6)."""
+    if base.keys() != head.keys():
+        return False
+    for part, old in base.items():
+        new = head[part]
+        if part == "stdout":
+            same = (bench.masked_lines(old) == bench.masked_lines(new)
+                    and verdicts(old) == verdicts(new))
+        elif part.startswith("file "):
+            same = bench.same_summary(bench.file_summary(part, old),
+                                      bench.file_summary(part, new))
+        else:
+            same = old == new
+        if not same:
+            return False
+    return True
+
+
 def main() -> None:
     base_src, head_src, references = sys.argv[1:4]
     with open(references, encoding="utf-8") as fh:
         keys = list(json.load(fh))
-    found = [first_difference(key, run(base_src, key), run(head_src, key))
-             for key in keys]
-    differ = [line for line in found if line is not None]
+    differ, floats = [], 0
+    for key in keys:
+        base, head = run(base_src, key), run(head_src, key)
+        line = first_difference(key, base, head)
+        if line is not None:
+            if floats_only(base, head):
+                floats += 1
+                line += " (floats only)"
+            differ.append(line)
     print(f"CLI output against the base branch: {len(differ)} of "
-          f"{len(keys)} reference keys differ")
+          f"{len(keys)} reference keys differ ({floats} in floats only)")
     if differ:
         print()
         print("\n".join(differ))

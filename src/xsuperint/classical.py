@@ -164,28 +164,26 @@ def _rk8_stream(model, state, dt, span):
     `span` each state is checked as `_check_inside` checks it, at t = n dt
     after n steps; with None nothing is checked.  A step that fails in
     floats raises WedgeExitError either way.\"""
-    k, om2 = model.k, model.omega ** 2
-    a2, b2 = model.alpha_strength ** 2, model.beta_strength ** 2
-    kk, nkk, twok = k * k, -k * k, 2 * k
+    k, nk, om2 = model.k, -model.k, model.omega ** 2
+    ka2 = k * k * model.alpha_strength ** 2
+    kb2 = k * k * model.beta_strength ** 2
     x0, x1, x2, x3 = state
     if span is not None:
         _check_inside(span, state, 0.0)"""
-# the Hamiltonian flow field in (r, phi, p_r, p_phi) at stage point y0..y3;
-# s * s * s is (s * s) * s in Python, so reusing ss and cc keeps every bit
+# the Hamiltonian flow field at stage point (r, phi, p_r, p_phi) = (y0, y1,
+# k{j}_0, y3), the p_r sum being dr/dt itself; ia and ib are k^2 A^2 and
+# k^2 B^2 over sin^2 and cos^2 of k phi, and tan(k phi) is t
 _FLOW = """\
         u = k * y1
         s = sin(u)
         c = cos(u)
-        ss = s * s
-        cc = c * c
-        w = a2 / ss + b2 / cc
-        wp = twok * (b2 * s / (cc * c) - a2 * c / (ss * s))
+        ia = ka2 / (s * s)
+        ib = kb2 / (c * c)
+        t = s / c
         r2 = y0 * y0
-        r3 = r2 * y0
-        k{j}_0 = y2
         k{j}_1 = y3 / r2
-        k{j}_2 = y3 * y3 / r3 - om2 * y0 + kk * w / r3
-        k{j}_3 = nkk * wp / (2 * r2)"""
+        k{j}_2 = (y3 * y3 + ia + ib) / (r2 * y0) - om2 * y0
+        k{j}_3 = nk * (ib * t - ia / t) / r2"""
 # written so that NaN fails the test: a state gone NaN has left too
 _YIELD = """\
         if span is not None and not (x0 > 0.0 and 0.0 < x1 < span):
@@ -201,10 +199,10 @@ _GUARD = """\
 
 def _generated_stream():
     """`_rk8_stream` compiled from the tableau's stages written out in full.
-    Its prologue computes each nonzero a_ij * dt once per run; in its loop
-    every stage sum is x_i + (a_ij dt) k_j[i] taken left to right over
-    ascending j, so each step is the same float as an index loop over the
-    tableau gives."""
+    Its prologue computes the model's constants and each nonzero a_ij * dt
+    once per run; in its loop every stage sum is x_i + (a_ij dt) k_j[i]
+    taken left to right over ascending j, so each step is the same float as
+    an index loop over the tableau gives."""
     a, b = _cooper_verner_tableau()
     head, loop = [_HEAD], ["    for n in count(1):"]
     for j, row in enumerate(a + [b]):
@@ -215,7 +213,8 @@ def _generated_stream():
         if j == len(a):
             loop.append(f"        x0, x1, x2, x3 = {', '.join(sums)}")
         else:
-            loop += [f"        y{c} = {sums[c]}" for c in range(4)]
+            loop += [f"        {name} = {total}" for name, total
+                     in zip(("y0", "y1", f"k{j}_0", "y3"), sums)]
             loop.append(_FLOW.format(j=j))
     namespace = {"__name__": __name__, "sin": math.sin, "cos": math.cos,
                  "count": count, "_check_inside": _check_inside,
@@ -294,12 +293,19 @@ def worst_drift(model: ClassicalModel, start: OrbitState,
                 states: Iterable[tuple]) -> tuple[float, float]:
     """Largest relative deviation of the energy and of the angular invariant
     over `states` from their (positive) values at `start`."""
-    e0 = classical_energy(model, start)
-    l0 = angular_invariant(model, start)
+    return worst_pair_drift((classical_energy(model, state),
+                             angular_invariant(model, state))
+                            for state in chain([start], states))
+
+
+def worst_pair_drift(pairs: Iterable[tuple]) -> tuple[float, float]:
+    """`worst_drift` over (energy, invariant) pairs already evaluated, the
+    first of them the start's."""
+    (e0, l0), *rest = pairs
     de = dl = 0.0
-    for state in states:
-        de = max(de, abs(classical_energy(model, state) - e0) / e0)
-        dl = max(dl, abs(angular_invariant(model, state) - l0) / l0)
+    for e, l1 in rest:
+        de = max(de, abs(e - e0) / e0)
+        dl = max(dl, abs(l1 - l0) / l0)
     return de, dl
 
 

@@ -46,7 +46,7 @@ from .classical import (
     default_start,
     scan_closure,
     trajectory,
-    worst_drift,
+    worst_pair_drift,
 )
 from .errors import ParameterDomainError, XSuperintError
 from .params import ModelParams, QuantumState, energy, laguerre_parameter
@@ -490,15 +490,15 @@ def cmd_orbit(cfg: SimpleNamespace) -> int:
 
     samples = [(0.0, start)]
     samples += trajectory(model, start, t_end, dt)
-    drift = worst_drift(model, start, (st for _, st in samples))
+    pairs = [(classical_energy(model, st), angular_invariant(model, st))
+             for _, st in samples]
+    drift = worst_pair_drift(pairs)
     closure = scan_closure(model, samples, dt)
 
     if cfg.out is not None:
         lines = ["t,r,phi,p_r,p_phi,H,L1"]
-        for t, st in samples:
-            row = (t, *st, classical_energy(model, st),
-                   angular_invariant(model, st))
-            lines.append(",".join(fmt_float(v) for v in row))
+        for (t, st), pair in zip(samples, pairs):
+            lines.append(",".join(fmt_float(v) for v in (t, *st, *pair)))
         print(_write_output(cfg.out, "orbit.csv", "\n".join(lines) + "\n"))
     print(f"orbit: {len(samples)} samples over t = {fmt_float(t_end)}, "
           f"dt = {fmt_float(dt)}")

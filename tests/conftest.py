@@ -10,7 +10,8 @@ from xsuperint.operators import DiffOp
 
 #: `pytest --hypothesis-profile=reference-deep`: a larger, reproducible
 #: budget for the properties that take their example count from the profile
-#: (the family builders against their reference builders)
+#: (the family builders against their reference builders, and the RK8
+#: stream against its tableau loop and against Hamilton's equations)
 settings.register_profile("reference-deep", max_examples=2000,
                           derandomize=True)
 

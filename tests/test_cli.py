@@ -213,6 +213,25 @@ def test_orbit_integrates_once(monkeypatch, tmp_path):
     assert len(calls) == steps + 2 * 64
 
 
+def test_orbit_evaluates_each_sample_once(monkeypatch, tmp_path):
+    # the drift and the table's H and L1 columns read one evaluation of
+    # each sample, the start among them, wherever the command calls them
+    calls = {}
+    for name in ("classical_energy", "angular_invariant"):
+        def counting(model, state, real=getattr(classical, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(model, state)
+        for module in (classical, cli):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    code, _, err = run_cli("orbit", "--out", str(tmp_path))
+    assert code == 0, err
+    with open(tmp_path / "orbit.csv") as fh:
+        samples = len(fh.readlines()) - 1           # the header
+    assert samples == 641
+    assert calls == {"classical_energy": samples,
+                     "angular_invariant": samples}
+
+
 def test_orbit_prints_the_same_without_out(tmp_path):
     # without --out no table is built, and the summary does not depend on it
     code, bare, err = run_cli("orbit", "--alpha", "1/2", "--beta", "5/2",
