@@ -475,6 +475,11 @@ def cmd_orbit(cfg: SimpleNamespace) -> int:
     params = model_params(cfg)
     model = ClassicalModel.from_model_params(params)
     start = cfg.state if cfg.state is not None else default_start(model)
+    if not (start[0] > 0 and 0 < start[1] < model.wedge_span):
+        raise UsageError(
+            f"initial state (r, phi) = ({start[0]}, {start[1]}) leaves the "
+            f"open wedge r > 0, 0 < phi < {model.wedge_span:.6g} for "
+            f"k = {params.p}/{params.q}")
     dt = (cfg.dt if cfg.dt is not None
           else model.radial_period / STEPS_PER_PERIOD)
     t_end = (cfg.t_end if cfg.t_end is not None

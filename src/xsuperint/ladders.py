@@ -18,7 +18,9 @@ Layers, bottom to top:
     quanta: a `CompositeStep` knows its model and exact coefficient, and
     computes once the two images (`images`) every composite check measures;
   * an index-reflection report: the raising and lowering chains exchange under
-    the sign flip of the angular eigenroot, verified three ways on one step.
+    the sign flip of the angular eigenroot.  It checks one step by exact
+    interpolation in A, by direct index substitution and against a negative
+    control, and returns its failure witnesses as one list.
 
 Functions named `*_candidate` or `claimed_*` are verbatim transcriptions of a
 circulating closed form kept for reconciliation — they are scored against the
@@ -706,157 +708,77 @@ def l1_commutator_report(step: CompositeStep) -> Measurement:
 # Index-reflection (parity) report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityReport:
-    """Result of checking that raising and lowering chains exchange under the
-    reflection of the angular eigenroot A -> -A (equivalently the formal index
-    substitution n -> 1 - n - alpha - beta), with the energy parameter held
-    fixed as an independent symbol."""
-    angular_swap_ok: bool
-    radial_swap_ok: bool
-    direct_substitution_ok: bool
-    negative_control_ok: bool
-    details: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (self.angular_swap_ok and self.radial_swap_ok
-                and self.direct_substitution_ok and self.negative_control_ok)
-
-    def lines(self) -> list[str]:
-        out = [
-            f"angular chain coefficients swap under A -> -A: "
-            f"{'yes' if self.angular_swap_ok else 'NO'}",
-            f"radial chain coefficients swap under A -> -A: "
-            f"{'yes' if self.radial_swap_ok else 'NO'}",
-            f"direct index substitution maps raising chain to lowering chain: "
-            f"{'yes' if self.direct_substitution_ok else 'NO'}",
-            f"negative control (raising chain alone is not reflection-even): "
-            f"{'yes' if self.negative_control_ok else 'NO'}",
-        ]
-        out.extend(self.details)
-        return out
-
-
-def _chain_value_table(chains: Sequence[LadderChain], root: Fraction
-                       ) -> list[dict[tuple, Fraction]]:
-    """Clear every factor of all chains by a common power of the pole
-    x - root and tabulate the x-coefficients of every cleared operator
-    coefficient: one {(factor, derivative order, x power): value} map per
-    chain.  Raises VerificationError when a factor's denominator is not a
-    power of the pole."""
-    pole = Poly((-root, 1))
-    ops = [op for chain in chains for op in chain.factors]
-    for op in ops:
-        if any(c.poles.keys() - {root} for c in op.coeffs):
-            raise VerificationError(
-                f"chain has unexpected denominator {op.cleared()[0].pretty()}; "
-                f"expected a power of {pole.pretty()}")
-    common = max((c.poles.get(root, 0) for op in ops for c in op.coeffs),
-                 default=0)
-    return [{(f, j, i): coef
-             for f, op in enumerate(chain.factors)
-             for j, c in enumerate(op.coeffs)
-             for i, coef in enumerate(
-                 (c.num * pole ** (common - c.poles.get(root, 0))).coeffs)
-             if coef}
-            for chain in chains]
-
-
-def _interpolate_tables(nodes: Sequence[Fraction],
-                        tables: Sequence[dict[tuple, Fraction]],
-                        fit_count: int) -> dict[tuple, Poly]:
-    """Entry-wise exact interpolation of the tabulated chain coefficients as
-    polynomials in the node variable, fitted on the first fit_count nodes and
-    validated on the rest."""
-    keys = sorted({k for t in tables for k in t})
-    basis = lagrange_basis(nodes[:fit_count])
-    out: dict[tuple, Poly] = {}
-    for key in keys:
-        values = [t.get(key, Fraction(0)) for t in tables]
-        poly = lagrange_fit(basis, values[:fit_count])
-        for node, val in zip(nodes[fit_count:], values[fit_count:]):
-            if poly.evaluate(node) != val:
-                raise VerificationError(
-                    f"chain coefficient {key} is not a degree-<{fit_count} "
-                    f"polynomial in the eigenroot (holdout node "
-                    f"{exact_text(node)} predicted "
-                    f"{exact_text(poly.evaluate(node))}, tabulated "
-                    f"{exact_text(val)})")
-        out[key] = poly
-    return out
+def _factor_entries(chain: LadderChain) -> dict[tuple, Fraction]:
+    """Every nonzero coefficient of the reduced numerators of the chain's
+    factors, keyed by (factor, derivative order, pole map, power of x)."""
+    return {(f, j, tuple(sorted(c.poles.items())), i): coef
+            for f, op in enumerate(chain.factors)
+            for j, c in enumerate(op.coeffs)
+            for i, coef in enumerate(c.num.coeffs) if coef}
 
 
 def parity_report(alpha: RationalLike, beta: RationalLike, p: int, q: int
-                  ) -> ParityReport:
-    """Verify, three independent ways, that the raising and lowering chains
-    are a single object read at opposite signs of the angular eigenroot.
+                  ) -> list[str]:
+    """Check that the raising and lowering chains are a single object read
+    at opposite signs of the angular eigenroot A (equivalently under the
+    formal index substitution n -> 1 - n - alpha - beta); return the failure
+    witnesses, none when the reflection holds.  One step proves every chain,
+    as a reflected raising chain is its lowering twin factor by factor when
+    its one-step factors are.  Three checks:
 
-    One step proves every chain: jacobi_raising(-N - a - b - 1, a, b) ==
-    jacobi_lowering(N, a, b) and radial_raising(-a - 2i) ==
-    radial_lowering(a + 2i), so a reflected raising chain is its lowering
-    twin factor by factor when its one-step factors are.
-
-    1. Tabulate the factors of both one-step deformed chains at indices
-       n = 1..8, clear the common pole power, interpolate every
-       coefficient exactly as a polynomial in A (fitted on 4 nodes, as the
-       coefficients are at most quadratic, and validated on the other 4), and
-       check the raising interpolants at -A equal the lowering ones at A.
-    2. Same for the one-step radial ladders in the gauge parameter a = k A,
-       k = p/q, with the energy parameter held fixed at an arbitrary
-       rational (7/2); they are also compared at -a and a factor by factor.
-    3. Substitute n -> 1 - n - alpha - beta directly into the raising chain
-       builder and compare its factor sequence with the lowering chain's.
-
-    A negative control confirms the raising interpolants alone are not even
-    in A, so the swap is a genuine pairing.
+    1. Interpolation: every entry of both one-step deformed chains at
+       n = 1..8 (`_factor_entries`) is fitted exactly in A on 4 nodes and
+       checked on the other 4, and the raising interpolants at -A must equal
+       the lowering ones at A.
+    2. Direct substitution: the raising chain at 1 - n - alpha - beta must
+       equal the lowering chain at n = 2, 3 and 7/2, and radial_raising(-kA)
+       must equal radial_lowering(kA), k = p/q, at A_1, A_2, A_3 with the
+       energy parameter held at an arbitrary rational (7/2).  Of the factors
+       B, c, F only c depends on n, and a classical step's coefficients are
+       of degree <= 2 in n, as the radial ladders' are in a.  A nonzero
+       polynomial of degree <= 2 has at most 2 roots, so three nodes settle
+       the identity at every n and a.
+    3. Negative control: the raising interpolants alone must not be even in
+       A, so the swap is a genuine pairing.
     """
     alpha, beta = as_fraction(alpha), as_fraction(beta)
-    k = Fraction(p, q)
-    eps = Fraction(7, 2)
-    fit = 4
-    details: list[str] = []
+    k, eps, fit = Fraction(p, q), Fraction(7, 2), 4
     ns = [Fraction(n) for n in range(1, 2 * fit + 1)]
     roots = [angular_eigenroot(n, alpha, beta) for n in ns]
-
-    def swap(chains: list[LadderChain], twins: list[LadderChain],
-             root: Fraction) -> tuple[dict[tuple, Poly], list[tuple]]:
-        """The interpolants of `chains`, and the entries whose interpolant
-        at -A differs from that of `twins` at A."""
-        tables = _chain_value_table(chains + twins, root)
-        plus = _interpolate_tables(roots, tables[:len(ns)], fit)
-        minus = _interpolate_tables(roots, tables[len(ns):], fit)
-        zero = Poly.zero()
-        return plus, [key for key in sorted(set(plus) | set(minus))
-                      if plus.get(key, zero).reflect() != minus.get(key, zero)]
-
     lowering = [deformed_lowering_chain(n, 1, alpha, beta) for n in ns]
-    plus, bad = swap([deformed_raising_chain(n, 1, alpha, beta) for n in ns],
-                     lowering, weight_pole(alpha, beta))
-    if bad:
-        details.append(f"angular swap fails at entries {bad[:4]}")
-
-    negative_control_ok = any(poly.reflect() != poly for poly in plus.values())
-
-    rlow = [radial_lowering_chain(k * r, eps, 1) for r in roots]
-    _, rbad = swap(rlow, [radial_raising_chain(k * r, eps, 1) for r in roots],
-                   Fraction(0))
-    radial_ok = not rbad and all(
-        radial_raising_chain(-k * r, eps, 1) == chain
-        for r, chain in zip(roots[:3], rlow))
+    tables = ([_factor_entries(deformed_raising_chain(n, 1, alpha, beta))
+               for n in ns], [_factor_entries(chain) for chain in lowering])
+    basis = lagrange_basis(roots[:fit])
+    held_out, swapped, even = [], [], True
+    for key in sorted(set().union(*tables[0], *tables[1])):
+        fits = []
+        for side in tables:
+            values = [t.get(key, 0) for t in side]
+            fits.append(lagrange_fit(basis, values[:fit]))
+            if any(fits[-1].evaluate(root) != value
+                   for root, value in zip(roots[fit:], values[fit:])):
+                held_out.append(key)
+        plus, minus = fits
+        if plus.reflect() != minus:
+            swapped.append(key)
+        even = even and plus.reflect() == plus
 
     half = Fraction(7, 2)
-    direct_ok = all(
-        deformed_raising_chain(1 - n - alpha - beta, 1, alpha, beta) == chain
-        for n, chain in ((ns[1], lowering[1]), (ns[2], lowering[2]),
-                         (half, deformed_lowering_chain(half, 1, alpha, beta))))
-    if not direct_ok:
-        details.append("direct substitution n -> 1-n-alpha-beta failed to "
-                       "map the raising chain onto the lowering chain")
-
-    return ParityReport(
-        angular_swap_ok=not bad,
-        radial_swap_ok=radial_ok,
-        direct_substitution_ok=direct_ok,
-        negative_control_ok=negative_control_ok,
-        details=tuple(details))
+    direct = [n for n, chain in ((ns[1], lowering[1]), (ns[2], lowering[2]),
+                                 (half, deformed_lowering_chain(
+                                     half, 1, alpha, beta)))
+              if deformed_raising_chain(1 - n - alpha - beta, 1, alpha,
+                                        beta) != chain]
+    radial = [k * r for r in roots[:3]
+              if radial_raising(-k * r, eps) != radial_lowering(k * r, eps)]
+    return [text for bad, text in (
+        (held_out, f"chain coefficients {held_out[:4]} are not polynomials "
+                   f"of degree < {fit} in the eigenroot (held-out nodes)"),
+        (swapped, f"angular swap fails at entries {swapped[:4]}"),
+        (direct, "direct substitution n -> 1-n-alpha-beta fails to map the "
+                 "raising chain onto the lowering chain at n = "
+                 + ", ".join(map(exact_text, direct))),
+        (radial, "radial_raising(-a) differs from radial_lowering(a) at "
+                 "a = " + ", ".join(map(exact_text, radial))),
+        (even, "negative control fails: the raising interpolants are all "
+               "even in A")) if bad]

@@ -623,14 +623,14 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         "composites do not commute with the angular invariant",
         MATCH if gap else MISMATCH, detail))
 
-    par = parity_report(params.alpha, params.beta, p, q)
+    failures = parity_report(params.alpha, params.beta, p, q)
     lines.append(CheckLine(
         "composite structure",
         "raising and lowering chains swap under eigenroot reflection A -> -A",
-        MATCH if par.ok else MISMATCH,
-        "verified by exact coefficient interpolation in A (with held-out "
-        "nodes), by direct index substitution, and against a negative control"
-        if par.ok else "; ".join(par.lines())))
+        MISMATCH if failures else MATCH,
+        "; ".join(failures) or "verified by exact coefficient interpolation "
+        "in A (with held-out nodes), by direct index substitution, and "
+        "against a negative control"))
     return lines
 
 

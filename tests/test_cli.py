@@ -402,6 +402,20 @@ def test_bad_rational_flag():
     ("spectrum", "--emax", "--format", "json"),
     ("verify", "--classical=yes"),
     ("spectrum", "--emax", "5", "stray"),
+    # an orbit start outside the open wedge r > 0, 0 < phi < pi/(2k), from
+    # a flag or a config file
+    ("orbit", "--state", "1,5,0,1"),
+    ("orbit", "--state", "-1,0.4,0,1"),
+    ("orbit", "--state", "0,0.4,0,1"),
+    ("orbit", "--state", "1,0,0,1"),
+    ("orbit", "--state", "1,1,0,1", "--p", "2"),
+    ("orbit", "--config", "state = 1,5,0,1"),
+    # model domain errors: p and q not coprime, q = 0, p = 0 and alpha = 0
+    ("verify", "--p", "2", "--q", "4"),
+    ("orbit", "--p", "2", "--q", "4"),
+    ("spectrum", "--emax", "5", "--q", "0"),
+    ("verify", "--p", "0"),
+    ("spectrum", "--alpha", "0", "--beta", "1", "--emax", "5"),
 ])
 def test_bad_input_exits_2_before_any_output(argv, tmp_path):
     # a --config value here is the file's text: write it out in Latin-1, so

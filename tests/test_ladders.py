@@ -53,8 +53,7 @@ from xsuperint.ladders import (
     raising_intertwiner_candidate,
     shifted_jacobi,
 )
-from xsuperint.ladders import (LadderChain, _chain_value_table,
-                               _solve_intertwiner)
+from xsuperint.ladders import _solve_intertwiner
 from xsuperint.operators import DiffOp, RatFunc
 from xsuperint.params import ModelParams, QuantumState, angular_eigenroot
 from xsuperint.polynomials import (Poly, as_fraction,
@@ -274,12 +273,6 @@ def test_backward_after_forward_intertwiner_is_polynomial(alpha, beta):
                            shifted_jacobi(n, alpha, beta))
 
 
-def test_chain_table_rejects_a_foreign_denominator():
-    stray = DiffOp((RatFunc(1, {-1: 1}),))                 # 1/(x+1)
-    with pytest.raises(VerificationError):
-        _chain_value_table([LadderChain((stray,))], Fraction(2))
-
-
 def deformed_raising_chain_action(n, q: int, alpha, beta) -> Fraction:
     """The q-fold raising coefficient as the product of its one-steps."""
     out = Fraction(1)
@@ -482,9 +475,7 @@ def test_chains_annihilate_the_bottom_of_each_tower(p, q):
 @pytest.mark.parametrize("alpha,beta", PAIRS)
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
 def test_parity_report_ok(alpha, beta, p, q):
-    rep = parity_report(alpha, beta, p, q)
-    assert rep.ok
-    assert rep.negative_control_ok
+    assert parity_report(alpha, beta, p, q) == []
 
 
 def test_parity_report_builds_each_deformed_chain_once(monkeypatch,
@@ -498,21 +489,82 @@ def test_parity_report_builds_each_deformed_chain_once(monkeypatch,
             calls.append((_name, args))
             return _real(*args)
         monkeypatch.setattr(ladders, name, build)
-    assert parity_report(*A13, 1, 2).ok
+    assert parity_report(*A13, 1, 2) == []
     assert len(calls) == len(set(calls)) == 20
     assert {args[1] for _, args in calls} == {1}
     assert compositions == []
 
 
+def _skew_step(monkeypatch, name, extra):
+    """Add extra(n) to the zeroth-order term of every classical step
+    `ladders.name`(n, alpha, beta) the chain builders make."""
+    real = getattr(ladders, name)
+
+    def skewed(n, alpha, beta):
+        op = real(n, alpha, beta)
+        return DiffOp((op.coeffs[0] + extra(n),) + op.coeffs[1:])
+
+    monkeypatch.setattr(ladders, name, skewed)
+
+
+SUBSTITUTION = ("direct substitution n -> 1-n-alpha-beta fails to map the "
+                "raising chain onto the lowering chain at n = 2, 3, 7/2")
+
+
+def _witnesses(p, q) -> list[str]:
+    """The failure witnesses at (1, 3), each cut before the list of entries
+    it names."""
+    return [w.split("[")[0] for w in parity_report(*A13, p, q)]
+
+
 @pytest.mark.parametrize("p,q", [(1, 1), (3, 2)])
 def test_parity_report_fails_on_a_skewed_raising_step(skewed_raising, p, q):
-    # negative control: the one-step check still sees a raising step that
-    # is not the reflected lowering one
-    rep = parity_report(*A13, p, q)
-    assert not rep.direct_substitution_ok
-    assert not rep.angular_swap_ok
-    assert rep.radial_swap_ok
-    assert not rep.ok
+    # the one-step check still sees a raising step that is not the
+    # reflected lowering one
+    assert _witnesses(p, q) == ["angular swap fails at entries ",
+                                SUBSTITUTION]
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 2)])
+def test_parity_report_fails_on_a_skewed_lowering_step(monkeypatch, p, q):
+    _skew_step(monkeypatch, "jacobi_lowering", lambda n: Fraction(1, 7))
+    assert _witnesses(p, q) == ["angular swap fails at entries ",
+                                SUBSTITUTION]
+
+
+def test_parity_report_fails_the_held_out_nodes_on_a_quartic_step(
+        monkeypatch):
+    # 4 nodes fit any cubic in A exactly, so the held-out nodes first see
+    # a term of degree 4 in n (A is affine in n)
+    _skew_step(monkeypatch, "jacobi_raising", lambda n: n ** 4)
+    assert _witnesses(1, 1) == ["chain coefficients ",
+                                "angular swap fails at entries ",
+                                SUBSTITUTION]
+
+
+@pytest.mark.parametrize("p,q,nodes", [(1, 1, "5, 7, 9"),
+                                       (3, 2, "15/2, 21/2, 27/2")])
+def test_parity_report_fails_on_a_skewed_radial_pole(monkeypatch, p, q,
+                                                     nodes):
+    # the substitution at three a is the one radial check
+    def skewed(a, eps):
+        return ladders._radial_ladder(1 - a, eps, a * (1 - a) / 2
+                                      + Fraction(1, 7))
+    monkeypatch.setattr(ladders, "radial_raising", skewed)
+    assert parity_report(*A13, p, q) == [
+        f"radial_raising(-a) differs from radial_lowering(a) at a = {nodes}"]
+
+
+def test_parity_report_negative_control_sees_an_index_free_step(
+        monkeypatch):
+    # a raising step that does not depend on n makes every raising
+    # interpolant constant, so even in A
+    real = ladders.jacobi_raising
+    monkeypatch.setattr(ladders, "jacobi_raising",
+                        lambda n, alpha, beta: real(Fraction(0), alpha, beta))
+    failures = parity_report(*A13, 1, 1)
+    assert failures[-1] == ("negative control fails: the raising "
+                            "interpolants are all even in A")
 
 
 def test_action_coefficient_rejects_wrong_target():

@@ -421,12 +421,15 @@ def test_one_step_ladders_reuse_the_q1_chains(monkeypatch):
         assert (f"{name}_chain", (n, 1, alpha, beta)) in chains
 
 
-def test_skewed_raising_step_fails_the_reflection_line(skewed_raising):
+@pytest.mark.parametrize("p,q", [(1, 1), (3, 2)])
+def test_skewed_raising_step_fails_the_reflection_line(skewed_raising, p, q):
     # the parity line's negative control: a classical raising step that is
-    # not the reflected lowering one is printed as a mismatch
-    rep = verification_report(F(1), F(3), p=3, q=2)
+    # not the reflected lowering one is printed as a mismatch, with the
+    # report's witnesses
+    rep = verification_report(F(1), F(3), p=p, q=q)
     assert ("  [MISMATCH] raising and lowering chains swap under eigenroot "
-            "reflection A -> -A -- " in rep.render())
+            "reflection A -> -A -- angular swap fails at entries "
+            in rep.render())
 
 
 # ---------------------------------------------------------------------------
