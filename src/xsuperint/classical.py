@@ -17,10 +17,10 @@ after each step, checking inline that it is still inside the wedge.  A
 single step, `rk8_step`, is the first state of an unchecked stream.  Every
 multi-step reader takes its states from a stream: `trajectory` (the CLI's
 orbit table and the closure scan), the drift measurement (every 16th state),
-the closure scan's sub-step refinement, `verify`'s drift and closure (one
-integration for both), and a convergence-order probe for the integrator
-itself, which integrates each step size once across its three spans.  Fixed
-step, fixed arithmetic order, no adaptivity: repeated runs are bit-identical.
+the closure scan's sub-step refinement, and a convergence-order probe for
+the integrator itself, which integrates each step size once across its three
+spans.  Fixed step, fixed arithmetic order, no adaptivity: repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, count, islice, takewhile, tee
+from itertools import chain, count, islice, takewhile
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParameterDomainError, StepSizeError, WedgeExitError
@@ -246,16 +246,13 @@ def _step_count(t_end: float, dt: float) -> int:
 
 
 def _states(model: ClassicalModel, start: OrbitState, t_end: float,
-            dt: float, steps: Optional[Iterator[tuple]] = None
-            ) -> Iterator[tuple]:
+            dt: float) -> Iterator[tuple]:
     """The states `trajectory` yields, without their times: its full steps,
-    read from `steps` (the run's checked stream; a new one if None), then
-    the shortened step onto t_end."""
+    then the shortened step onto t_end."""
     nsteps = int(t_end / dt)
-    if steps is None:
-        steps = _rk8_stream(model, start, dt, model.wedge_span)
     state = start
-    for state in islice(steps, nsteps):
+    for state in islice(_rk8_stream(model, start, dt, model.wedge_span),
+                        nsteps):
         yield state
     last = _land(model, state, t_end, nsteps * dt)
     if last is not None:
@@ -263,17 +260,14 @@ def _states(model: ClassicalModel, start: OrbitState, t_end: float,
 
 
 def trajectory(model: ClassicalModel, start: OrbitState, t_end: float,
-               dt: float, steps: Optional[Iterator[tuple]] = None
-               ) -> Iterator[tuple[float, tuple]]:
+               dt: float) -> Iterator[tuple[float, tuple]]:
     """Integrate the flow from `start` for time t_end with fixed step dt
     (the final partial step is shortened to land exactly on t_end), yielding
     (t, state) after every step.  Raises WedgeExitError if the orbit leaves
-    the open wedge.  `steps`, if given, stands in for the run's checked
-    stream: its states from the first step on, for a run another reader
-    shares."""
+    the open wedge."""
     nsteps = _step_count(t_end, dt)
     times = chain((n * dt for n in range(1, nsteps + 1)), [t_end])
-    return zip(times, _states(model, start, t_end, dt, steps))
+    return zip(times, _states(model, start, t_end, dt))
 
 
 def _land(model: ClassicalModel, state: tuple, t_end: float, t: float):
@@ -324,17 +318,10 @@ def conservation_drift(model: ClassicalModel, start: OrbitState,
                        steps_per_period: int = STEPS_PER_PERIOD) -> DriftReport:
     """Integrate for n_periods radial periods and report `worst_drift` over
     every 16th step.  Raises StepSizeError if the run has no 16th step."""
-    return _drift(model, start, n_periods,
-                  model.radial_period / steps_per_period)
-
-
-def _drift(model: ClassicalModel, start: OrbitState, n_periods: float,
-           dt: float, steps: Optional[Iterator[tuple]] = None) -> DriftReport:
-    """`conservation_drift` at step dt, its full steps read from `steps` as
-    `trajectory` reads them."""
     duration = n_periods * model.radial_period
+    dt = model.radial_period / steps_per_period
     nsteps = _step_count(duration, dt)
-    samples = islice(_states(model, start, duration, dt, steps), 15, None, 16)
+    samples = islice(_states(model, start, duration, dt), 15, None, 16)
     first = next(samples, None)
     if first is None:
         raise StepSizeError(f"a drift run of {nsteps} steps samples none: "
@@ -360,24 +347,6 @@ def closure_report(model: ClassicalModel, start: OrbitState,
     samples = [(0.0, start)]
     samples += trajectory(model, start, max_time, dt)
     return scan_closure(model, samples, dt, exclude)
-
-
-def drift_and_closure(model: ClassicalModel, start: OrbitState,
-                      n_periods: float, max_time: float
-                      ) -> Iterator[DriftReport | ClosureReport]:
-    """`conservation_drift(model, start, n_periods)` and then
-    `closure_report(model, start, max_time)`, yielded in turn and read from
-    one integration: the closure scans the drift run's first
-    int(max_time / dt) states and lands from the last of them onto
-    max_time, as `trajectory` does."""
-    dt = model.radial_period / STEPS_PER_PERIOD
-    stream = _rk8_stream(model, start, dt, model.wedge_span)
-    # the drift reads on; `kept` holds the closure's states until it scans
-    head, kept = tee(islice(stream, _step_count(max_time, dt)))
-    yield _drift(model, start, n_periods, dt, chain(head, stream))
-    samples = [(0.0, start)]
-    samples += trajectory(model, start, max_time, dt, kept)
-    yield scan_closure(model, samples, dt)
 
 
 def scan_closure(model: ClassicalModel, samples: Sequence[tuple[float, tuple]],

@@ -27,10 +27,12 @@ exact images each of the two computes once.
 
 When two CPUs are usable, a worker forked at the start of the run measures
 the sections `_IN_WORKER` names and the parent the others, up to its first
-error.  Every section's lines, stderr and error are then read in the print
-order of `_SECTIONS`, so the first error in that order ends the report, and
-the output is that of the worker's sections run in-process at the join (one
-usable CPU, no `os.fork`, or another thread alive).
+error (with `classical`, the worker's conservation gate and the parent's
+closure gate each integrate their own run).  Every section's lines, stderr
+and error are then read in print order, so the first error in that order
+ends the report, and the output is that of the worker's sections run
+in-process at the join (one usable CPU, no `os.fork`, or another thread
+alive).
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from .angular import (
     exceptional_jacobi,
     exceptional_jacobi_candidate_solve,
 )
-from .classical import ClassicalModel, default_start, drift_and_closure
+from .classical import (ClassicalModel, closure_report, conservation_drift,
+                        default_start)
 from .errors import (
     NoSolutionError,
     ParameterDomainError,
@@ -662,19 +665,23 @@ def _gate_lines(run: _Run) -> Iterator[CheckLine]:
         f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
 
-def _classical_lines(run: _Run) -> Iterator[CheckLine]:
-    """The classical conservation and closure gates, read from one
-    integration, each yielded as soon as it is measured."""
+def _conservation_lines(run: _Run) -> Iterator[CheckLine]:
+    """The classical conservation gate: the drift over 20 radial periods."""
     model = ClassicalModel.from_model_params(run.params)
-    reports = drift_and_closure(model, default_start(model), 20,
-                                2.5 * run.params.q * model.radial_period)
-    drift = next(reports)
+    drift = conservation_drift(model, default_start(model), 20)
     drifted = max(drift.energy_drift, drift.invariant_drift)
     yield CheckLine(
         "classical", "classical conservation",
         PASS if drifted < 1e-8 else FAIL,
         f"drift {fmt_float(drifted)} over 20 radial periods")
-    closure = next(reports)
+
+
+def _closure_lines(run: _Run) -> Iterator[CheckLine]:
+    """The classical closure gate: the orbit's best return within 2.5 q
+    radial periods."""
+    model = ClassicalModel.from_model_params(run.params)
+    closure = closure_report(model, default_start(model),
+                             2.5 * run.params.q * model.radial_period)
     yield CheckLine(
         "classical", "classical closure",
         PASS if closure.distance < 1e-6 else FAIL,
@@ -790,14 +797,17 @@ def _worker(job: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
 _SECTIONS = ("_eigen_identity_lines", "_family_lines", "_potential_lines",
              "_jacobi_ladder_lines", "_intertwiner_lines",
              "_deformed_ladder_lines", "_radial_ladder_lines",
-             "_composite_lines", "_gate_lines", "_classical_lines")
+             "_composite_lines", "_gate_lines")
+#: the sections `classical` adds after them, in print order
+_CLASSICAL_SECTIONS = ("_conservation_lines", "_closure_lines")
 
 #: the sections the worker takes: in plain `verify` the radial ladders and the
 #: float gates, which cost about what the other sections do, and with
-#: `classical` the classical gates alone, which at q = 1 cost about as much as
-#: the whole exact scorecard
+#: `classical` the conservation gate alone, whose 20-period drift run at
+#: q = 1 costs about as much as the whole exact scorecard; the closure's run
+#: of 2.5 q periods stays in the parent, after the float gates
 _IN_WORKER = {False: frozenset({"_radial_ladder_lines", "_gate_lines"}),
-              True: frozenset({"_classical_lines"})}
+              True: frozenset({"_conservation_lines"})}
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -871,7 +881,7 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     if classical:
         ClassicalModel.from_model_params(params)    # valid, or raises now
     run = _Run(params, nmax, mmax, tol, grid)
-    names = _SECTIONS if classical else _SECTIONS[:-1]
+    names = _SECTIONS + _CLASSICAL_SECTIONS if classical else _SECTIONS
     forked = [name for name in names if name in _IN_WORKER[classical]]
     lines: list[CheckLine] = []
     error = None

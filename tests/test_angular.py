@@ -91,6 +91,16 @@ def test_solve_eigenpolynomial_no_solution():
         solve_eigenpolynomial(op, 2, 10 ** 5000)
 
 
+def test_solve_eigenpolynomial_lower_degree_only():
+    # the Euler operator x d/dx at eigenvalue 1 has the one eigenpolynomial
+    # x, so degree 2 has no member of its own
+    euler = DiffOp((RatFunc.zero(), RatFunc(Poly.x())))
+    with pytest.raises(NoSolutionError,
+                       match=r"^the unique eigenpolynomial at eigenvalue 1 "
+                             r"has degree < 2 \(no degree-2 member\)$"):
+        solve_eigenpolynomial(euler, 2, 1)
+
+
 def test_solve_eigenpolynomial_non_unique():
     # the zero operator at eigenvalue 0 admits every polynomial
     with pytest.raises(NonUniqueSolutionError):

@@ -237,43 +237,14 @@ def test_wedge_exit_message_and_time(model, start):
     runs = [(lambda: trajectory_end(model, start, 5.0, 0.01), 5.0, 0.01),
             (lambda: conservation_drift(model, start, 5), 5 * period,
              period / 256),
-            (lambda: list(cm.drift_and_closure(model, start, 5, 2.5 * period)),
-             5 * period, period / 256)]
+            (lambda: closure_report(model, start, 2.5 * period),
+             2.5 * period, period / 256)]
     for run, t_end, dt in runs:
         expect = reference_exit(model, start, t_end, dt)
         assert expect is not None
         with pytest.raises(WedgeExitError) as exc:
             run()
         assert str(exc.value) == expect
-
-
-def test_drift_and_closure_read_one_integration(monkeypatch):
-    # verify's drift and closure: the same reports as two separate runs, at
-    # q = 3 and 6 with a shortened landing step onto 2.5 q T, and in windows
-    # that end at the return (T) or just past it (1.0037 T), so the scan
-    # turns on the run's last states; from one integration of 20 T plus the
-    # closure's fine pass
-    for q, periods in [(1, 2.5), (1, 1.0), (1, 1.0037), (3, 7.5), (6, 15)]:
-        model = ClassicalModel(1.0, 1 / q, 1.0, 3.0)
-        start = default_start(model)
-        max_time = periods * model.radial_period
-        separate = (conservation_drift(model, start, 20),
-                    closure_report(model, start, max_time))
-        assert tuple(cm.drift_and_closure(model, start, 20,
-                                          max_time)) == separate
-    real = cm._rk8_stream
-    steps = []
-
-    def counting(*args):
-        for out in real(*args):
-            steps.append(args[2])
-            yield out
-
-    monkeypatch.setattr(cm, "_rk8_stream", counting)
-    list(cm.drift_and_closure(model, start, 20, max_time))
-    dt = model.radial_period / 256
-    assert steps.count(dt) == int(20 * model.radial_period / dt)
-    assert len(steps) <= steps.count(dt) + 2 * 64 + 2
 
 
 def test_model_domain_checks():

@@ -281,6 +281,35 @@ def test_config_unknown_key(tmp_path):
     assert "alhpa" in err
 
 
+@pytest.mark.parametrize("argv,config,text", [
+    (("orbit", "--state", "1,2,3"), None,
+     "bad value for --state: '1,2,3' (initial state must be "
+     "r,phi,p_r,p_phi)"),
+    (("verify", "--config", "{cfg}"), "nmax 4",
+     "{cfg}:1: expected key=value, got 'nmax 4'"),
+    (("verify", "--config", "{cfg}"), "classical = maybe",
+     "bad value for --classical: 'maybe' (not a boolean)"),
+    # no file at the config path
+    (("verify", "--config", "{cfg}"), None, "config file not found: {cfg}"),
+], ids=["state", "config-line", "config-bool", "config-missing"])
+def test_usage_error_is_one_line(argv, config, text, tmp_path):
+    # exit 2, nothing on stdout and the one error line naming the input
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config + "\n")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    assert run_cli(*argv) == (2, "", f"error: {text.format(cfg=cfg)}\n")
+
+
+def test_classical_off_in_a_config_file_runs_the_plain_scorecard(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("classical = off\n")
+    argv = ("verify", "--nmax", "3", "--mmax", "2")
+    code, out, err = run_cli(*argv, "--config", str(cfg))
+    assert (code, out, err) == run_cli(*argv)
+    assert code == 0 and "classical" not in out
+
+
 @st.composite
 def spectrum_points(draw):
     """A model and an --emax: half of them a level's energy omega * E/omega

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, eval_laguerre
 
 from xsuperint.errors import ParameterDomainError
-from xsuperint.params import ModelParams
+from xsuperint.params import ModelParams, QuantumState
 from xsuperint.polynomials import (
     Poly,
     as_fraction,
@@ -203,6 +203,12 @@ def test_model_params_reject_non_finite_omega():
             ModelParams(1, 3, omega=omega)
     for omega in (1e-150, 1e150):
         assert ModelParams(1, 3, omega=omega).omega == omega
+
+
+def test_quantum_state_rejects_a_negative_radial_index():
+    with pytest.raises(ParameterDomainError,
+                       match=r"radial index m must be >= 0 \(got -1\)"):
+        QuantumState(-1, 1)
 
 
 def test_closed_form_family_small_members():

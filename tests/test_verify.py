@@ -490,6 +490,7 @@ def _broken(action, real):
 
 PARENT = VerificationError("parent section broke")
 WORKER = VerificationError("worker section broke")
+CLASSICAL = VerificationError("classical section broke")
 
 
 @needs_fork
@@ -518,10 +519,18 @@ WORKER = VerificationError("worker section broke")
       for broken in ({}, {"_radial_ladder_lines": "parent stderr\n",
                           "_composite_lines": "worker stderr\n"},
                      {"_composite_lines": WORKER})),
-    *((dict(alpha=a, beta=b, p=p, classical=True), broken,
-       {True: ("_gate_lines", "_classical_lines")})
+    # with `classical`, each classical gate in either process: the worker's
+    # conservation and the parent's closure, or the other way round
+    *((dict(alpha=a, beta=b, p=p, classical=True), broken, moved)
       for a, b, p in (("1", "3", 1), ("1/3", "50", 1), ("1/4", "30", 2))
+      for moved in ({}, {True: ("_gate_lines", "_closure_lines")})
       for broken in ({}, {"angular_gram": QuadratureError("no convergence")})),
+    *((dict(alpha="1", beta="3", classical=True), broken, moved)
+      for moved in ({}, {True: ("_gate_lines", "_closure_lines")})
+      for broken in ({"_conservation_lines": CLASSICAL},
+                     {"_closure_lines": CLASSICAL},
+                     {"_conservation_lines": "conservation stderr\n",
+                      "_closure_lines": "closure stderr\n"})),
 ], ids=repr)
 def test_scorecard_worker_and_in_process_report_alike(monkeypatch, capsys,
                                                       forks, point, broken,
@@ -554,6 +563,10 @@ def test_scorecard_worker_and_in_process_report_alike(monkeypatch, capsys,
     dict(alpha="1", beta="3", p=1, q=6),
     # exits through r > 0
     dict(alpha="1", beta="3", omega=1e150),
+    # the drift leaves the wedge at t = 12.05, past the closure's 2.5
+    # periods: the closure's run stays inside, and the drift's exit ends the
+    # report
+    dict(alpha="1/50", beta="1", p=2),
 ], ids=repr)
 def test_classical_worker_and_in_process_report_alike(monkeypatch, forks,
                                                       point):
@@ -603,7 +616,8 @@ def test_check_that_raises_kills_the_classical_worker(monkeypatch, forks,
 
 @needs_fork
 def test_classical_worker_that_dies_is_an_error(monkeypatch, forks):
-    monkeypatch.setattr(verify, "_classical_lines", lambda params: os._exit(3))
+    monkeypatch.setattr(verify, "_conservation_lines",
+                        lambda params: os._exit(3))
     _usable_cpus(monkeypatch, 2)
     report = verification_report(1, 3, classical=True)
     assert len(forks) == 1
@@ -636,7 +650,7 @@ def test_classical_gates_run_in_process_while_another_thread_lives(
 def test_classical_worker_reraises_a_foreign_exception(monkeypatch, cpus):
     def broken(params):
         raise ZeroDivisionError("not a package error")
-    monkeypatch.setattr(verify, "_classical_lines", broken)
+    monkeypatch.setattr(verify, "_conservation_lines", broken)
     _usable_cpus(monkeypatch, cpus)
     with pytest.raises(ZeroDivisionError, match="not a package error"):
         verification_report(1, 3, nmax=3, mmax=2, classical=True)
