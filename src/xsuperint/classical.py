@@ -283,18 +283,10 @@ def _land(model: ClassicalModel, state: tuple, t_end: float, t: float):
         return state
 
 
-def worst_drift(model: ClassicalModel, start: OrbitState,
-                states: Iterable[tuple]) -> tuple[float, float]:
-    """Largest relative deviation of the energy and of the angular invariant
-    over `states` from their (positive) values at `start`."""
-    return worst_pair_drift((classical_energy(model, state),
-                             angular_invariant(model, state))
-                            for state in chain([start], states))
-
-
 def worst_pair_drift(pairs: Iterable[tuple]) -> tuple[float, float]:
-    """`worst_drift` over (energy, invariant) pairs already evaluated, the
-    first of them the start's."""
+    """Largest relative deviation of the energy and of the angular invariant
+    over (energy, invariant) pairs from their (positive) values in the first
+    pair, the start's."""
     (e0, l0), *rest = pairs
     de = dl = 0.0
     for e, l1 in rest:
@@ -316,8 +308,9 @@ class DriftReport:
 def conservation_drift(model: ClassicalModel, start: OrbitState,
                        n_periods: float,
                        steps_per_period: int = STEPS_PER_PERIOD) -> DriftReport:
-    """Integrate for n_periods radial periods and report `worst_drift` over
-    every 16th step.  Raises StepSizeError if the run has no 16th step."""
+    """Integrate for n_periods radial periods and report `worst_pair_drift`
+    of the energy and angular invariant at the start and at every 16th step.
+    Raises StepSizeError if the run has no 16th step."""
     duration = n_periods * model.radial_period
     dt = model.radial_period / steps_per_period
     nsteps = _step_count(duration, dt)
@@ -326,7 +319,9 @@ def conservation_drift(model: ClassicalModel, start: OrbitState,
     if first is None:
         raise StepSizeError(f"a drift run of {nsteps} steps samples none: "
                             f"it checks every 16th step")
-    drift = worst_drift(model, start, chain([first], samples))
+    drift = worst_pair_drift((classical_energy(model, state),
+                              angular_invariant(model, state))
+                             for state in chain([start, first], samples))
     return DriftReport(*drift, duration, nsteps)
 
 

@@ -539,7 +539,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 COMMAND_RUNNERS = {"verify": cmd_verify, "spectrum": cmd_spectrum,
                    "export-wavefunction": cmd_export_wavefunction,
                    "orbit": cmd_orbit}
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,10 +30,11 @@ class OutOfFamilyError(XSuperintError):
 
 
 class VerificationError(XSuperintError):
-    """An exact check failed: an image left its target's line, a chain had a
-    foreign denominator or missed a holdout, an intertwiner ansatz had no
-    single solution, or a composite broke energy or left the family; or the
-    worker computing part of `verify` ended without its result."""
+    """A check could not be completed: an intertwiner holdout left its
+    target's line (`ladders.action_coefficient`), an intertwiner ansatz's
+    nullspace is not one line (`ladders._solve_intertwiner`), a composite
+    chain image is zero or keeps a pole (`spectral.ladder_numeric_check`),
+    or the worker computing part of `verify` ended without its result."""
 
 
 class NumericalOverflowError(XSuperintError):

@@ -44,7 +44,7 @@ import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
@@ -147,13 +147,13 @@ def normalization(c: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CheckLine:
-    """One scored formula or gate: which section it belongs to, what was
-    checked, the verdict, and a witness for anything that is not a plain
-    MATCH (a gate's is its measured value and limit)."""
-    section: str
+    """One scored formula or gate: what was checked, the verdict, a witness
+    for anything that is not a plain MATCH (a gate's is its measured value
+    and limit), and the title of its section, which `_measure` stamps."""
     name: str
     verdict: str
     detail: str = ""
+    section: str = ""
 
     @property
     def is_gate(self) -> bool:
@@ -209,16 +209,15 @@ def classify_claim(rows: Sequence[tuple[str, Fraction, Measurement]]
     return MISMATCH, f"claimed/measured ratio varies with the index ({shown})"
 
 
-def _scored(section: str, name: str, label: str, formula, args: tuple,
+def _scored(name: str, label: str, formula, args: tuple,
             measured: dict[int, Measurement]) -> CheckLine:
     """Score formula(k, *args) against measured[k] at every measured index
     k, the row labelled `label` followed by k."""
-    return CheckLine(section, name, *classify_claim(
+    return CheckLine(name, *classify_claim(
         [(f"{label}{k}", formula(k, *args), c) for k, c in measured.items()]))
 
 
-def _product_scored(section: str, name: str, label: str,
-                    chains: dict[int, Measurement],
+def _product_scored(name: str, label: str, chains: dict[int, Measurement],
                     steps: dict[int, list[Measurement]]) -> CheckLine:
     """Score the product of the measured one-steps steps[k] against the
     measured chain chains[k] at every index k; a one-step that leaves the
@@ -228,11 +227,11 @@ def _product_scored(section: str, name: str, label: str,
         product = Fraction(1)
         for c, witness in steps[k]:
             if c is None:
-                return CheckLine(section, name, MISMATCH, (
+                return CheckLine(name, MISMATCH, (
                     f"a step leaves the family — {label}{k}: {witness}"))
             product *= c
         rows.append((f"{label}{k}", product, chain))
-    return CheckLine(section, name, *classify_claim(rows))
+    return CheckLine(name, *classify_claim(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +265,9 @@ def _eigen_identity_lines(run: _Run) -> list[CheckLine]:
     ok = all(action_report(op, member, member)[0]
              == angular_eigenroot(n, alpha, beta) ** 2
              for n, member in closed.items())
-    return [CheckLine(
-        "eigenfamily", "eigen-identity", PASS if ok else FAIL,
-        f"operator reproduces A_n^2 on every family member, "
-        f"n = 1..{run.nmax} (exact)")]
+    return [CheckLine("eigen-identity", PASS if ok else FAIL,
+                      f"operator reproduces A_n^2 on every family member, "
+                      f"n = 1..{run.nmax} (exact)")]
 
 
 def _family_lines(run: _Run) -> list[CheckLine]:
@@ -283,29 +281,27 @@ def _family_lines(run: _Run) -> list[CheckLine]:
     bad = [n for n, ratio in ratios.items() if ratio in (None, 0)]
     name = "closed-form family vs derived-operator eigenfamily"
     if bad:
-        lines = [CheckLine("eigenfamily", name, MISMATCH,
-                           f"not proportional at n = {bad}")]
+        lines = [CheckLine(name, MISMATCH, f"not proportional at n = {bad}")]
     else:
         shown = ", ".join(f"n={n}: {exact_text(ratios[n])}"
                           for n in list(ratios)[:3])
         lines = [CheckLine(
-            "eigenfamily", f"{name} (n = 1..{len(closed)})", MATCH,
+            f"{name} (n = 1..{len(closed)})", MATCH,
             f"proportional at every degree; closed/monic leading ratios {shown}, ...")]
     for n, member in closed.items():
         name = f"candidate-operator eigen-solve at n = {n}"
         try:
             cand = exceptional_jacobi_candidate_solve(n, alpha, beta)
         except NoSolutionError as exc:
-            lines.append(CheckLine("eigenfamily", name, NO_SOLUTION,
+            lines.append(CheckLine(name, NO_SOLUTION,
                                    f"candidate operator: {exc}"))
             continue
         if member.proportionality(cand) not in (None, 0):
-            lines.append(CheckLine(
-                "eigenfamily", name, MATCH,
-                "candidate eigen-solve proportional to closed form"))
+            lines.append(CheckLine(name, MATCH, "candidate eigen-solve "
+                                   "proportional to closed form"))
         else:
             lines.append(CheckLine(
-                "eigenfamily", name, MISMATCH,
+                name, MISMATCH,
                 f"closed form {member.pretty()} vs candidate-operator eigen "
                 f"{cand.pretty()} — not proportional"))
     return lines
@@ -332,7 +328,7 @@ def _potential_lines(run: _Run) -> list[CheckLine]:
                    f"A^2 = {exact_text(a1 ** 2)}")
     x0 = Fraction(0)
     return [CheckLine(
-        "angular potential", "candidate deformation term of the wedge potential",
+        "candidate deformation term of the wedge potential",
         MATCH if coeff == a1 ** 2 else MISMATCH,
         f"candidate and derived potentials differ as rational functions "
         f"(value at x = 0: {exact_text(cand.evaluate(x0))} vs "
@@ -362,8 +358,7 @@ def _jacobi_ladder_lines(run: _Run) -> list[CheckLine]:
                  action_report(make(n, sa, sb), jacobi_polynomial(n, sa, sb),
                                jacobi_polynomial(n + dn, sa, sb)))
                 for n in range(1, run.nmax + 1)]
-        lines.append(CheckLine("plain-jacobi ladders", name,
-                               *classify_claim(rows)))
+        lines.append(CheckLine(name, *classify_claim(rows)))
     return lines
 
 
@@ -397,7 +392,7 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
             ("forward", fwd, derive_raising_intertwiner(alpha, beta)),
             ("backward", bwd, derive_lowering_intertwiner(alpha, beta))):
         lines.append(CheckLine(
-            "intertwiners", f"{name} intertwiner re-derived from the ansatz",
+            f"{name} intertwiner re-derived from the ansatz",
             MATCH if rederived == frozen else MISMATCH,
             "nullspace solve reproduces the frozen closed form"
             if rederived == frozen else
@@ -416,12 +411,11 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
                                                                beta))
                for n in range(0, nmax)}
     lines += [
-        _scored("intertwiners", "forward intertwiner action table", "n = ",
+        _scored("forward intertwiner action table", "n = ",
                 raising_intertwiner_action, (alpha, beta), forward),
-        CheckLine("intertwiners", "backward intertwiner action table",
+        CheckLine("backward intertwiner action table",
                   *classify_claim(backward_rows(bwd))),
-        _scored("intertwiners",
-                "claimed forward intertwiner coefficient 2n-2+2*alpha", "n=",
+        _scored("claimed forward intertwiner coefficient 2n-2+2*alpha", "n=",
                 claimed_raising_intertwiner_action, (alpha, beta), forward)]
 
     outcomes = [(n, *_resolve_free_scalar(alpha, beta, n))
@@ -453,9 +447,8 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
     else:
         detail = ("no single value of the undefined scalar makes the "
                   f"candidate intertwine: per-degree requirements {required}")
-    lines.append(CheckLine(
-        "intertwiners", "candidate forward intertwiner with undefined scalar",
-        UNRESOLVABLE, detail))
+    lines.append(CheckLine("candidate forward intertwiner with undefined "
+                           "scalar", UNRESOLVABLE, detail))
 
     cand_rows = backward_rows(lowering_intertwiner_candidate(alpha, beta))
     verdict, detail = classify_claim(cand_rows)
@@ -463,8 +456,7 @@ def _intertwiner_lines(run: _Run) -> list[CheckLine]:
     if left:
         detail = (f"pole sits at x = -b, inside neither the family nor the "
                   f"weight: {left[0]}")
-    lines.append(CheckLine("intertwiners", "candidate backward intertwiner",
-                           verdict, detail))
+    lines.append(CheckLine("candidate backward intertwiner", verdict, detail))
     return lines
 
 
@@ -489,28 +481,28 @@ def _deformed_ladder_lines(run: _Run) -> list[CheckLine]:
     down_chain = measured(deformed_lowering_chain,
                           range(q + 1, nmax + q + 1), -q, q)
     bottom = deformed_lowering(1, alpha, beta).apply_ratfunc(member(1))
-    ab, qab, sec = (alpha, beta), (q, alpha, beta), "deformed ladders"
+    ab, qab = (alpha, beta), (q, alpha, beta)
     return [
-        _scored(sec, "one-step raising action table", "n = ",
+        _scored("one-step raising action table", "n = ",
                 deformed_raising_action, ab, up),
-        _scored(sec, "one-step lowering action table", "n = ",
+        _scored("one-step lowering action table", "n = ",
                 deformed_lowering_action, ab, down),
-        CheckLine(sec, "lowering annihilates the bottom (degree-1) member",
+        CheckLine("lowering annihilates the bottom (degree-1) member",
                   MATCH if bottom.is_zero() else MISMATCH,
                   "image is identically zero" if bottom.is_zero() else
                   f"image {bottom.pretty()} is not zero"),
-        _scored(sec, "claimed one-step raising coefficient", "n=",
+        _scored("claimed one-step raising coefficient", "n=",
                 claimed_deformed_raising_action, ab, up),
-        _scored(sec, "claimed one-step lowering coefficient", "n=",
+        _scored("claimed one-step lowering coefficient", "n=",
                 claimed_deformed_lowering_action, ab, down),
-        _scored(sec, f"claimed {q}-fold raising chain coefficient", "n=",
+        _scored(f"claimed {q}-fold raising chain coefficient", "n=",
                 claimed_raising_chain_action, qab,
                 {n: up_chain[n] for n in range(1, nmax + 1)}),
-        _scored(sec, f"claimed {q}-fold lowering chain coefficient", "n=",
+        _scored(f"claimed {q}-fold lowering chain coefficient", "n=",
                 claimed_lowering_chain_action, qab, down_chain),
         _product_scored(
-            sec, f"{q}-fold raising chain equals the product of its steps",
-            "n = ", {n: up_chain[n] for n in range(1, 4)},
+            f"{q}-fold raising chain equals the product of its steps", "n = ",
+            {n: up_chain[n] for n in range(1, 4)},
             {n: [steps[n + i] for i in range(q)] for n in range(1, 4)}),
     ]
 
@@ -534,28 +526,27 @@ def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
     up_chain = measured(radial_raising_chain, range(0, mmax + 1), p, p)
     bottom = radial_family_image(radial_lowering(a, radial_eps(0, a)), 0, a,
                                  a + 2)
-    sec = "radial ladders"
     lines = [
-        CheckLine(sec, "derived lowering annihilates the bottom state",
+        CheckLine("derived lowering annihilates the bottom state",
                   MATCH if bottom.is_zero() else MISMATCH,
                   "image is identically zero" if bottom.is_zero() else
                   f"image {bottom.pretty()} is not zero"),
-        _scored(sec, f"derived lowering action table at a = {exact_text(a)}",
+        _scored(f"derived lowering action table at a = {exact_text(a)}",
                 "m = ", radial_lowering_action, (a,), down),
-        _scored(sec, f"derived raising action table at a = {exact_text(a)}",
+        _scored(f"derived raising action table at a = {exact_text(a)}",
                 "m = ", radial_raising_action, (a,), up),
-        _scored(sec, "claimed one-step lowering coefficient", "m=",
+        _scored("claimed one-step lowering coefficient", "m=",
                 claimed_radial_lowering_action, (a,), down),
-        _scored(sec, "claimed one-step raising coefficient", "m=",
+        _scored("claimed one-step raising coefficient", "m=",
                 claimed_radial_raising_action, (a,), up),
-        _scored(sec, f"claimed {p}-fold lowering chain coefficient", "m=",
+        _scored(f"claimed {p}-fold lowering chain coefficient", "m=",
                 claimed_radial_lowering_chain_action, (a, p),
                 {m: down_chain[m] for m in range(p, mmax + p + 1)}),
-        _scored(sec, f"claimed {p}-fold raising chain coefficient", "m=",
+        _scored(f"claimed {p}-fold raising chain coefficient", "m=",
                 claimed_radial_raising_chain_action, (a, p), up_chain),
         _product_scored(
-            sec, f"{p}-fold lowering chain equals the product of its steps",
-            "m = ", {m: down_chain[m] for m in range(p, p + 3)},
+            f"{p}-fold lowering chain equals the product of its steps", "m = ",
+            {m: down_chain[m] for m in range(p, p + 3)},
             {m: [radial_action_report(
                 radial_lowering(a + 2 * i, radial_eps(m, a)),
                 m - i, a + 2 * i, m - i - 1, a + 2 * i + 2) for i in range(p)]
@@ -576,8 +567,7 @@ def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
         verdict, detail = MISMATCH, (
             f"fails to annihilate the bottom state: maps it to {shown} times "
             f"itself (a = {exact_text(a)})")
-    lines.append(CheckLine("radial ladders", "candidate lowering ladder",
-                           verdict, detail))
+    lines.append(CheckLine("candidate lowering ladder", verdict, detail))
 
     cand = measured(radial_raising_candidate, range(0, 3), 1)
     verdict, detail = classify_claim(
@@ -586,8 +576,7 @@ def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
     if left:
         detail = ("image is not proportional to any family member at "
                   + ", ".join(left))
-    lines.append(CheckLine("radial ladders", "candidate raising ladder",
-                           verdict, detail))
+    lines.append(CheckLine("candidate raising ladder", verdict, detail))
     return lines
 
 
@@ -609,8 +598,7 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         if not ok:
             detail += ", but the chains measure " + (
                 witness if measured is None else exact_text(measured))
-        lines.append(CheckLine("composite structure", name,
-                               MATCH if ok else MISMATCH, detail))
+        lines.append(CheckLine(name, MATCH if ok else MISMATCH, detail))
 
     gap, witness = l1_commutator_report(up)
     if gap is None:
@@ -622,13 +610,11 @@ def _composite_lines(run: _Run) -> list[CheckLine]:
         detail = (f"commutator eigen-coefficient on (m, n) = ({p}, 1) is "
                   f"{exact_text(gap)} != 0")
     lines.append(CheckLine(
-        "composite structure",
         "composites do not commute with the angular invariant",
         MATCH if gap else MISMATCH, detail))
 
     failures = parity_report(params.alpha, params.beta, p, q)
     lines.append(CheckLine(
-        "composite structure",
         "raising and lowering chains swap under eigenroot reflection A -> -A",
         MISMATCH if failures else MATCH,
         "; ".join(failures) or "verified by exact coefficient interpolation "
@@ -644,23 +630,21 @@ def _gate_lines(run: _Run) -> Iterator[CheckLine]:
     gram = angular_gram(params.alpha, params.beta, min(run.nmax, 6))
     off = float(max(abs(gram[i, j]) for i in range(gram.shape[0])
                     for j in range(gram.shape[1]) if i != j))
-    yield CheckLine(
-        "spectral", "orthogonality", PASS if off < 1e-12 else FAIL,
-        f"worst relative off-diagonal Gram entry {fmt_float(off)} "
-        f"(limit 1e-12)")
+    yield CheckLine("orthogonality", PASS if off < 1e-12 else FAIL,
+                    f"worst relative off-diagonal Gram entry "
+                    f"{fmt_float(off)} (limit 1e-12)")
 
     states = [QuantumState(m, n) for m in range(0, 2) for n in range(1, 3)]
     worst = max(hamiltonian_residual(s, params, run.grid) for s in states)
-    yield CheckLine(
-        "spectral", "residual", PASS if worst < tol else FAIL,
-        f"worst relative Schrodinger residual {fmt_float(worst)} over "
-        f"{len(states)} states (limit {fmt_float(tol)})")
+    yield CheckLine("residual", PASS if worst < tol else FAIL,
+                    f"worst relative Schrodinger residual {fmt_float(worst)} "
+                    f"over {len(states)} states (limit {fmt_float(tol)})")
 
     checks = [ladder_numeric_check(step) for step in run.steps]
     ok = all(dev < 1e-8 and err < 1e-10 for dev, err in checks)
     deviation, ratio_error = (max(column) for column in zip(*checks))
     yield CheckLine(
-        "spectral", "ladder closure", PASS if ok else FAIL,
+        "ladder closure", PASS if ok else FAIL,
         f"numeric images track the exact coefficients (deviation "
         f"{fmt_float(deviation)}, ratio error {fmt_float(ratio_error)})")
 
@@ -670,10 +654,8 @@ def _conservation_lines(run: _Run) -> Iterator[CheckLine]:
     model = ClassicalModel.from_model_params(run.params)
     drift = conservation_drift(model, default_start(model), 20)
     drifted = max(drift.energy_drift, drift.invariant_drift)
-    yield CheckLine(
-        "classical", "classical conservation",
-        PASS if drifted < 1e-8 else FAIL,
-        f"drift {fmt_float(drifted)} over 20 radial periods")
+    yield CheckLine("classical conservation", PASS if drifted < 1e-8 else FAIL,
+                    f"drift {fmt_float(drifted)} over 20 radial periods")
 
 
 def _closure_lines(run: _Run) -> Iterator[CheckLine]:
@@ -683,8 +665,7 @@ def _closure_lines(run: _Run) -> Iterator[CheckLine]:
     closure = closure_report(model, default_start(model),
                              2.5 * run.params.q * model.radial_period)
     yield CheckLine(
-        "classical", "classical closure",
-        PASS if closure.distance < 1e-6 else FAIL,
+        "classical closure", PASS if closure.distance < 1e-6 else FAIL,
         f"normalized return distance {fmt_float(closure.distance)} at "
         f"t = {fmt_float(closure.time)}")
 
@@ -707,14 +688,16 @@ class _Outcome(NamedTuple):
 
 def _measure(run: _Run, names: Iterable[str]) -> dict[str, _Outcome]:
     """Run the builders named `names` on `run` in turn, each looked up in this
-    module as it runs and its stderr held back, up to the first that raises."""
+    module as it runs and its stderr held back, up to the first that raises.
+    Each line is stamped with its builder's title in the section tables."""
+    titles = {**_SECTIONS, **_CLASSICAL_SECTIONS}
     outcomes = {}
     for name in names:
         lines: list[CheckLine] = []
         with redirect_stderr(io.StringIO()) as err:
             try:
                 for line in globals()[name](run):
-                    lines.append(line)
+                    lines.append(replace(line, section=titles[name]))
             except Exception as exc:
                 outcomes[name] = _Outcome(lines, exc, err.getvalue())
                 return outcomes
@@ -793,13 +776,20 @@ def _worker(job: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
 # Report
 # ---------------------------------------------------------------------------
 
-#: a run's sections in print order, each named by its builder
-_SECTIONS = ("_eigen_identity_lines", "_family_lines", "_potential_lines",
-             "_jacobi_ladder_lines", "_intertwiner_lines",
-             "_deformed_ladder_lines", "_radial_ladder_lines",
-             "_composite_lines", "_gate_lines")
+#: a run's sections in print order: each builder's name, and the title its
+#: lines are listed under
+_SECTIONS = {"_eigen_identity_lines": "eigenfamily",
+             "_family_lines": "eigenfamily",
+             "_potential_lines": "angular potential",
+             "_jacobi_ladder_lines": "plain-jacobi ladders",
+             "_intertwiner_lines": "intertwiners",
+             "_deformed_ladder_lines": "deformed ladders",
+             "_radial_ladder_lines": "radial ladders",
+             "_composite_lines": "composite structure",
+             "_gate_lines": "spectral"}
 #: the sections `classical` adds after them, in print order
-_CLASSICAL_SECTIONS = ("_conservation_lines", "_closure_lines")
+_CLASSICAL_SECTIONS = {"_conservation_lines": "classical",
+                       "_closure_lines": "classical"}
 
 #: the sections the worker takes: in plain `verify` the radial ladders and the
 #: float gates, which cost about what the other sections do, and with
@@ -881,7 +871,7 @@ def verification_report(alpha: RationalLike, beta: RationalLike,
     if classical:
         ClassicalModel.from_model_params(params)    # valid, or raises now
     run = _Run(params, nmax, mmax, tol, grid)
-    names = _SECTIONS + _CLASSICAL_SECTIONS if classical else _SECTIONS
+    names = [*_SECTIONS, *(_CLASSICAL_SECTIONS if classical else ())]
     forked = [name for name in names if name in _IN_WORKER[classical]]
     lines: list[CheckLine] = []
     error = None

@@ -289,7 +289,9 @@ def test_drift_run_without_a_sample():
     steps = list(trajectory(MODEL, start, 15.5 / 256 * period, period / 256))
     assert rep.steps == 15 and len(steps) == 16
     assert ((rep.energy_drift, rep.invariant_drift)
-            == cm.worst_drift(MODEL, start, [steps[-1][1]]))
+            == cm.worst_pair_drift((classical_energy(MODEL, state),
+                                    angular_invariant(MODEL, state))
+                                   for state in (start, steps[-1][1])))
 
 
 def time_reversal_error(model: ClassicalModel, start: OrbitState,

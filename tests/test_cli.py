@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process through cli.main."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -598,6 +599,21 @@ def test_help_names_every_subcommand_and_flag(argv):
         for name in MODEL_FLAGS + COMMANDS[command][1]:
             assert "--" + name.replace("_", "-") in out
     assert "--config" in out
+
+
+def test_the_installed_script_is_cli_main():
+    # `python -m xsuperint` runs __main__.py; the script that pyproject.toml
+    # installs is the other way in, and nothing runs cli.py as a script
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["xsuperint"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert entry(["--help"]) == 0
+    assert "verify" in out.getvalue()
 
 
 def test_the_cli_loads_neither_argparse_nor_locale():

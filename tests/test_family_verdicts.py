@@ -30,7 +30,8 @@ from xsuperint import verify
 from xsuperint.params import ModelParams
 
 #: the exact sections: every `_SECTIONS` entry before the float gates
-EXACT_SECTIONS = verify._SECTIONS[:verify._SECTIONS.index("_gate_lines")]
+EXACT_SECTIONS = list(verify._SECTIONS)[:list(verify._SECTIONS).index(
+    "_gate_lines")]
 
 #: the CLI's defaults for everything but the model
 NMAX, MMAX, TOL, GRID = 6, 6, 1e-9, 40

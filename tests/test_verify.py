@@ -62,6 +62,16 @@ def test_classifier_mismatch_on_zero():
     assert verdict == "MISMATCH"
 
 
+def test_classifier_skips_rows_zero_on_both_sides():
+    # a 0 = 0 row has no ratio: the other rows decide, and a table of such
+    # rows alone has nothing that could disagree
+    zero = ("n=1", F(0), measured(0))
+    assert classify_claim([zero, ("n=2", F(3), measured(3))]) == (
+        "MATCH", "claimed equals measured at all 2 probes")
+    assert classify_claim([zero, zero]) == (
+        "MATCH", "zero on both sides at every probe")
+
+
 def test_report_counts_and_render():
     rep = verification_report(F(1), F(3), nmax=4, mmax=4)
     counts = rep.counts()
@@ -301,6 +311,113 @@ def test_intertwiner_witness_names_a_common_scalar(monkeypatch, alpha, beta,
     assert line.detail.startswith(
         f"t = {t} makes the candidate intertwine at every probed degree")
     assert "no single value" not in line.detail
+
+
+def _plus_identity(op):
+    """op + 1, for an operator."""
+    return DiffOp((op.coeffs[0] + 1, *op.coeffs[1:]))
+
+
+def test_intertwiner_line_when_every_or_no_scalar_intertwines(monkeypatch):
+    # a candidate that ignores its scalar and is the derived intertwiner
+    # works for every value; the real candidate plus the identity for none
+    real = verify.raising_intertwiner_candidate
+    monkeypatch.setattr(verify, "raising_intertwiner_candidate",
+                        lambda a, b, t: raising_intertwiner(a, b))
+    assert _scalar_intertwiner_line(F(1, 2), F(5, 2)).detail == (
+        "every value of the undefined scalar makes the candidate intertwine "
+        "at every probed degree")
+    monkeypatch.setattr(verify, "raising_intertwiner_candidate",
+                        lambda a, b, t: _plus_identity(real(a, b, t)))
+    assert _scalar_intertwiner_line(F(1, 2), F(5, 2)).detail == (
+        "no single value of the undefined scalar makes the candidate "
+        "intertwine: per-degree requirements n=0: none, n=1: none, "
+        "n=2: none")
+
+
+# ---------------------------------------------------------------------------
+# Witness texts: each verdict branch of a section builder, reached by a
+# mutant of a name the scorecard module imports.
+# ---------------------------------------------------------------------------
+
+def _lines(builder):
+    """{name: (verdict, witness)} of one section builder at (1, 3), k = 1,
+    nmax = 3 and mmax = 2."""
+    run = verify._Run(ModelParams(F(1), F(3)), nmax=3, mmax=2, tol=1e-9,
+                      grid=40)
+    return {ln.name: (ln.verdict, ln.detail) for ln in builder(run)}
+
+
+def test_closed_form_off_the_eigenfamily_is_a_mismatch(monkeypatch):
+    # the derived eigenfamily with its degree-2 member swapped for degree 3
+    real = verify.exceptional_jacobi
+    monkeypatch.setattr(verify, "exceptional_jacobi",
+                        lambda n, alpha, beta: real(3 if n == 2 else n,
+                                                    alpha, beta))
+    lines = _lines(verify._family_lines)
+    assert lines["closed-form family vs derived-operator eigenfamily"] == (
+        "MISMATCH", "not proportional at n = [2]")
+
+
+def test_candidate_eigen_solve_that_finds_the_family_is_a_match(monkeypatch):
+    monkeypatch.setattr(verify, "exceptional_jacobi_candidate_solve",
+                        verify.exceptional_jacobi)
+    lines = _lines(verify._family_lines)
+    for n in range(1, 4):
+        assert lines[f"candidate-operator eigen-solve at n = {n}"] == (
+            "MATCH", "candidate eigen-solve proportional to closed form")
+
+
+def test_potential_line_reads_the_candidates_eigenvalue(monkeypatch):
+    # the derived operator in place of the candidate's reproduces A^2 = 25 on
+    # the degree-1 member; one plus it gives 26
+    derived = verify.angular_schrodinger_x
+    name = "candidate deformation term of the wedge potential"
+    monkeypatch.setattr(verify, "angular_schrodinger_x",
+                        lambda alpha, beta, candidate_potential: derived(
+                            alpha, beta))
+    verdict, witness = _lines(verify._potential_lines)[name]
+    assert verdict == "MATCH"
+    assert witness.endswith(
+        "; candidate reproduces the derived eigenvalue (unexpected)")
+    monkeypatch.setattr(verify, "angular_schrodinger_x",
+                        lambda alpha, beta, candidate_potential:
+                        _plus_identity(derived(alpha, beta)))
+    verdict, witness = _lines(verify._potential_lines)[name]
+    assert verdict == "MISMATCH"
+    assert witness.endswith(
+        "; gauge-conjugated candidate gives eigenvalue 26 on the degree-1 "
+        "member instead of A^2 = 25")
+
+
+@pytest.mark.parametrize("builder,name,wrong,line", [
+    ("_deformed_ladder_lines", "deformed_lowering", deformed_raising,
+     "lowering annihilates the bottom (degree-1) member"),
+    ("_radial_ladder_lines", "radial_lowering", radial_raising,
+     "derived lowering annihilates the bottom state"),
+])
+def test_lowering_that_keeps_the_bottom_is_a_mismatch(monkeypatch, builder,
+                                                      name, wrong, line):
+    monkeypatch.setattr(verify, name, wrong)
+    verdict, witness = _lines(getattr(verify, builder))[line]
+    assert verdict == "MISMATCH"
+    assert witness.startswith("image ") and witness.endswith(" is not zero")
+
+
+def test_radial_candidate_off_the_family_is_a_mismatch(monkeypatch):
+    # the raising ladder maps the bottom state off its own line
+    monkeypatch.setattr(verify, "radial_lowering_candidate", radial_raising)
+    verdict, witness = _lines(verify._radial_ladder_lines)[
+        "candidate lowering ladder"]
+    assert verdict == "MISMATCH"
+    assert witness.startswith("bottom-state image is not even in the "
+                              "family: image has a surviving pole")
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._usable_cpus() == 1
 
 
 def _doubled(op):
