@@ -447,8 +447,7 @@ def convergence_order(model: ClassicalModel, start: OrbitState) -> float:
             if reached:
                 run[0], run[1] = nsteps, reached[0]
             if run[0] == nsteps:            # else the run left the wedge
-                ends[span, div] = (_land(model, run[1], span, nsteps * dt)
-                                   or run[1])
+                ends[span, div] = _land(model, run[1], span, nsteps * dt)
         if ends[span, div] is None:
             raise WedgeExitError(f"orbit left the wedge by t = {span:.6g}")
         return ends[span, div]

@@ -3,8 +3,7 @@ exceptional orthogonal families the rest of the package is built from.
 
 A `Poly` keeps integer numerators over one common denominator, so products,
 sums and exact division by x - r run on Python ints; coefficients and values
-come back as `fractions.Fraction`.  Nothing here touches floating point
-except `float_coeffs`.
+come back as `fractions.Fraction`.  Nothing here touches floating point.
 
 Rationals are coerced (`as_fraction`, which refuses floats) only at the
 package boundary: the `Poly` constructors, scalar product and `evaluate`,
@@ -54,7 +53,8 @@ def _part_text(n: int) -> str:
     WITNESS_DIGITS digits."""
     if n.bit_length() <= 3 * WITNESS_DIGITS:    # n < 8^WITNESS_DIGITS
         return str(n)
-    digits = int((n.bit_length() - 1) * math.log10(2))   # n >= 10^digits
+    # 0.30102999566 < log10(2), so n >= 2^(bits - 1) >= 10^digits
+    digits = (n.bit_length() - 1) * 30102999566 // 10**11
     while n >= 10 ** digits:
         digits += 1
     if digits <= WITNESS_DIGITS:
@@ -215,9 +215,6 @@ class Poly:
             acc = acc * a + n * scale
             scale *= b
         return Fraction(acc, self.den * b ** max(self.degree, 0))
-
-    def float_coeffs(self) -> list[float]:
-        return [n / self.den for n in self.nums]
 
     def reflect(self) -> "Poly":
         """p(x) -> p(-x)."""

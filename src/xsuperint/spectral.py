@@ -29,7 +29,6 @@ import numpy as np
 from .angular import angular_potential, exceptional_jacobi
 from .errors import NumericalOverflowError, QuadratureError, VerificationError
 from .ladders import CompositeStep
-from .operators import RatFunc
 from .params import (ModelParams, QuantumState, energy, energy_ratio,
                      laguerre_parameter)
 from .polynomials import (Poly, RationalLike, as_fraction, laguerre_polynomial,
@@ -39,21 +38,19 @@ _EXP_LIMIT = 700.0  # exp overflow threshold for float64, with headroom
 
 
 def _polyval(p: Poly, t: np.ndarray) -> np.ndarray:
-    """p at t in floats; a coefficient past float range (a high Laguerre
-    factor's, say) raises NumericalOverflowError."""
+    """p at t in floats, by numpy's Horner on the rounded coefficients
+    n / den: the one place an exact polynomial becomes floats.  A coefficient
+    past float range (a high Laguerre factor's, say) raises
+    NumericalOverflowError."""
     if p.is_zero():
         return np.zeros_like(np.asarray(t, dtype=float))
     try:
-        coeffs = p.float_coeffs()
+        coeffs = [n / p.den for n in p.nums]
     except OverflowError:
         raise NumericalOverflowError(
             f"a coefficient of a degree-{p.degree} polynomial exceeds float "
             f"range; shrink the quantum numbers") from None
     return np.polynomial.polynomial.polyval(t, np.array(coeffs))
-
-
-def _ratval(f: RatFunc, t: np.ndarray) -> np.ndarray:
-    return _polyval(f.num, t) / _polyval(f.den, t)
 
 
 def default_rmax(params: ModelParams) -> float:
@@ -194,7 +191,8 @@ def hamiltonian_residual(state: QuantumState, params: ModelParams,
     ang2 = 4 * kf ** 2 * ((1 - x ** 2) * w2 - x * w1)
 
     e_val = energy(state, params)
-    v_ang = _ratval(angular_potential(alpha, beta), x)
+    pot = angular_potential(alpha, beta)
+    v_ang = _polyval(pot.num, x) / _polyval(pot.den, x)
     rr = r[:, None]
     psi = np.outer(u0, w0)
     h_psi = (-0.5 * (np.outer(rad2, w0) + np.outer(rad1 / r, w0)

@@ -120,7 +120,8 @@ from .ladders import (
     raising_intertwiner_candidate,
     shifted_jacobi,
 )
-from .params import ModelParams, QuantumState, angular_eigenroot
+from .params import (ModelParams, QuantumState, angular_eigenroot,
+                     laguerre_parameter)
 from .polynomials import (
     Poly,
     RationalLike,
@@ -509,7 +510,7 @@ def _deformed_ladder_lines(run: _Run) -> list[CheckLine]:
 
 def _radial_ladder_lines(run: _Run) -> list[CheckLine]:
     p, mmax = run.params.p, run.mmax
-    a = run.params.k * angular_eigenroot(1, run.params.alpha, run.params.beta)
+    a = laguerre_parameter(1, run.params)
 
     def measured(make, ms: range, shift: int, *steps: int
                  ) -> dict[int, Measurement]:

@@ -333,6 +333,12 @@ def test_radial_lowering_annihilates_bottom():
     assert img == RatFunc.of(Poly.constant(0))
 
 
+def test_radial_family_image_refuses_an_odd_gauge_shift():
+    a = Fraction(5)
+    with pytest.raises(ValueError, match="differ by an even integer"):
+        radial_family_image(radial_lowering(a, radial_eps(0, a)), 0, a, a + 1)
+
+
 def test_radial_candidate_witnesses():
     a = Fraction(5)
     eps = radial_eps(0, a)

@@ -260,6 +260,25 @@ def test_gauge_conjugate_is_the_composed_substitution(drawn):
 def test_pretty_output():
     text = DiffOp((RatFunc(Poly((1,))), RatFunc(Poly((0, 1))))).pretty()
     assert "D" in text and "x" in text
+    # a zero coefficient between two others is left out
+    op = DiffOp((1, 0, RatFunc(Poly((0, 1)), {1: 1})))
+    assert op.pretty() == "[(x) / (x - 1)]*D^2 + 1"
+    assert repr(op) == "DiffOp([(x) / (x - 1)]*D^2 + 1)"
+    assert repr(RatFunc(1, {1: 1})) == "RatFunc((1) / (x - 1))"
+
+
+def test_equal_operators_hash_equal():
+    x = Poly.x()
+    assert (hash(DiffOp((x * x, RatFunc(1, {-1: 1}))))
+            == hash(DiffOp((Poly((0, 0, 1)), RatFunc(Poly.one(), {-1: 1})))))
+
+
+def test_ratfunc_refusals():
+    with pytest.raises(ValueError, match="not a polynomial: denominator x - 1"):
+        RatFunc(1, {1: 1}).as_poly()
+    # a type RatFunc does not compare with falls back to identity
+    assert RatFunc.one().__eq__("x") is NotImplemented
+    assert RatFunc.one() != "x"
 
 
 def test_cleared_over_mixed_denominators():

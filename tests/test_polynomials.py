@@ -7,6 +7,7 @@ three-term recurrence) and `reference_laguerre` (the series in Fractions)."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from xsuperint.polynomials import (
     times_roots,
     weight_pole,
 )
+from xsuperint.spectral import _polyval
 
 
 def test_as_fraction_parsing():
@@ -118,6 +120,23 @@ def test_pretty_printing():
     assert Poly((Fraction(3, 2), Fraction(-1, 2))).pretty() == "-1/2*x + 3/2"
     assert Poly((0, 0, 1)).pretty() == "x^2"
     assert Poly.zero().pretty() == "0"
+    assert repr(Poly((Fraction(-1, 2), 0, 1))) == "Poly(x^2 - 1/2)"
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: pochhammer(Fraction(1, 2), -1), "j >= 0"),
+    (lambda: Poly((1, 1)) ** -1, "negative power"),
+    (lambda: Poly.zero().monic(), "cannot be made monic"),
+    (lambda: lagrange_basis([Fraction(1), Fraction(2), Fraction(1)]),
+     "must be distinct"),
+    (lambda: jacobi_polynomial(-1, 1, 3), "n >= 0"),
+    (lambda: laguerre_polynomial(-1, 1), "m >= 0"),
+    (lambda: exceptional_jacobi_closed_form(0, 1, 3), "starts at degree 1"),
+], ids=["pochhammer", "power", "monic", "lagrange", "jacobi", "laguerre",
+        "closed-form"])
+def test_argument_guards_raise(call, text):
+    with pytest.raises(ValueError, match=text):
+        call()
 
 
 def test_jacobi_against_scipy():
@@ -390,7 +409,10 @@ def test_evaluate_matches_the_fraction_oracle(a, x, k):
     assert p.evaluate(x) == rp.evaluate(x)
     assert p.evaluate(k) == rp.evaluate(Fraction(k))
     assert isinstance(p.evaluate(x), Fraction)
-    assert p.float_coeffs() == [float(c) for c in rp.coeffs]
+    t = np.array([-2.5, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0, float(x)])
+    want = np.polynomial.polynomial.polyval(
+        t, np.array([float(c) for c in rp.coeffs] or [0.0]))
+    assert _polyval(p, t).tobytes() == want.tobytes()
 
 
 def canonical(p):
@@ -428,7 +450,7 @@ def test_canonical_form_examples():
 
 
 @pytest.mark.parametrize("digits", [1, 2, WITNESS_DIGITS - 1, WITNESS_DIGITS,
-                                    WITNESS_DIGITS + 1, 5000])
+                                    WITNESS_DIGITS + 1, 5000, 10 ** 5])
 def test_exact_text_names_a_long_integer_by_its_digits(digits):
     # str() of an int past 4,300 digits raises; the witness names its length
     text = (str if digits <= WITNESS_DIGITS

@@ -118,8 +118,10 @@ def hamiltonian_residual_fd(state: QuantumState, params: ModelParams
     d2a = (ap - 2 * a0 + am) / h ** 2
     pot = angular_potential(alpha, beta)
     x = np.cos(2 * kf * phi)
-    v_ang = (np.polynomial.polynomial.polyval(x, pot.num.float_coeffs())
-             / np.polynomial.polynomial.polyval(x, pot.den.float_coeffs()))
+    v_ang = (np.polynomial.polynomial.polyval(
+                 x, [float(c) for c in pot.num.coeffs])
+             / np.polynomial.polynomial.polyval(
+                 x, [float(c) for c in pot.den.coeffs]))
     rr = r[:, None]
     psi = np.outer(r0, a0)
     h_psi = (-0.5 * (np.outer(d2r, a0) + np.outer(d1r / r, a0)

@@ -762,6 +762,25 @@ def test_classical_gates_run_in_process_while_another_thread_lives(
     assert "PASS classical closure" in report.render()
 
 
+class _Interrupt(BaseException):
+    """Not an Exception, so no section keeps it as its outcome."""
+
+
+@pytest.mark.parametrize("cpus", [
+    pytest.param(2, marks=needs_fork), 1])
+def test_worker_reraises_what_ended_its_job(monkeypatch, forks, cpus):
+    # what `_measure` does not keep ends the worker's job: the join sends it
+    # back up from the forked worker and raises it in the parent
+    def interrupted(run):
+        raise _Interrupt("worker interrupted")
+    monkeypatch.setattr(verify, "_radial_ladder_lines", interrupted)
+    _usable_cpus(monkeypatch, cpus)
+    with pytest.raises(_Interrupt, match="worker interrupted"):
+        verification_report(1, 3, nmax=3, mmax=2)
+    assert len(forks) == (1 if cpus == 2 else 0)
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("cpus", [
     pytest.param(2, marks=needs_fork), 1])
 def test_classical_worker_reraises_a_foreign_exception(monkeypatch, cpus):
